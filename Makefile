@@ -20,7 +20,7 @@ BENCH_COUNT ?= 1
 # with runner load far beyond the 15% threshold.
 BENCH_LATENCY_BOUND ?= ^BenchmarkBrokerWireSync$$
 
-.PHONY: build test check soak soak-federated soak-query soak-campaign bench benchdiff bench-full bench-dataplane bench-smoke fuzz
+.PHONY: build test check soak soak-federated soak-query soak-campaign bench benchdiff bench-full bench-dataplane bench-smoke fuzz plantbench
 
 build:
 	$(GO) build ./...
@@ -29,22 +29,39 @@ build:
 test: build
 	$(GO) test ./...
 
-# Tier-2: vet + the full suite under the race detector (the supervision,
-# chaos, snapshot and codegen worker-pool layers are concurrency-heavy).
-# `go test` also replays the binary-decoder fuzz seed corpus (the f.Add
-# seeds in internal/broker/fuzz_test.go) as regular tests.
+# Tier-2: gofmt + vet + the full suite under the race detector (the
+# supervision, chaos, snapshot and codegen worker-pool layers are
+# concurrency-heavy), then the benchmark harness's own tests — a module of
+# its own under benchmark/, compiled against this tree, so a change that
+# breaks a symbol the harness imports fails here. `go test` also replays
+# the fuzz seed corpora (the f.Add seeds of the Fuzz* targets) as regular
+# tests.
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd benchmark && $(GO) test ./...
 
-# Exploratory fuzzing of the binary wire decoder — corrupt, truncated and
-# oversized frames against the mixed-framing reader and the frame codec.
-# CI runs only the seed corpus (via `make check`); run this for minutes or
-# hours when touching internal/wire framing or a protocol codec.
+# One set of the plantbench workloads (commission, telemetry, firehose,
+# operations; see benchmark/README.md): the only basis for a perf claim.
+# The exit code is the harness's correctness checks (exactly-once, order,
+# counts), not a number. CI runs the same with --seconds 5.
+plantbench:
+	sh benchmark/run.sh --workload all --seed 1 --seconds 20 --trace 0
+
+# Exploratory fuzzing of the decoders of bytes we did not just produce: the
+# binary wire decoder (corrupt, truncated and oversized frames against the
+# mixed-framing reader and the frame codec) and the machine driver protocol
+# (the sweep response splitter against encoding/json, and the emulator's
+# request dispatch). CI runs only the seed corpora (via `make check`); run
+# this for minutes or hours when touching internal/wire framing, a protocol
+# codec or the machinesim wire protocol.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
 	$(GO) test -fuzz=FuzzBinaryBodyRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
+	$(GO) test -fuzz=FuzzSweepResponse -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
+	$(GO) test -fuzz=FuzzDispatch -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
 
 # Durability soak: the seeded chaos suites under the race detector — the
 # zero-loss audit (historian crashes + broker partition, every sequence

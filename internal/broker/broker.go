@@ -143,9 +143,10 @@ type Broker struct {
 	nextSub  int
 	closed   atomic.Bool
 
-	// pubMu guards the publisher-side dedup high-water marks.
+	// pubMu guards the map of publisher-side dedup high-water marks; each
+	// session's mark has a lock of its own (see publishSeq).
 	pubMu   sync.Mutex
-	pubSeqs map[string]uint64
+	pubSeqs map[string]*pubSession
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -168,7 +169,7 @@ func New() *Broker {
 	b := &Broker{
 		subs:     map[int]*subscription{},
 		sessions: map[string]*subscription{},
-		pubSeqs:  map[string]uint64{},
+		pubSeqs:  map[string]*pubSession{},
 		conns:    map[net.Conn]struct{}{},
 	}
 	for i := range b.shards {
@@ -290,6 +291,9 @@ func (b *Broker) publish(topic string, payload []byte, retain, owned bool) error
 		msg = Message{Topic: topic, Payload: keep(), Retained: retain, enc: enc}
 	}
 	for _, s := range *matched {
+		if s.ack != nil {
+			s.awaitRoom()
+		}
 		s.enqueue(msg)
 	}
 	return nil

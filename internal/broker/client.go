@@ -33,8 +33,8 @@ type Client struct {
 	// response carrying ID k — cumulative subID-0 ack, per-frame ack or
 	// error — resolves every forward with ID ≤ k (the ones below k as
 	// plain non-dup success). See PublishSeqAsync.
-	fwds   []fwdWaiter
-	closed bool
+	fwds    []fwdWaiter
+	closed  bool
 	readErr error
 
 	timeout time.Duration

@@ -111,7 +111,7 @@ type Node struct {
 const fwdWindow = 256
 
 // fwdEntry is one forward in an uplink's window: the publish, its
-// completion, and where it stands against the current connection. staged,
+// completion, and where it stands against the uplink's connections. conn,
 // sent and finished are guarded by the uplink's mutex.
 type fwdEntry struct {
 	topic   string
@@ -121,9 +121,9 @@ type fwdEntry struct {
 	seq     uint64
 	done    func(dup bool, err error)
 
-	staged   bool // written to the current connection, awaiting its ack
-	sent     bool // ever written to any connection (a restage is a replay)
-	finished bool // completion delivered; the entry is dead
+	conn     *Client // the connection it is staged on (written, awaiting the ack); nil while unstaged
+	sent     bool    // ever written to any connection (a restage is a replay)
+	finished bool    // completion delivered; the entry is dead
 }
 
 // uplink is the windowed pipelined forward path to one owner shard: a
@@ -323,24 +323,24 @@ func (u *uplink) run() {
 		}
 		for attempt := 0; ; {
 			u.mu.Lock()
+			c := u.c
+			u.mu.Unlock()
+			if c != nil && c.Err() != nil {
+				u.abandon(c)
+				c = nil
+			}
+			u.mu.Lock()
 			var todo []*fwdEntry
 			for _, e := range u.sendq {
-				if !e.staged && !e.finished {
+				if e.conn == nil && !e.finished {
 					todo = append(todo, e)
 				}
 			}
-			c := u.c
 			u.mu.Unlock()
 			if len(todo) == 0 {
 				break
 			}
-			if c == nil || c.Err() != nil {
-				if c != nil {
-					c.Close()
-					u.mu.Lock()
-					u.c = nil
-					u.mu.Unlock()
-				}
+			if c == nil {
 				nc, err := u.connect()
 				if err != nil {
 					// The owner is unreachable right now. Sessioned forwards
@@ -367,6 +367,26 @@ func (u *uplink) run() {
 	}
 }
 
+// abandon retires a dead connection: every sessioned forward staged on it
+// is un-staged in one step, so the restage that follows sees them all, in
+// queue order. Left to the dead client's read loop, which un-stages one
+// completion at a time, a restage in between would write the entries
+// already un-staged plus the never-staged tail and skip the still-staged
+// middle — which then arrives below the owner's (session, seq) high-water
+// mark and is dropped as a duplicate. Sessionless forwards stay with the
+// dead connection; its completions fail them (at-most-once).
+func (u *uplink) abandon(c *Client) {
+	u.mu.Lock()
+	u.c = nil
+	for _, e := range u.sendq {
+		if e.conn == c && e.session != "" {
+			e.conn = nil
+		}
+	}
+	u.mu.Unlock()
+	c.Close()
+}
+
 func (u *uplink) connect() (*Client, error) {
 	conn, err := u.n.dialLink(u.name, u.shard)
 	if err != nil {
@@ -382,11 +402,11 @@ func (u *uplink) connect() (*Client, error) {
 func (u *uplink) stage(c *Client, todo []*fwdEntry) {
 	for _, e := range todo {
 		u.mu.Lock()
-		if u.closed || u.c != c || e.finished || e.staged {
+		if u.closed || u.c != c || e.finished || e.conn != nil {
 			u.mu.Unlock()
 			return
 		}
-		e.staged = true
+		e.conn = c
 		if e.sent {
 			u.n.forwardReplayed.Add(1)
 		}
@@ -394,26 +414,31 @@ func (u *uplink) stage(c *Client, todo []*fwdEntry) {
 		u.mu.Unlock()
 		e := e
 		if err := c.PublishSeqAsync(e.topic, e.payload, e.retain, e.session, e.seq, func(dup bool, err error) {
-			u.complete(e, dup, err)
+			u.complete(e, c, dup, err)
 		}); err != nil {
-			u.complete(e, false, err)
+			u.complete(e, c, false, err)
 			return
 		}
 	}
 }
 
-// complete resolves one window entry. Conn-loss errors on sessioned
+// complete resolves one window entry with the outcome connection c reports
+// (nil when no connection is involved). Conn-loss errors on sessioned
 // forwards park the entry for replay instead — the owner's (session, seq)
-// high-water mark dedups the restage, so replay is idempotent; every other
-// outcome releases the window slot and fires the caller's completion.
-func (u *uplink) complete(e *fwdEntry, dup bool, err error) {
+// high-water mark dedups the restage, so replay is idempotent; a conn-loss
+// report from a connection the entry has already left (abandon moved it
+// on) is stale and changes nothing. Every other outcome releases the
+// window slot and fires the caller's completion.
+func (u *uplink) complete(e *fwdEntry, c *Client, dup bool, err error) {
 	u.mu.Lock()
 	if e.finished {
 		u.mu.Unlock()
 		return
 	}
 	if err != nil && e.session != "" && !u.closed && errors.Is(err, errFwdConnLost) {
-		e.staged = false
+		if e.conn == c {
+			e.conn = nil
+		}
 		u.mu.Unlock()
 		select {
 		case u.wake <- struct{}{}:
@@ -446,13 +471,13 @@ func (u *uplink) failUnstagedSessionless(err error) {
 	u.mu.Lock()
 	var doomed []*fwdEntry
 	for _, e := range u.sendq {
-		if !e.staged && !e.finished && e.session == "" {
+		if e.conn == nil && !e.finished && e.session == "" {
 			doomed = append(doomed, e)
 		}
 	}
 	u.mu.Unlock()
 	for _, e := range doomed {
-		u.complete(e, false, err)
+		u.complete(e, nil, false, err)
 	}
 }
 
@@ -470,7 +495,7 @@ func (u *uplink) drain() {
 		c.Close()
 	}
 	for _, e := range q {
-		u.complete(e, false, errors.New("broker: node closed"))
+		u.complete(e, nil, false, errors.New("broker: node closed"))
 	}
 }
 

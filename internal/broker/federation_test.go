@@ -430,10 +430,19 @@ func TestFederationForwardWindowPartitionHeal(t *testing.T) {
 	// until the partition below freezes the link.
 	inj.Set(link, faultinject.Rule{TruncateRate: 1})
 
-	const total = 300 // > fwdWindow, so admission must stall
+	// The forwards go out in two batches: a few under truncation, and
+	// more than a window's worth once the link is partitioned. Nothing
+	// completes across a partition, so the second batch alone fills the
+	// window and stalls admission, however many of the first batch the
+	// truncated writes happened to get through.
+	const before, total = 40, 40 + fwdWindow + 4
 	results := make(chan error, total)
+	partitioned := make(chan struct{})
 	go func() {
 		for i := 2; i <= total+1; i++ {
+			if i == before+2 {
+				<-partitioned
+			}
 			payload := []byte(fmt.Sprintf("s-%d", i))
 			if err := pub.PublishSeqAsync(topic, payload, false, "win-pub", uint64(i), func(dup bool, err error) {
 				results <- err
@@ -452,6 +461,7 @@ func TestFederationForwardWindowPartitionHeal(t *testing.T) {
 	// the truncation so the heal gets a clean connection.
 	inj.Partition(link, true)
 	inj.Clear(link)
+	close(partitioned)
 	pollStat(t, 10*time.Second, "the window to fill and stall", func() bool {
 		st := stats()
 		return st.ForwardStalls >= 1 && st.ForwardInFlight == fwdWindow

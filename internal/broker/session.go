@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/smartfactory/sysml2conf/internal/resilience"
@@ -27,6 +28,21 @@ const defaultAckWindow = 256
 // (counted in AckStats) rather than grow without bound while a consumer is
 // gone for good.
 const maxAckedBacklog = 1 << 16
+
+// ackedPaceBacklog is the backlog at which a session with a live consumer
+// paces its publishers: a publish that matches it waits for the consumer to
+// acknowledge its way back under this depth (awaitRoom). Without it nothing
+// couples publishers to consumers — a plant that produces faster than a
+// historian or a bridge link drains just queues to maxAckedBacklog and is
+// then refused, which for an acked session is loss. A few delivery windows
+// keep the consumer's pipe full; a deeper queue only adds latency.
+const ackedPaceBacklog = 4 * defaultAckWindow
+
+// ackedPaceWait bounds one such wait. A consumer that acknowledges nothing
+// for this long is stalled, not slow: it is not waited for again until its
+// next ack, and its session queues up to maxAckedBacklog as a detached one
+// does.
+const ackedPaceWait = time.Second
 
 // SubOptions configures a subscription's delivery quality.
 type SubOptions struct {
@@ -65,6 +81,12 @@ type ackState struct {
 	attached bool
 	epoch    int // increments per attach/detach; stale pumps and timers exit
 	detach   chan struct{}
+
+	// room, when non-nil, has publishers waiting on it in awaitRoom; it is
+	// closed (and forgotten) when they should look again. stalled records
+	// that such a wait timed out; the next ack clears it.
+	room    chan struct{}
+	stalled bool
 }
 
 // SubscribeOpts registers a filter with explicit delivery options. Without
@@ -184,6 +206,12 @@ func (a *ackState) ackTo(seq uint64) {
 	if a.cursor < a.base {
 		a.cursor = a.base
 	}
+	if n > 0 {
+		a.stalled = false
+		if len(a.queue) < ackedPaceBacklog {
+			a.releaseRoom()
+		}
+	}
 	// Re-home the slice when the backing array is mostly acked prefix, so a
 	// long-lived session doesn't pin every message it ever queued.
 	if len(a.queue) == 0 {
@@ -191,6 +219,48 @@ func (a *ackState) ackTo(seq uint64) {
 	} else if cap(a.queue) > 64 && cap(a.queue) > 4*len(a.queue) {
 		a.queue = append([]Message(nil), a.queue...)
 	}
+}
+
+// releaseRoom wakes the publishers waiting in awaitRoom. Callers hold s.mu.
+func (a *ackState) releaseRoom() {
+	if a.room != nil {
+		close(a.room)
+		a.room = nil
+	}
+}
+
+// awaitRoom holds a publisher back while the session's consumer is attached,
+// acknowledging, and ackedPaceBacklog or more behind: the broker's flow
+// control. The wait ends when acks make room, when the consumer detaches or
+// the session closes (nobody is left to wait for), or after ackedPaceWait.
+// The caller then enqueues whatever the outcome; refusal stays
+// maxAckedBacklog's job. Callers hold no broker lock: the publisher's
+// goroutine is what waits, so on the wire path the publishing connection
+// stops being read and its client feels the pace as a slow round trip.
+func (s *subscription) awaitRoom() {
+	a := s.ack
+	var timer *time.Timer
+	s.mu.Lock()
+	for !s.closed && a.attached && !a.stalled && len(a.queue) >= ackedPaceBacklog {
+		if a.room == nil {
+			a.room = make(chan struct{})
+		}
+		room := a.room
+		if timer == nil {
+			timer = time.NewTimer(ackedPaceWait)
+			defer timer.Stop()
+		}
+		s.mu.Unlock()
+		select {
+		case <-room:
+			s.mu.Lock()
+		case <-timer.C:
+			s.mu.Lock()
+			a.stalled = true
+			a.releaseRoom()
+		}
+	}
+	s.mu.Unlock()
 }
 
 func (a *ackState) stopTimerLocked() {
@@ -249,6 +319,7 @@ func (b *Broker) detachOwned(id int, ch <-chan Message) {
 	a.attached = false
 	a.epoch++
 	close(a.detach)
+	a.releaseRoom()
 	a.stopTimerLocked()
 	a.cursor = a.base
 	a.attempt = 0
@@ -293,24 +364,39 @@ func (b *Broker) publishLocalSeq(topic string, payload []byte, retain bool, sess
 	return b.publishSeq(topic, payload, retain, session, seq, true)
 }
 
+// pubSession is one publisher session's dedup state: the high-water mark
+// and the lock that makes check-publish-advance one step for the session.
+type pubSession struct {
+	mu   sync.Mutex
+	last uint64
+}
+
 func (b *Broker) publishSeq(topic string, payload []byte, retain bool, session string, seq uint64, owned bool) (dup bool, err error) {
 	if session == "" || seq == 0 {
 		return false, b.publish(topic, payload, retain, owned)
 	}
+	// The session's lock is held from the check to the advance. A publisher
+	// normally has one connection, but a replaying one (a forward uplink
+	// after a redial) can have two for a moment — the broken connection's
+	// handler still working through the frames it had buffered beside the
+	// new connection's replay of the same ones — and both must not pass
+	// the check for one seq.
 	b.pubMu.Lock()
-	last := b.pubSeqs[session]
+	ps := b.pubSeqs[session]
+	if ps == nil {
+		ps = &pubSession{}
+		b.pubSeqs[session] = ps
+	}
 	b.pubMu.Unlock()
-	if seq <= last {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if seq <= ps.last {
 		return true, nil
 	}
 	if err := b.publish(topic, payload, retain, owned); err != nil {
 		return false, err
 	}
-	b.pubMu.Lock()
-	if seq > b.pubSeqs[session] {
-		b.pubSeqs[session] = seq
-	}
-	b.pubMu.Unlock()
+	ps.last = seq
 	return false, nil
 }
 

@@ -2,6 +2,9 @@ package broker
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,6 +227,125 @@ func TestPublishSeqDedup(t *testing.T) {
 	case m := <-ch:
 		t.Fatalf("dup retry was delivered: %q", m.Payload)
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestPublishSeqDedupIsAtomicPerSession: two carriers of one session racing
+// through the same sequence numbers (a broken uplink connection's buffered
+// frames beside the new connection's replay of them) publish each number
+// once between them, in order.
+func TestPublishSeqDedupIsAtomicPerSession(t *testing.T) {
+	b := New()
+	defer b.Close()
+	const seqs = 2000
+	_, ch, err := b.Subscribe("p/#")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Uint64
+	var wg sync.WaitGroup
+	for carrier := 0; carrier < 2; carrier++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(1); seq <= seqs; seq++ {
+				dup, err := b.PublishSeq("p/x", []byte(strconv.FormatUint(seq, 10)), false, "pub", seq)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !dup {
+					accepted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := accepted.Load(); got != seqs {
+		t.Fatalf("%d publishes accepted for %d sequence numbers", got, seqs)
+	}
+	// A plain subscription sheds its oldest under load; what it has
+	// handed over so far is still in publish order.
+	var last uint64
+	for {
+		select {
+		case m := <-ch:
+			seq, _ := strconv.ParseUint(string(m.Payload), 10, 64)
+			if seq <= last {
+				t.Fatalf("delivered %d after %d", seq, last)
+			}
+			last = seq
+			continue
+		default:
+		}
+		break
+	}
+}
+
+// TestAckedSessionPacesPublishers: a publish that matches an attached
+// session ackedPaceBacklog behind waits for the consumer's ack, not past a
+// detach, and not twice for a consumer that acknowledges nothing; none of it
+// refuses a message.
+func TestAckedSessionPacesPublishers(t *testing.T) {
+	b := New()
+	defer b.Close()
+	b.RedeliveryBackoff = resilience.Backoff{Initial: time.Minute, Max: time.Minute}
+	id, _, err := b.SubscribeOpts("p/#", SubOptions{Acked: true, Session: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func() <-chan time.Duration {
+		took := make(chan time.Duration, 1)
+		t0 := time.Now()
+		go func() {
+			if err := b.Publish("p/x", []byte("v"), false); err != nil {
+				t.Error(err)
+			}
+			took <- time.Since(t0)
+		}()
+		return took
+	}
+	for i := 0; i < ackedPaceBacklog; i++ {
+		if d := <-publish(); d > ackedPaceWait/2 {
+			t.Fatalf("publish %d waited %v with the backlog under the pace depth", i, d)
+		}
+	}
+
+	held := publish()
+	select {
+	case d := <-held:
+		t.Fatalf("publish returned after %v with the consumer %d behind", d, ackedPaceBacklog)
+	case <-time.After(50 * time.Millisecond):
+	}
+	b.Ack(id, 1)
+	if d := <-held; d > ackedPaceWait/2 {
+		t.Errorf("publish waited %v, the ack came after 50ms", d)
+	}
+
+	// Full again. A consumer that acknowledges nothing is waited for once.
+	if d := <-publish(); d < ackedPaceWait {
+		t.Errorf("publish waited %v for a silent consumer, want %v", d, ackedPaceWait)
+	}
+	if d := <-publish(); d > ackedPaceWait/2 {
+		t.Errorf("publish waited %v again for a consumer already found stalled", d)
+	}
+	// Its next ack makes it worth waiting for again; a detach ends the wait.
+	b.Ack(id, 2)
+	held = publish()
+	select {
+	case d := <-held:
+		t.Fatalf("publish returned after %v, the consumer acknowledged and is still behind", d)
+	case <-time.After(50 * time.Millisecond):
+	}
+	b.Detach(id)
+	if d := <-held; d > ackedPaceWait/2 {
+		t.Errorf("publish waited %v past the detach", d)
+	}
+	if d := <-publish(); d > ackedPaceWait/2 {
+		t.Errorf("publish waited %v for a detached session", d)
+	}
+	if _, refused := b.AckStats(); refused != 0 {
+		t.Errorf("%d messages refused, want 0", refused)
 	}
 }
 

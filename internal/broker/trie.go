@@ -264,6 +264,7 @@ func (s *subscription) close() {
 	s.closed = true
 	if s.ack != nil {
 		s.ack.stopTimerLocked()
+		s.ack.releaseRoom()
 	}
 	s.mu.Unlock()
 	close(s.quit)

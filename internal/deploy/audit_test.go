@@ -102,9 +102,11 @@ func TestChaosAuditZeroLoss(t *testing.T) {
 		if err := cluster.KillPod(hist); err != nil {
 			t.Fatal(err)
 		}
+		// The restart count too: until the liveness probe notices the kill
+		// the pod still shows its old Running and Ready.
 		waitFor(t, 20*time.Second, "historian restart after kill", func() bool {
 			p, ok := cluster.PodStatus(hist)
-			return ok && p.Phase == PodRunning && p.Ready
+			return ok && p.Phase == PodRunning && p.Ready && p.Restarts > round
 		})
 		if round == 1 {
 			if err := cluster.PartitionComponent("broker", true); err != nil {

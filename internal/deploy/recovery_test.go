@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +34,8 @@ func TestMachinePowerCycleHeals(t *testing.T) {
 	}
 
 	// Mutable endpoint table lets the "rebooted" machine change address.
+	// The server's poller resolves through it from its own goroutine.
+	var addrsMu sync.Mutex
 	addrs := map[string]string{}
 	var mc codegen.MachineConfig
 	for _, m := range bundle.Intermediate.Machines {
@@ -49,6 +52,8 @@ func TestMachinePowerCycleHeals(t *testing.T) {
 
 	cluster := NewCluster(2, 16)
 	cluster.MachineEndpoints = func(name string, _ codegen.DriverConfig) (string, error) {
+		addrsMu.Lock()
+		defer addrsMu.Unlock()
 		return addrs[name], nil
 	}
 	cluster.PollPeriod = 5 * time.Millisecond
@@ -84,7 +89,9 @@ func TestMachinePowerCycleHeals(t *testing.T) {
 	}
 	defer reborn.Close()
 	reborn.StartGenerator(5 * time.Millisecond)
+	addrsMu.Lock()
 	addrs["warehouse"] = reborn.Addr()
+	addrsMu.Unlock()
 
 	// The server reconnects on its own and fresh samples flow again.
 	deadline = time.Now().Add(10 * time.Second)

@@ -9,12 +9,14 @@ package machinesim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -76,7 +78,7 @@ type Machine struct {
 	spec Spec
 
 	mu        sync.RWMutex
-	values    map[string]any
+	values    map[string]*variable
 	calls     map[string]int        // per-method call counts
 	faults    map[string]*callFault // per-method injected failures
 	callDelay time.Duration         // simulated per-call work time
@@ -94,16 +96,46 @@ type Machine struct {
 func New(spec Spec) *Machine {
 	m := &Machine{
 		spec:    spec,
-		values:  map[string]any{},
+		values:  map[string]*variable{},
 		calls:   map[string]int{},
 		faults:  map[string]*callFault{},
 		conns:   map[net.Conn]struct{}{},
 		stopGen: make(chan struct{}),
 	}
 	for _, v := range spec.Vars {
-		m.values[v.Name] = initialValue(v.Type)
+		val := &variable{}
+		val.mustSet(initialValue(v.Type))
+		m.values[v.Name] = val
 	}
 	return m
+}
+
+// variable is one machine variable: its value and the value's wire form,
+// encoded once per write so that reads (GET, MGET) only copy bytes.
+type variable struct {
+	value any
+	enc   []byte // json.Marshal(value); replaced, never edited in place
+}
+
+// set stores value, rejecting what the wire cannot carry as one scalar.
+func (v *variable) set(value any) error {
+	enc, err := json.Marshal(value)
+	if err != nil {
+		return err
+	}
+	if enc[0] == '{' || enc[0] == '[' {
+		return fmt.Errorf("value %s is not a scalar", enc)
+	}
+	v.value, v.enc = value, enc
+	return nil
+}
+
+// mustSet stores a value the emulator made itself (an initial or generated
+// one), which is always an encodable scalar.
+func (v *variable) mustSet(value any) {
+	if err := v.set(value); err != nil {
+		panic("machinesim: " + err.Error())
+	}
 }
 
 // Spec returns the machine's declared interface.
@@ -131,17 +163,19 @@ func (m *Machine) Step() {
 	t := float64(m.tick)
 	for i, v := range m.spec.Vars {
 		phase := float64(i+1) * 0.7
+		var next any
 		switch v.Type {
 		case "Double", "Real", "Float":
-			m.values[v.Name] = math.Round((50+40*math.Sin(t/10+phase))*1000) / 1000
+			next = math.Round((50+40*math.Sin(t/10+phase))*1000) / 1000
 		case "Integer", "Int64", "Natural", "Positive":
-			m.values[v.Name] = float64((m.tick + i) % 1000)
+			next = float64((m.tick + i) % 1000)
 		case "Boolean":
-			m.values[v.Name] = (m.tick+i)%7 < 5
+			next = (m.tick+i)%7 < 5
 		default:
 			states := []string{"idle", "running", "paused", "completed"}
-			m.values[v.Name] = states[(m.tick/4+i)%len(states)]
+			next = states[(m.tick/4+i)%len(states)]
 		}
+		m.values[v.Name].mustSet(next)
 	}
 }
 
@@ -171,17 +205,22 @@ func (m *Machine) Get(name string) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("machinesim %s: unknown variable %q", m.spec.Name, name)
 	}
-	return v, nil
+	return v.value, nil
 }
 
-// Set writes a variable (used by control paths and tests).
+// Set writes a variable (used by control paths and tests). Variables hold
+// scalars: a value JSON encodes as an object or array, or not at all, is
+// refused.
 func (m *Machine) Set(name string, value any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.values[name]; !ok {
+	v, ok := m.values[name]
+	if !ok {
 		return fmt.Errorf("machinesim %s: unknown variable %q", m.spec.Name, name)
 	}
-	m.values[name] = value
+	if err := v.set(value); err != nil {
+		return fmt.Errorf("machinesim %s: variable %q: %w", m.spec.Name, name, err)
+	}
 	return nil
 }
 
@@ -281,13 +320,27 @@ func (m *Machine) CallCount(name string) int {
 // ---------------------------------------------------------------------------
 // Wire protocol
 //
-// Line-based, JSON-armored: each request is one line
-//   GET <var>
-//   SET <var> <json>
-//   CALL <method> <json-array-args>
-//   LIST
-//   PING
-// and each response one line: "OK <json>" or "ERR <message>".
+// Line-based, JSON-armored. Each request is one line:
+//
+//	GET <var>
+//	SET <var> <json>
+//	CALL <method> <json-array-args>
+//	LIST
+//	PING
+//	MPREP <json-array-of-var-names>
+//	MGET
+//
+// and each response one line: "OK <json>" or "ERR <message>". Command words
+// are case-insensitive; a variable's value is always one JSON scalar.
+//
+// MPREP and MGET are the driver's sweep: "read all my variables" in one
+// frame each way. MPREP validates the name list once and binds it to the
+// connection (an unknown name fails the whole list; a later MPREP replaces
+// it; the binding dies with the connection). It answers "OK <n>". MGET
+// answers "OK [v1,...,vn]", the prepared variables' values in list order,
+// each encoded exactly as GET encodes it and all read under one lock, so a
+// sweep is a consistent snapshot of the machine. MGET before any MPREP is
+// an error.
 
 // Serve binds the machine's TCP endpoint (port 0 picks a free port).
 func (m *Machine) Serve(addr string) error {
@@ -366,70 +419,123 @@ func (m *Machine) handle(conn net.Conn) {
 	}()
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	w := bufio.NewWriter(conn)
+	var sess session
 	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" {
+		line := bytes.TrimSpace(scanner.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		resp := m.dispatch(line)
-		if _, err := w.WriteString(resp + "\n"); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		sess.out = append(m.dispatch(&sess, line), '\n')
+		if _, err := conn.Write(sess.out); err != nil {
 			return
 		}
 	}
 }
 
-func (m *Machine) dispatch(line string) string {
-	cmd, rest, _ := strings.Cut(line, " ")
+// session is the per-connection protocol state.
+type session struct {
+	prepared []*variable // MPREP's list, resolved once; nil before any MPREP
+	out      []byte      // response buffer, reused across requests
+}
+
+// dispatch answers one request line. The response (without its newline) is
+// built in the session's buffer and is valid until the next dispatch.
+func (m *Machine) dispatch(sess *session, line []byte) []byte {
+	out := sess.out[:0]
+	if string(line) == "MGET" { // the hot request: no string conversion, no switch
+		return m.sweep(sess, out)
+	}
+	cmd, rest, _ := strings.Cut(string(line), " ")
+	rest = strings.TrimSpace(rest)
 	switch strings.ToUpper(cmd) {
 	case "PING":
-		return "OK \"pong\""
+		return append(out, `OK "pong"`...)
 	case "LIST":
 		data, err := json.Marshal(m.spec)
 		if err != nil {
-			return "ERR " + err.Error()
+			return append(append(out, "ERR "...), err.Error()...)
 		}
-		return "OK " + string(data)
+		return append(append(out, "OK "...), data...)
 	case "GET":
-		v, err := m.Get(strings.TrimSpace(rest))
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		data, _ := json.Marshal(v)
-		return "OK " + string(data)
-	case "SET":
-		name, valStr, ok := strings.Cut(strings.TrimSpace(rest), " ")
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		v, ok := m.values[rest]
 		if !ok {
-			return "ERR SET requires variable and value"
+			return fmt.Appendf(out, "ERR machinesim %s: unknown variable %q", m.spec.Name, rest)
+		}
+		return append(append(out, "OK "...), v.enc...)
+	case "SET":
+		name, valStr, ok := strings.Cut(rest, " ")
+		if !ok {
+			return append(out, "ERR SET requires variable and value"...)
 		}
 		var v any
 		if err := json.Unmarshal([]byte(valStr), &v); err != nil {
-			return "ERR invalid JSON value: " + err.Error()
+			return append(append(out, "ERR invalid JSON value: "...), err.Error()...)
 		}
 		if err := m.Set(name, v); err != nil {
-			return "ERR " + err.Error()
+			return append(append(out, "ERR "...), err.Error()...)
 		}
-		return "OK true"
+		return append(out, "OK true"...)
 	case "CALL":
-		name, argStr, _ := strings.Cut(strings.TrimSpace(rest), " ")
+		name, argStr, _ := strings.Cut(rest, " ")
 		var args []any
 		if strings.TrimSpace(argStr) != "" {
 			if err := json.Unmarshal([]byte(argStr), &args); err != nil {
-				return "ERR invalid JSON args: " + err.Error()
+				return append(append(out, "ERR invalid JSON args: "...), err.Error()...)
 			}
 		}
 		results, err := m.Call(name, args)
 		if err != nil {
-			return "ERR " + err.Error()
+			return append(append(out, "ERR "...), err.Error()...)
 		}
 		data, _ := json.Marshal(results)
-		return "OK " + string(data)
+		return append(append(out, "OK "...), data...)
+	case "MPREP":
+		var names []string
+		if err := json.Unmarshal([]byte(rest), &names); err != nil {
+			return append(append(out, "ERR invalid JSON name list: "...), err.Error()...)
+		}
+		prepared := make([]*variable, len(names))
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		// A list may repeat a name but not outgrow the machine: the bound
+		// keeps one MGET response proportional to the machine's own state.
+		if len(names) > len(m.values) {
+			return fmt.Appendf(out, "ERR MPREP lists %d names, machine has %d variables", len(names), len(m.values))
+		}
+		for i, name := range names {
+			v, ok := m.values[name]
+			if !ok {
+				return fmt.Appendf(out, "ERR machinesim %s: unknown variable %q", m.spec.Name, name)
+			}
+			prepared[i] = v
+		}
+		sess.prepared = prepared
+		return strconv.AppendInt(append(out, "OK "...), int64(len(prepared)), 10)
+	case "MGET":
+		return m.sweep(sess, out)
 	default:
-		return fmt.Sprintf("ERR unknown command %q", cmd)
+		return fmt.Appendf(out, "ERR unknown command %q", cmd)
 	}
+}
+
+// sweep answers MGET: the prepared variables' encoded values, copied under
+// one read lock.
+func (m *Machine) sweep(sess *session, out []byte) []byte {
+	if sess.prepared == nil {
+		return append(out, "ERR MGET before MPREP"...)
+	}
+	out = append(out, "OK ["...)
+	m.mu.RLock()
+	for i, v := range sess.prepared {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, v.enc...)
+	}
+	m.mu.RUnlock()
+	return append(out, ']')
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +554,13 @@ type Conn struct {
 	r       *bufio.Reader
 	mu      sync.Mutex
 	timeout time.Duration
+	line    []byte // response buffer of roundTrip, reused under mu
+
+	// Sweep state (sweep.go). The sweep has buffers of its own because its
+	// result outlives the lock, while other calls share the connection.
+	prepared  int      // length of the list Prepare bound
+	sweepLine []byte   // response buffer of Sweep
+	vals      [][]byte // Sweep's result, slices of sweepLine
 }
 
 // DialMachine connects to a machine endpoint. timeout bounds the dial;
@@ -472,29 +585,44 @@ func (c *Conn) SetCallTimeout(d time.Duration) {
 // Close drops the connection.
 func (c *Conn) Close() error { return c.conn.Close() }
 
-func (c *Conn) roundTrip(line string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// exchange sends one request line and reads the response line into *buf
+// (reusing its storage), returning the body after "OK ". The body aliases
+// *buf. Callers hold c.mu.
+func (c *Conn) exchange(req []byte, buf *[]byte) ([]byte, error) {
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if _, err := c.conn.Write([]byte(line + "\n")); err != nil {
-		return "", err
+	if _, err := c.conn.Write(req); err != nil {
+		return nil, err
 	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
+	*buf = (*buf)[:0]
+	for {
+		frag, err := c.r.ReadSlice('\n')
+		*buf = append(*buf, frag...)
+		if err == nil {
+			break
+		}
+		if err != bufio.ErrBufferFull { // a line longer than the reader's buffer continues
+			return nil, err
+		}
 	}
-	resp = strings.TrimSpace(resp)
-	if body, ok := strings.CutPrefix(resp, "OK "); ok {
+	resp := bytes.TrimSpace(*buf)
+	if body, ok := bytes.CutPrefix(resp, []byte("OK ")); ok {
 		return body, nil
 	}
-	if msg, ok := strings.CutPrefix(resp, "ERR "); ok {
+	if msg, ok := bytes.CutPrefix(resp, []byte("ERR ")); ok {
 		// The machine answered: an application failure, not a transport one.
-		return "", &ServiceError{Msg: msg}
+		return nil, &ServiceError{Msg: string(msg)}
 	}
-	return "", fmt.Errorf("machinesim driver: malformed response %q", resp)
+	return nil, fmt.Errorf("machinesim driver: malformed response %q", resp)
+}
+
+func (c *Conn) roundTrip(line string) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	body, err := c.exchange([]byte(line+"\n"), &c.line)
+	return string(body), err
 }
 
 // Ping checks liveness.

@@ -216,14 +216,18 @@ func TestFleet(t *testing.T) {
 func TestMalformedProtocolLines(t *testing.T) {
 	m, _ := startMachine(t)
 	for line, wantPrefix := range map[string]string{
-		"BOGUS":              "ERR",
-		"SET onlyname":       "ERR",
-		"SET x {notjson":     "ERR",
-		"CALL is_ready [bad": "ERR",
-		"GET missing":        "ERR",
-		"PING":               "OK",
+		"BOGUS":                     "ERR",
+		"SET onlyname":              "ERR",
+		"SET x {notjson":            "ERR",
+		"CALL is_ready [bad":        "ERR",
+		"GET missing":               "ERR",
+		"PING":                      "OK",
+		"MGET":                      "ERR", // nothing prepared on this session
+		"MPREP {notjson":            "ERR",
+		`MPREP ["missing"]`:         "ERR",
+		"SET SystemStatus/mode [1]": "ERR", // variables hold scalars
 	} {
-		resp := m.dispatch(line)
+		resp := string(m.dispatch(&session{}, []byte(line)))
 		if !strings.HasPrefix(resp, wantPrefix) {
 			t.Errorf("dispatch(%q) = %q, want prefix %q", line, resp, wantPrefix)
 		}

@@ -2,6 +2,7 @@ package opcua
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,8 @@ import (
 func TestSubscriptionChurn(t *testing.T) {
 	srv, space := newTestServer(t)
 	id := NewNodeID(1, "churn")
-	if _, err := space.AddVariable(space.Root(), id, "churn", "Double", V(0.0), nil); err != nil {
+	node, err := space.AddVariable(space.Root(), id, "churn", "Double", V(0.0), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -28,7 +30,11 @@ func TestSubscriptionChurn(t *testing.T) {
 				return
 			default:
 				i++
-				_ = space.Write(id, V(float64(i)))
+				if i%2 == 0 { // both write paths notify through the node's list
+					_ = space.Write(id, V(float64(i)))
+				} else {
+					_ = node.WriteRaw(strconv.AppendInt(nil, int64(i), 10))
+				}
 			}
 		}
 	}()
@@ -77,7 +83,7 @@ func TestSubscriptionChurn(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		space.subMu.Lock()
-		n := len(space.monitors)
+		n := len(space.monitors) + len(node.monitors) // both indexes
 		space.subMu.Unlock()
 		if n == 0 {
 			break

@@ -172,11 +172,24 @@ func (c *Client) readLoop() {
 					}
 					st.next = m.Seq + 1
 				}
+				dc := DataChange{SubID: m.SubID, NodeID: m.NodeID, Value: *m.Value, Seq: m.Seq}
 				select {
-				case st.ch <- DataChange{SubID: m.SubID, NodeID: m.NodeID, Value: *m.Value, Seq: m.Seq}:
+				case st.ch <- dc:
 				default:
-					// Drop for slow consumers, matching server behavior —
-					// but count it.
+					// Slow consumer: shed the oldest queued change, as the
+					// server does, and count it. What is kept then converges
+					// on the variable's latest value; shedding the newest
+					// would strand a stale one whenever the value stops
+					// changing. This loop is the channel's only sender, so
+					// the retry finds the room it made.
+					select {
+					case <-st.ch:
+					default:
+					}
+					select {
+					case st.ch <- dc:
+					default:
+					}
 					c.lost.Add(1)
 				}
 			}

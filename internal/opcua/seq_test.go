@@ -46,7 +46,8 @@ func TestNotificationSequencing(t *testing.T) {
 }
 
 // TestClientLostCountsServerSheds: a slow client consumer sees the gap the
-// server's shedding created, via Client.Lost.
+// server's shedding created, via Client.Lost, and what both ends shed is
+// the oldest: the stream still ends on the variable's final value.
 func TestClientLostCountsServerSheds(t *testing.T) {
 	srv, space := newTestServer(t)
 	id := NewNodeID(1, "M", "v")
@@ -71,6 +72,7 @@ func TestClientLostCountsServerSheds(t *testing.T) {
 	// Drain until the stream goes quiet.
 	var got int
 	var lastSeq uint64
+	var last Variant
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -79,7 +81,7 @@ func TestClientLostCountsServerSheds(t *testing.T) {
 			if dc.Seq <= lastSeq {
 				t.Fatalf("non-increasing seq %d after %d", dc.Seq, lastSeq)
 			}
-			lastSeq = dc.Seq
+			lastSeq, last = dc.Seq, dc.Value
 		case <-time.After(300 * time.Millisecond):
 			goto done
 		case <-deadline:
@@ -87,6 +89,9 @@ func TestClientLostCountsServerSheds(t *testing.T) {
 		}
 	}
 done:
+	if !last.Equal(V(writes)) {
+		t.Errorf("the stream ended on %s, want the final value %d", last.Value, writes)
+	}
 	if got == writes {
 		t.Skip("no shedding occurred; cannot exercise the gap counter")
 	}

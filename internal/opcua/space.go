@@ -10,8 +10,10 @@
 package opcua
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -105,7 +107,8 @@ func (v Variant) Equal(o Variant) bool {
 // MethodFunc is the server-side implementation of a method node.
 type MethodFunc func(args []Variant) ([]Variant, error)
 
-// Node is one entry of the address space.
+// Node is one entry of the address space. The *Node that AddVariable
+// returns is also that variable's write handle (WriteRaw).
 type Node struct {
 	ID         NodeID
 	BrowseName string
@@ -113,9 +116,11 @@ type Node struct {
 	DataType   string            // for variables
 	Metadata   map[string]string // modeled metadata (category, description, ...)
 	Parent     NodeID
+	space      *AddressSpace // the space the node was added to
 	children   []NodeID
 	value      Variant
 	method     MethodFunc
+	monitors   []*monitor // this node's monitored items; guarded by space.subMu
 }
 
 // NodeInfo is the wire-friendly description of a node.
@@ -134,16 +139,19 @@ type AddressSpace struct {
 	nodes map[NodeID]*Node
 	root  NodeID
 
+	// Every monitor is in two indexes kept in step under subMu: monitors
+	// (by subscription id, for Unsubscribe) and its node's own list (for
+	// notify, which therefore never looks at another node's monitors).
 	subMu    sync.Mutex
 	nextSub  int
 	monitors map[int]*monitor
 }
 
 type monitor struct {
-	id     int
-	nodeID NodeID
-	ch     chan DataChange
-	seq    uint64 // per-monitor notification counter (gap = dropped sample)
+	id   int
+	node *Node
+	ch   chan DataChange
+	seq  uint64 // per-monitor notification counter (gap = dropped sample)
 }
 
 // DataChange is one monitored-item notification. Seq numbers every
@@ -198,6 +206,7 @@ func (s *AddressSpace) add(n *Node) (*Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("opcua: parent %s of %s not found", n.Parent, n.ID)
 	}
+	n.space = s
 	s.nodes[n.ID] = n
 	parent.children = append(parent.children, n.ID)
 	return n, nil
@@ -233,8 +242,51 @@ func (s *AddressSpace) Write(id NodeID, v Variant) error {
 	n.value = v
 	s.mu.Unlock()
 	if changed {
-		s.notify(id, v)
+		s.notify(n, v)
 	}
+	return nil
+}
+
+// WriteRaw updates a variable through its handle from raw, one JSON scalar
+// as a device driver received it, and notifies the node's monitors if the
+// value changed. It is Write(n.ID, V(decoded raw)) without the decode and
+// re-encode, and stores the same variant whenever raw is json.Marshal's
+// encoding of the scalar (what the machine protocol sends): the type
+// follows from the first byte just as V types the decoded value (string,
+// boolean, number as Double, null). The bytes are compared with the stored
+// value before anything is copied, so writing an unchanged value costs one
+// comparison and no allocation. raw may be reused by the caller afterwards.
+func (n *Node) WriteRaw(raw []byte) error {
+	if n.Class != ClassVariable {
+		return fmt.Errorf("opcua: node %s is a %s, not a Variable", n.ID, n.Class)
+	}
+	var typ string
+	switch {
+	case len(raw) == 0:
+		return fmt.Errorf("opcua: node %s: empty value", n.ID)
+	case raw[0] == '"':
+		typ = "String"
+	case raw[0] == 't' || raw[0] == 'f':
+		typ = "Boolean"
+	case raw[0] == '-' || (raw[0] >= '0' && raw[0] <= '9'):
+		typ = "Double"
+	case raw[0] == 'n':
+		typ = "Null"
+	default:
+		return fmt.Errorf("opcua: node %s: value %.16q is not a JSON scalar", n.ID, raw)
+	}
+	s := n.space
+	s.mu.Lock()
+	if n.value.Type == typ && bytes.Equal(n.value.Value, raw) {
+		s.mu.Unlock()
+		return nil
+	}
+	// A fresh copy, never an overwrite: queued notifications still hold
+	// the previous value's bytes.
+	v := Variant{Type: typ, Value: append(json.RawMessage(nil), raw...)}
+	n.value = v
+	s.mu.Unlock()
+	s.notify(n, v)
 	return nil
 }
 
@@ -316,8 +368,9 @@ func (s *AddressSpace) Subscribe(id NodeID, buffer int) (int, <-chan DataChange,
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	s.nextSub++
-	m := &monitor{id: s.nextSub, nodeID: id, ch: make(chan DataChange, buffer)}
+	m := &monitor{id: s.nextSub, node: n, ch: make(chan DataChange, buffer)}
 	s.monitors[m.id] = m
+	n.monitors = append(n.monitors, m)
 	return m.id, m.ch, nil
 }
 
@@ -325,23 +378,27 @@ func (s *AddressSpace) Subscribe(id NodeID, buffer int) (int, <-chan DataChange,
 func (s *AddressSpace) Unsubscribe(subID int) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	if m, ok := s.monitors[subID]; ok {
-		delete(s.monitors, subID)
-		close(m.ch)
+	m, ok := s.monitors[subID]
+	if !ok {
+		return
 	}
+	delete(s.monitors, subID)
+	if i := slices.Index(m.node.monitors, m); i >= 0 {
+		m.node.monitors = slices.Delete(m.node.monitors, i, i+1)
+	}
+	close(m.ch)
 }
 
-func (s *AddressSpace) notify(id NodeID, v Variant) {
+// notify delivers a changed value to the monitors of node n, and to no one
+// else's.
+func (s *AddressSpace) notify(n *Node, v Variant) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	for _, m := range s.monitors {
-		if m.nodeID != id {
-			continue
-		}
+	for _, m := range n.monitors {
 		// Seq is consumed even when the notification is shed below, so a
 		// consumer tracking consecutive numbers sees the gap.
 		m.seq++
-		dc := DataChange{SubID: m.id, NodeID: id, Value: v, Seq: m.seq}
+		dc := DataChange{SubID: m.id, NodeID: n.ID, Value: v, Seq: m.seq}
 		select {
 		case m.ch <- dc:
 		default:

@@ -31,7 +31,7 @@ type Ledger struct {
 	Campaign string
 
 	mu      sync.Mutex
-	entries []LedgerEntry         // completion order; entry i has Seq i+1
+	entries []LedgerEntry // completion order; entry i has Seq i+1
 	byStep  map[string]*LedgerEntry
 	flushed uint64 // highest seq acknowledged by the broker
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/smartfactory/sysml2conf/internal/codegen"
@@ -50,8 +51,10 @@ func MapResolver(addrs map[string]string) EndpointResolver {
 // MachineServer is the per-workcell OPC UA server component: it builds an
 // address space mirroring the workcell's machines (one object per machine,
 // one variable node per modeled variable, one method node per service),
-// connects to each machine through its driver protocol, polls variables
-// into the address space and proxies method calls.
+// connects to each machine through its driver protocol, sweeps each
+// machine's variables into the address space (one batched read per machine
+// per poll period, each machine on its own goroutine) and proxies method
+// calls.
 type MachineServer struct {
 	Config   codegen.ServerConfig
 	Machines []codegen.MachineConfig
@@ -66,17 +69,32 @@ type MachineServer struct {
 	resolver EndpointResolver
 	poll     time.Duration
 
-	mu         sync.Mutex
-	conns      map[string]*machinesim.Conn
-	breakers   map[string]*resilience.Breaker // per-machine driver circuit
-	reconnects uint64
-	stopCh     chan struct{}
-	wg         sync.WaitGroup
-	polls      uint64
-	errs       uint64
+	pollers []*machinePoller // one per added machine; fixed once Start returns
+	stopCh  chan struct{}
+	wg      sync.WaitGroup
+
+	polls      atomic.Uint64 // variables read
+	errs       atomic.Uint64 // failed sweep cycles
+	reconnects atomic.Uint64
 }
 
-// reconnectThreshold is the number of consecutive poll errors after which
+// machinePoller owns one machine's driver connection: it sweeps the
+// machine's variables into the address space on its own ticker, so a slow
+// or dead machine delays nobody else, and redials behind the machine's
+// circuit breaker.
+type machinePoller struct {
+	srv   *MachineServer
+	mc    *codegen.MachineConfig
+	names []string      // variable paths, in sweep order
+	nodes []*opcua.Node // the variables' write handles, parallel to names
+	br    *resilience.Breaker
+
+	// conn is the live driver connection, nil while the machine is down.
+	// The poller is its only writer while it runs; service calls load it.
+	conn atomic.Pointer[machinesim.Conn]
+}
+
+// reconnectThreshold is the number of consecutive failed sweeps after which
 // the driver circuit opens and the connection is torn down and redialed.
 const reconnectThreshold = 3
 
@@ -91,32 +109,16 @@ func NewMachineServer(cfg codegen.ServerConfig, machines []codegen.MachineConfig
 		Machines: machines,
 		resolver: resolver,
 		poll:     pollPeriod,
-		conns:    map[string]*machinesim.Conn{},
-		breakers: map[string]*resilience.Breaker{},
 		stopCh:   make(chan struct{}),
 	}
-}
-
-// breaker returns the per-machine driver circuit breaker, creating it on
-// first use: it opens after reconnectThreshold consecutive failed poll
-// cycles and allows a redial probe every few poll periods.
-func (s *MachineServer) breaker(machine string) *resilience.Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	br := s.breakers[machine]
-	if br == nil {
-		br = resilience.NewBreaker(reconnectThreshold, 4*s.poll)
-		s.breakers[machine] = br
-	}
-	return br
 }
 
 // Start connects the drivers, builds the address space and begins listening
 // on addr ("127.0.0.1:0" for an ephemeral port) and polling.
 func (s *MachineServer) Start(addr string) error {
 	s.Space = opcua.NewAddressSpace()
-	for _, mc := range s.Machines {
-		if err := s.addMachine(mc); err != nil {
+	for i := range s.Machines {
+		if err := s.addMachine(&s.Machines[i]); err != nil {
 			s.Stop()
 			return err
 		}
@@ -127,8 +129,10 @@ func (s *MachineServer) Start(addr string) error {
 		s.Stop()
 		return err
 	}
-	s.wg.Add(1)
-	go s.pollLoop()
+	for _, p := range s.pollers {
+		s.wg.Add(1)
+		go p.run()
+	}
 	return nil
 }
 
@@ -140,34 +144,32 @@ func (s *MachineServer) Addr() string {
 	return s.Server.Addr()
 }
 
-// Stats returns poll-loop counters.
+// Stats returns poll-loop counters: variables read, and failed sweep
+// cycles (a failed cycle reads no variable).
 func (s *MachineServer) Stats() (polls, errors uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.polls, s.errs
+	return s.polls.Load(), s.errs.Load()
 }
 
 // Reconnects returns how many driver connections were re-established.
-func (s *MachineServer) Reconnects() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reconnects
+func (s *MachineServer) Reconnects() uint64 { return s.reconnects.Load() }
+
+// connect opens a machine's driver connection.
+func (p *machinePoller) connect(timeout time.Duration) (*machinesim.Conn, error) {
+	addr, err := p.srv.resolver(p.mc.Machine, p.mc.Driver)
+	if err != nil {
+		return nil, err
+	}
+	conn, err := machinesim.DialMachine(addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("driver connection to %s (%s): %w", p.mc.Machine, addr, err)
+	}
+	return conn, nil
 }
 
-func (s *MachineServer) addMachine(mc codegen.MachineConfig) error {
-	addr, err := s.resolver(mc.Machine, mc.Driver)
-	if err != nil {
-		return err
-	}
-	conn, err := machinesim.DialMachine(addr, 5*time.Second)
-	if err != nil {
-		return fmt.Errorf("stack: server %s: driver connection to %s (%s): %w",
-			s.Config.Name, mc.Machine, addr, err)
-	}
-	s.mu.Lock()
-	s.conns[mc.Machine] = conn
-	s.mu.Unlock()
-
+func (s *MachineServer) addMachine(mc *codegen.MachineConfig) error {
+	// The circuit opens after reconnectThreshold consecutive failed sweeps
+	// and allows a redial probe every few poll periods.
+	p := &machinePoller{srv: s, mc: mc, br: resilience.NewBreaker(reconnectThreshold, 4*s.poll)}
 	objID := opcua.NewNodeID(1, mc.Machine)
 	if _, err := s.Space.AddObject(s.Space.Root(), objID, mc.Machine, map[string]string{
 		"workcell": mc.Workcell, "driver": mc.Driver.Type, "protocol": mc.Driver.Protocol,
@@ -176,30 +178,50 @@ func (s *MachineServer) addMachine(mc codegen.MachineConfig) error {
 	}
 	for _, v := range mc.Variables {
 		meta := map[string]string{"category": v.Category, "direction": v.Direction, "topic": v.Topic}
-		if _, err := s.Space.AddVariable(objID, opcua.NodeID(v.NodeID), v.Name, v.Type, opcua.V(nil), meta); err != nil {
+		node, err := s.Space.AddVariable(objID, opcua.NodeID(v.NodeID), v.Name, v.Type, opcua.V(nil), meta)
+		if err != nil {
 			return err
 		}
+		p.names = append(p.names, v.Path)
+		p.nodes = append(p.nodes, node)
 	}
 	for _, m := range mc.Methods {
 		m := m
-		machine := mc.Machine
 		fn := func(args []opcua.Variant) ([]opcua.Variant, error) {
-			return s.callMachine(machine, m, args)
+			return p.call(m, args)
 		}
 		meta := map[string]string{"requestTopic": m.RequestTopic, "responseTopic": m.ResponseTopic}
 		if _, err := s.Space.AddMethod(objID, opcua.NodeID(m.NodeID), m.Name, fn, meta); err != nil {
 			return err
 		}
 	}
+	conn, err := p.connect(5 * time.Second)
+	if err != nil {
+		return fmt.Errorf("stack: server %s: %w", s.Config.Name, err)
+	}
+	switch err := conn.Prepare(p.names); {
+	case err == nil:
+		p.conn.Store(conn)
+	case machinesim.IsServiceError(err):
+		// The machine answered and refused the list: the configuration
+		// names a variable the machine does not have. No redial heals that.
+		conn.Close()
+		return fmt.Errorf("stack: server %s: machine %s: prepare sweep: %w", s.Config.Name, mc.Machine, err)
+	default:
+		// The endpoint accepted the connection and then went quiet. That
+		// is an outage, not a misconfiguration: come up without the
+		// connection and let the poller redial behind the breaker.
+		conn.Close()
+	}
+	s.pollers = append(s.pollers, p)
 	return nil
 }
 
-func (s *MachineServer) callMachine(machine string, m codegen.MethodConfig, args []opcua.Variant) ([]opcua.Variant, error) {
-	s.mu.Lock()
-	conn := s.conns[machine]
-	s.mu.Unlock()
+// call proxies a method call over the machine's current driver connection.
+func (p *machinePoller) call(m codegen.MethodConfig, args []opcua.Variant) ([]opcua.Variant, error) {
+	conn := p.conn.Load()
 	if conn == nil {
-		return nil, fmt.Errorf("stack: no driver connection to %s", machine)
+		return nil, fmt.Errorf("stack: no driver connection to %s", p.mc.Machine)
 	}
 	goArgs := make([]any, len(args))
 	for i, a := range args {
@@ -218,92 +240,72 @@ func (s *MachineServer) callMachine(machine string, m codegen.MethodConfig, args
 	return out, nil
 }
 
-func (s *MachineServer) pollLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.poll)
+func (p *machinePoller) run() {
+	defer p.srv.wg.Done()
+	ticker := time.NewTicker(p.srv.poll)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stopCh:
+		case <-p.srv.stopCh:
 			return
 		case <-ticker.C:
-			s.pollOnce()
+			p.pollOnce()
 		}
 	}
 }
 
-func (s *MachineServer) pollOnce() {
-	for i := range s.Machines {
-		mc := &s.Machines[i]
-		s.mu.Lock()
-		conn := s.conns[mc.Machine]
-		s.mu.Unlock()
-		if conn == nil {
-			s.tryReconnect(mc)
-			continue
+// pollOnce is one cycle: sweep the machine and write what it returned
+// through the node handles, or, while the machine is down, try a redial.
+func (p *machinePoller) pollOnce() {
+	conn := p.conn.Load()
+	if conn == nil {
+		p.tryReconnect()
+		return
+	}
+	vals, err := conn.Sweep()
+	if err != nil {
+		p.srv.errs.Add(1)
+		p.br.Failure()
+		if p.br.State() == resilience.Open {
+			// The circuit tripped: the connection is beyond suspicion.
+			// Drop it; tryReconnect probes once the cooldown elapses.
+			conn.Close()
+			p.conn.Store(nil)
 		}
-		failed := false
-		for _, v := range mc.Variables {
-			val, err := conn.Get(v.Path)
-			s.mu.Lock()
-			s.polls++
-			if err != nil {
-				s.errs++
-				failed = true
-				s.mu.Unlock()
-				break // the connection is suspect; stop this machine's cycle
-			}
-			s.mu.Unlock()
-			_ = s.Space.Write(opcua.NodeID(v.NodeID), opcua.V(val))
-		}
-		br := s.breaker(mc.Machine)
-		if failed {
-			br.Failure()
-			if br.State() == resilience.Open {
-				// The circuit tripped: the connection is beyond suspicion.
-				// Drop it; tryReconnect probes once the cooldown elapses.
-				conn.Close()
-				s.mu.Lock()
-				if s.conns[mc.Machine] == conn {
-					delete(s.conns, mc.Machine)
-				}
-				s.mu.Unlock()
-			}
-		} else {
-			br.Success()
-		}
+		return
+	}
+	p.srv.polls.Add(uint64(len(vals)))
+	p.br.Success()
+	for i, raw := range vals {
+		// The handles are variables and the sweep hands out scalars, so
+		// WriteRaw has nothing to refuse.
+		_ = p.nodes[i].WriteRaw(raw)
 	}
 }
 
 // tryReconnect redials a machine whose driver connection was dropped. The
 // circuit breaker paces probes (one per cooldown while the machine stays
-// down); success closes the circuit and resumes polling transparently — a
+// down); success closes the circuit and resumes sweeping transparently — a
 // machine power-cycle heals without redeploying the server.
-func (s *MachineServer) tryReconnect(mc *codegen.MachineConfig) {
-	br := s.breaker(mc.Machine)
-	if !br.Allow() {
+func (p *machinePoller) tryReconnect() {
+	if !p.br.Allow() {
 		return
 	}
-	addr, err := s.resolver(mc.Machine, mc.Driver)
+	conn, err := p.connect(time.Second)
 	if err != nil {
-		br.Failure()
+		p.br.Failure()
 		return
 	}
-	conn, err := machinesim.DialMachine(addr, time.Second)
-	if err != nil {
-		br.Failure()
-		return
-	}
-	if err := conn.Ping(); err != nil {
+	// A fresh connection has no prepared list; the prepare round trip
+	// doubles as the liveness probe of the redial.
+	if err := conn.Prepare(p.names); err != nil {
 		conn.Close()
-		br.Failure()
+		p.br.Failure()
 		return
 	}
-	br.Success()
-	s.mu.Lock()
-	s.conns[mc.Machine] = conn
-	s.reconnects++
-	s.mu.Unlock()
+	p.br.Success()
+	p.conn.Store(conn)
+	p.srv.reconnects.Add(1)
 }
 
 // Health reports liveness: the component must not be stopped and its OPC UA
@@ -328,14 +330,12 @@ func (s *MachineServer) Ready() error {
 	if err := s.Health(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	var missing []string
-	for i := range s.Machines {
-		if s.conns[s.Machines[i].Machine] == nil {
-			missing = append(missing, s.Machines[i].Machine)
+	for _, p := range s.pollers {
+		if p.conn.Load() == nil {
+			missing = append(missing, p.mc.Machine)
 		}
 	}
-	s.mu.Unlock()
 	if len(missing) > 0 {
 		return fmt.Errorf("stack: server %s: no driver connection to %v", s.Config.Name, missing)
 	}
@@ -345,30 +345,35 @@ func (s *MachineServer) Ready() error {
 // BreakerTrips returns how many times a machine's driver circuit opened
 // (restart counters for the supervision layer's reporting).
 func (s *MachineServer) BreakerTrips(machine string) uint64 {
-	s.mu.Lock()
-	br := s.breakers[machine]
-	s.mu.Unlock()
-	if br == nil {
-		return 0
+	for _, p := range s.pollers {
+		if p.mc.Machine == machine {
+			return p.br.Trips()
+		}
 	}
-	return br.Trips()
+	return 0
 }
 
-// Stop shuts the component down.
+// Stop shuts the component down. Driver connections are closed before the
+// pollers are awaited, so a sweep blocked on a stalled machine returns at
+// once instead of holding Stop for its call timeout.
 func (s *MachineServer) Stop() {
 	select {
 	case <-s.stopCh:
 	default:
 		close(s.stopCh)
 	}
+	s.closeConns()
 	s.wg.Wait()
+	s.closeConns() // a redial that completed while the pollers wound down
 	if s.Server != nil {
 		s.Server.Close()
 	}
-	s.mu.Lock()
-	for name, c := range s.conns {
-		c.Close()
-		delete(s.conns, name)
+}
+
+func (s *MachineServer) closeConns() {
+	for _, p := range s.pollers {
+		if conn := p.conn.Load(); conn != nil {
+			conn.Close()
+		}
 	}
-	s.mu.Unlock()
 }
