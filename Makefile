@@ -20,7 +20,7 @@ BENCH_COUNT ?= 1
 # with runner load far beyond the 15% threshold.
 BENCH_LATENCY_BOUND ?= ^BenchmarkBrokerWireSync$$
 
-.PHONY: build test check soak soak-federated soak-query soak-campaign bench benchdiff bench-full bench-dataplane bench-smoke fuzz plantbench
+.PHONY: build test check soak soak-federated soak-query soak-campaign bench benchdiff bench-full bench-dataplane bench-smoke fuzz plantbench plantbench-ab
 
 build:
 	$(GO) build ./...
@@ -49,19 +49,52 @@ check:
 plantbench:
 	sh benchmark/run.sh --workload all --seed 1 --seconds 20 --trace 0
 
+# A/B of this working tree against a git revision, the way a timing claim
+# has to be made (ROADMAP "Perf tier"): REF is exported under
+# .bench_build/ab/ref, seeds 1-10 of WORKLOAD run on both sides — the
+# revision first on odd seeds, this tree first on even ones — and
+# `plantbench compare` judges the two sets of records (bounds for the gated
+# metrics, the 9-of-10 pairs rule for the timings). About 10 minutes for
+# commission; the first run of the REF side also builds its own Go cache.
+#   make plantbench-ab REF=HEAD~1
+#   make plantbench-ab REF=main WORKLOAD=telemetry
+WORKLOAD ?= commission
+AB = .bench_build/ab
+plantbench-ab:
+	@test -n "$(REF)" || { echo "usage: make plantbench-ab REF=<rev> [WORKLOAD=commission]"; exit 2; }
+	rm -rf $(AB)
+	mkdir -p $(AB)/ref
+	git archive $(REF) | tar -x -C $(AB)/ref
+	@for seed in 1 2 3 4 5 6 7 8 9 10; do \
+		if [ $$((seed % 2)) -eq 1 ]; then order="ref change"; else order="change ref"; fi; \
+		for side in $$order; do \
+			if [ $$side = ref ]; then dir=$(AB)/ref; else dir=.; fi; \
+			echo "== $(WORKLOAD) seed $$seed: $$side"; \
+			(cd $$dir && sh benchmark/run.sh --workload $(WORKLOAD) --seed $$seed --seconds 20 --trace 0 \
+				--out $(CURDIR)/$(AB)/out-$$side) > $(AB)/last-run.log 2>&1 || { cat $(AB)/last-run.log; exit 1; }; \
+			tail -n 1 $(AB)/last-run.log; \
+		done; \
+	done
+	.bench_build/plantbench compare $(AB)/out-ref/runs.jsonl $(AB)/out-change/runs.jsonl
+
 # Exploratory fuzzing of the decoders of bytes we did not just produce: the
 # binary wire decoder (corrupt, truncated and oversized frames against the
-# mixed-framing reader and the frame codec) and the machine driver protocol
+# mixed-framing reader and the frame codec), the machine driver protocol
 # (the sweep response splitter against encoding/json, and the emulator's
-# request dispatch). CI runs only the seed corpora (via `make check`); run
-# this for minutes or hours when touching internal/wire framing, a protocol
-# codec or the machinesim wire protocol.
+# request dispatch) and the YAML decoder every manifest is read back with
+# (its one-pass unquote against strconv.Unquote; the document decoder
+# against panics and against its own encoder). CI runs only the seed corpora
+# (via `make check`); run this for minutes or hours when touching
+# internal/wire framing, a protocol codec, the machinesim wire protocol or
+# internal/yamlenc.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
 	$(GO) test -fuzz=FuzzBinaryBodyRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
 	$(GO) test -fuzz=FuzzSweepResponse -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
+	$(GO) test -fuzz=FuzzUnquote -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/yamlenc/
+	$(GO) test -fuzz=FuzzUnmarshalDocs -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/yamlenc/
 
 # Durability soak: the seeded chaos suites under the race detector — the
 # zero-loss audit (historian crashes + broker partition, every sequence

@@ -1,6 +1,7 @@
 package sysml2conf
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/smartfactory/sysml2conf/internal/icelab"
@@ -107,6 +108,46 @@ func TestRunIncrementalDirtyMachine(t *testing.T) {
 	}
 	if res.Cache.Stats().Hits == 0 {
 		t.Error("no cache hits on an incremental regeneration")
+	}
+}
+
+// TestRunIncrementalCarriesDecodedObjects: after a one-machine edit the
+// bundle's clean manifests come with the very objects the first run decoded
+// (the unit cache carries them; nothing is decoded again), every manifest
+// has objects, and the edited server's are new.
+func TestRunIncrementalCarriesDecodedObjects(t *testing.T) {
+	spec := icelab.ICELab()
+	prev, err := Run(icelab.GenerateModelText(spec), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range spec.Machines {
+		if spec.Machines[i].Name == "ur5" {
+			spec.Machines[i].Port++
+		}
+	}
+	res, err := RunIncremental(prev, icelab.GenerateModelText(spec), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried, fresh := 0, 0
+	for path, data := range res.Bundle.Manifests {
+		was, now := prev.Bundle.Objects(path), res.Bundle.Objects(path)
+		if len(was) == 0 || len(was) != len(now) {
+			t.Fatalf("%s: %d objects before, %d after", path, len(was), len(now))
+		}
+		same := reflect.ValueOf(was[0].Raw).Pointer() == reflect.ValueOf(now[0].Raw).Pointer()
+		if unchanged := string(prev.Bundle.Manifests[path]) == string(data); same != unchanged {
+			t.Errorf("%s: bytes unchanged = %v, objects carried over = %v", path, unchanged, same)
+		}
+		if same {
+			carried++
+		} else {
+			fresh++
+		}
+	}
+	if fresh != 1 || carried == 0 {
+		t.Errorf("%d manifests decoded anew and %d carried over, want 1 and the rest", fresh, carried)
 	}
 }
 

@@ -503,7 +503,7 @@ func (c *Client) PublishSeqAsync(topic string, payload []byte, retain bool, sess
 // Subscribe registers a topic filter; messages arrive on the returned
 // channel until Unsubscribe or connection loss.
 func (c *Client) Subscribe(filter string) (int, <-chan Message, error) {
-	return c.subscribe(&frame{Op: opSub, Topic: filter}, false, 0)
+	return c.subscribe(&frame{Op: opSub, Topic: filter}, false, 0, clientSubDepth)
 }
 
 // SubscribeSession opens (or resumes) an acked at-least-once session.
@@ -512,15 +512,23 @@ func (c *Client) Subscribe(filter string) (int, <-chan Message, error) {
 // redeliveries at or below it. Each message on the channel carries its Seq;
 // the consumer must Ack after processing or delivery stalls at the window.
 func (c *Client) SubscribeSession(filter, session string, fromSeq uint64) (int, <-chan Message, error) {
-	return c.subscribe(&frame{Op: opSub, Topic: filter, Acked: true, Session: session, FromSeq: fromSeq}, true, fromSeq)
+	return c.subscribe(&frame{Op: opSub, Topic: filter, Acked: true, Session: session, FromSeq: fromSeq}, true, fromSeq, clientSubDepth)
 }
 
-func (c *Client) subscribe(f *frame, acked bool, fromSeq uint64) (int, <-chan Message, error) {
+// clientSubDepth is the client-side queue of a subscription: a plain one
+// sheds its oldest message beyond it, an acked one backpressures the read
+// loop. A window's worth, so a consumer that falls a window behind costs
+// the connection nothing.
+const clientSubDepth = 256
+
+// subscribe opens a subscription whose consumer channel holds depth
+// messages.
+func (c *Client) subscribe(f *frame, acked bool, fromSeq uint64, depth int) (int, <-chan Message, error) {
 	// The sub state is built up front and registered by the read loop
 	// together with the broker's ack: an acked-session resume replays the
 	// queued backlog immediately behind that ack, and registering here —
 	// after roundTrip returns — would race those replayed frames.
-	st := &clientSub{ch: make(chan Message, 256), acked: acked, lastSeq: fromSeq}
+	st := &clientSub{ch: make(chan Message, depth), acked: acked, lastSeq: fromSeq}
 	resp, err := c.roundTrip(f, st)
 	if err != nil {
 		return 0, nil, err
@@ -568,7 +576,8 @@ func (c *Client) Unsubscribe(id int) error {
 // Request publishes to reqTopic and waits for one reply on respTopic
 // (a simple request/reply convention used for machine services).
 func (c *Client) Request(reqTopic, respTopic string, payload []byte, timeout time.Duration) ([]byte, error) {
-	subID, ch, err := c.Subscribe(respTopic)
+	// One reply is all that is waited for, so the queue holds one.
+	subID, ch, err := c.subscribe(&frame{Op: opSub, Topic: respTopic}, false, 0, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -75,13 +75,21 @@ func TestNegotiateMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			recvMsg(t, ch, "retained delivery")
-			binConns, jsonConns := b.WireStats()
 			wantBin := uint64(0)
 			if !tc.pubJSON {
 				wantBin++
 			}
 			if !tc.subJSON {
 				wantBin++
+			}
+			// A connection counts as binary once the broker has read the
+			// client's binary hello, which the subscriber's writer flushes on
+			// its own schedule: wait for the count, do not sample it.
+			deadline := time.Now().Add(5 * time.Second)
+			binConns, jsonConns := b.WireStats()
+			for binConns != wantBin && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+				binConns, jsonConns = b.WireStats()
 			}
 			if binConns != wantBin {
 				t.Errorf("WireStats binary = %d, want %d (json=%d)", binConns, wantBin, jsonConns)

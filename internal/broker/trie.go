@@ -3,6 +3,8 @@ package broker
 import (
 	"strings"
 	"sync"
+
+	"github.com/smartfactory/sysml2conf/internal/ring"
 )
 
 // This file implements the broker's subscription index and per-subscriber
@@ -146,8 +148,8 @@ var matchPool = sync.Pool{New: func() any {
 // ---------------------------------------------------------------------------
 // Per-subscriber delivery queue
 
-// ringCap is each subscriber's buffer depth, matching the former channel
-// capacity of 256.
+// ringCap bounds each plain subscriber's backlog, matching the former
+// channel capacity of 256.
 const ringCap = 256
 
 // subscription owns a drop-oldest ring buffer between publishers and the
@@ -163,26 +165,29 @@ type subscription struct {
 	wake chan struct{} // cap 1: "ring non-empty" signal for the pump
 	quit chan struct{} // closed by Unsubscribe/Close
 
-	mu     sync.Mutex
-	ring   [ringCap]Message
-	head   int
-	count  int
-	closed bool
+	mu sync.Mutex
+	// backlog grows with use up to ringCap (internal/ring): a subscription
+	// that is never behind — a reply topic, an idle filter — holds a couple
+	// of slots or none, not 256. Growth happens under mu, in enqueue.
+	backlog ring.Queue[Message]
+	closed  bool
 
 	// ack, when non-nil, upgrades the subscription to at-least-once
-	// delivery (session.go): the drop-oldest ring is bypassed in favour of
-	// the session queue, and out is replaced per attachment.
+	// delivery (session.go): the drop-oldest ring is bypassed (and stays
+	// empty) in favour of the session queue, and out is replaced per
+	// attachment.
 	ack *ackState
 }
 
 func newSubscription(id int, filter string, b *Broker) *subscription {
 	return &subscription{
-		id:     id,
-		filter: filter,
-		b:      b,
-		out:    make(chan Message, 32),
-		wake:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
+		id:      id,
+		filter:  filter,
+		b:       b,
+		out:     make(chan Message, 32),
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		backlog: ring.Queue[Message]{Bound: ringCap},
 	}
 }
 
@@ -200,15 +205,11 @@ func (s *subscription) enqueue(m Message) {
 		s.mu.Unlock()
 		return
 	}
-	if s.count == ringCap {
-		s.ring[s.head] = m
-		s.head = (s.head + 1) % ringCap
-		s.b.dropped.Add(1)
-	} else {
-		s.ring[(s.head+s.count)%ringCap] = m
-		s.count++
-	}
+	dropped := s.backlog.Push(m)
 	s.mu.Unlock()
+	if dropped {
+		s.b.dropped.Add(1)
+	}
 	s.b.delivered.Add(1)
 	s.wakeUp()
 }
@@ -227,9 +228,10 @@ func (s *subscription) wakeUp() {
 func (s *subscription) pump() {
 	for {
 		s.mu.Lock()
-		if s.count == 0 {
-			closed := s.closed
-			s.mu.Unlock()
+		m, ok := s.backlog.Pop()
+		closed := s.closed
+		s.mu.Unlock()
+		if !ok {
 			if closed {
 				close(s.out)
 				return
@@ -240,11 +242,6 @@ func (s *subscription) pump() {
 			}
 			continue
 		}
-		m := s.ring[s.head]
-		s.ring[s.head] = Message{}
-		s.head = (s.head + 1) % ringCap
-		s.count--
-		s.mu.Unlock()
 		select {
 		case s.out <- m:
 		case <-s.quit:

@@ -3,10 +3,12 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // buildTrie indexes one filter and returns whether topic matches it.
@@ -180,6 +182,77 @@ func TestSubscriberDropCounting(t *testing.T) {
 	}
 	if min := uint64(total - ringCap - 64); dropped < min {
 		t.Errorf("dropped = %d, want >= %d", dropped, min)
+	}
+}
+
+// TestIdleSubscriptionHoldsNoBacklogStorage: a subscription that never
+// receives a message has no backlog storage at all, and the broker's whole
+// cost for it — its 32-slot consumer channel (2 KB), its trie entry and its
+// pump goroutine included — stays far below the 16 KB the inline 256-slot
+// ring alone used to take. An acked session never uses the backlog either.
+func TestIdleSubscriptionHoldsNoBacklogStorage(t *testing.T) {
+	b := New()
+	defer b.Close()
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, _, err := b.Subscribe(fmt.Sprintf("idle/reply/%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 3.1 to 3.8 KB when this was written; the threshold only has to tell
+	// that from a worst-case queue allocated up front.
+	if perSub := (after.TotalAlloc - before.TotalAlloc) / n; perSub > 8<<10 {
+		t.Errorf("an idle subscription costs %d B, want well under 8 KB", perSub)
+	}
+	if size := unsafe.Sizeof(subscription{}); size > 256 {
+		t.Errorf("the subscription header is %d B: a queue is inline again", size)
+	}
+
+	id, ch, err := b.SubscribeOpts("idle/acked/#", SubOptions{Acked: true, Session: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := b.Publish("idle/acked/x", []byte(`1`), false); err != nil {
+			t.Fatal(err)
+		}
+		<-ch
+	}
+	b.subMu.Lock()
+	acked := b.subs[id]
+	b.subMu.Unlock()
+	acked.mu.Lock()
+	defer acked.mu.Unlock()
+	if acked.backlog.Len() != 0 {
+		t.Errorf("an acked session queued %d messages in the drop-oldest backlog", acked.backlog.Len())
+	}
+}
+
+// TestKeptUpSubscriptionPublishAllocatesOnce: with a consumer that keeps up,
+// a publish costs the one payload copy the fan-out always made — the backlog
+// found its depth on the first messages and does not allocate again.
+func TestKeptUpSubscriptionPublishAllocatesOnce(t *testing.T) {
+	b := New()
+	defer b.Close()
+	_, ch, err := b.Subscribe("steady/#")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"value":1}`)
+	roundTrip := func() {
+		if err := b.Publish("steady/x", payload, false); err != nil {
+			t.Fatal(err)
+		}
+		<-ch
+	}
+	for i := 0; i < 8; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs > 1 {
+		t.Errorf("publish to a kept-up subscriber allocates %v objects, want 1 (the payload copy)", allocs)
 	}
 }
 

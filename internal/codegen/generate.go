@@ -24,6 +24,10 @@ type Bundle struct {
 	Manifests map[string][]byte
 	Summary   Summary
 
+	// objects holds, per manifest path, what the generator's validation pass
+	// decoded from those bytes (see Objects).
+	objects map[string][]k8s.Object
+
 	// allFiles is the sorted JSON+Manifests union, built once on first
 	// AllFiles call (the maps never change after Generate).
 	allOnce  sync.Once
@@ -120,11 +124,13 @@ func GenerateWithCache(f *core.Factory, opts GenOptions, cache *Cache) (*Bundle,
 		Intermediate: in,
 		JSON:         map[string][]byte{},
 		Manifests:    map[string][]byte{},
+		objects:      map[string][]k8s.Object{},
 	}
 	for _, files := range results {
 		for _, nf := range files {
 			if strings.HasPrefix(nf.Name, "manifests/") {
 				b.Manifests[nf.Name] = nf.Data
+				b.objects[nf.Name] = nf.Objects
 			} else {
 				b.JSON[nf.Name] = nf.Data
 			}
@@ -319,8 +325,10 @@ func wrapUnit(nf NamedFile, err error) ([]NamedFile, error) {
 }
 
 // manifestFile renders one manifest and runs the decode+validate sanity
-// pass on it: everything emitted must be valid manifest YAML. Cached units
-// skip this entirely — they were validated when first rendered.
+// pass on it: everything emitted must be valid manifest YAML. The decoded
+// objects stay with the file, so the pass is also the only decode of those
+// bytes this process needs (Bundle.Objects). Cached units skip all of it —
+// they were rendered, decoded and validated when first built.
 func manifestFile(name string, t *template.Template, data any) (NamedFile, error) {
 	out, err := render(t, data)
 	if err != nil {
@@ -333,7 +341,7 @@ func manifestFile(name string, t *template.Template, data any) (NamedFile, error
 	if err := k8s.Validate(objs); err != nil {
 		return NamedFile{}, fmt.Errorf("codegen: generated %s invalid: %w", name, err)
 	}
-	return NamedFile{Name: "manifests/" + name, Data: out}, nil
+	return NamedFile{Name: "manifests/" + name, Data: out, Objects: objs}, nil
 }
 
 func summarize(f *core.Factory, in *Intermediate, b *Bundle) Summary {
@@ -359,6 +367,19 @@ func summarize(f *core.Factory, in *Intermediate, b *Bundle) Summary {
 	return s
 }
 
+// Objects returns the decoded form of the manifest at path name (a key of
+// Manifests): the objects the generator's own decode-and-validate pass read
+// back from exactly those bytes, so a consumer in this process —
+// deploy.Cluster.ApplyBundle, Reconfigure — need not parse the YAML again.
+// The YAML stays the artefact; this is its already-validated reading.
+//
+// The objects are shared: with the unit cache, and through it with every
+// bundle of an incremental series that contains the same unchanged unit.
+// They are read-only — use the k8s.Object accessors and never write through
+// Raw. Every Bundle comes from Generate or GenerateWithCache, which fill
+// this in for every manifest; there is no decode-on-demand.
+func (b *Bundle) Objects(name string) []k8s.Object { return b.objects[name] }
+
 // AllFiles returns every generated file (JSON + manifests) sorted by path.
 // The sorted slice is computed once and cached — callers must not modify
 // the returned slice or the file contents.
@@ -377,10 +398,13 @@ func (b *Bundle) AllFiles() []NamedFile {
 	return b.allFiles
 }
 
-// NamedFile pairs a generated file path with its contents.
+// NamedFile pairs a generated file path with its contents. Objects is set on
+// the manifests a generation unit builds — what Data decodes to — and is how
+// the unit cache carries them from one run to the next.
 type NamedFile struct {
-	Name string
-	Data []byte
+	Name    string
+	Data    []byte
+	Objects []k8s.Object
 }
 
 // jsonFile encodes one step-1 artifact the way JSONFiles does.

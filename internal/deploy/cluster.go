@@ -170,18 +170,16 @@ func (c *Cluster) schedule(pod *Pod) error {
 	return nil
 }
 
-// ApplyBundle decodes and applies every manifest of a generated bundle.
+// ApplyBundle applies every manifest of a generated bundle, in path order.
+// It reads the objects the generator decoded when it validated the bundle
+// (codegen.Bundle.Objects) and parses no YAML itself; the objects are shared
+// with the bundle and only ever read here.
 func (c *Cluster) ApplyBundle(b *codegen.Bundle) error {
 	var all []k8s.Object
 	for _, f := range b.AllFiles() {
-		if !strings.HasPrefix(f.Name, "manifests/") {
-			continue
+		if strings.HasPrefix(f.Name, "manifests/") {
+			all = append(all, b.Objects(f.Name)...)
 		}
-		objs, err := k8s.Decode(f.Data)
-		if err != nil {
-			return fmt.Errorf("deploy: decode %s: %w", f.Name, err)
-		}
-		all = append(all, objs...)
 	}
 	return c.Apply(all)
 }

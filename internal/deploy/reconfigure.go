@@ -49,15 +49,21 @@ type ReconfigureReport struct {
 }
 
 // Reconfigure transitions a running cluster from the configuration in old
-// to the configuration in new, restarting only what the manifest diff (and
-// its runtime dependencies) requires:
+// to the configuration in new, restarting only what the manifest diff and
+// its runtime dependencies require. A deployment stops when
 //
-//   - a changed or removed manifest stops its deployments;
-//   - a broker restart cascades to every dependent component (clients and
-//     historians hold broker connections);
-//   - an OPC UA server restart cascades to all client modules (they hold
-//     connections to the server's old endpoint);
-//   - added and changed manifests then start in dependency order.
+//   - its manifest changed or was removed;
+//   - it holds a connection to the broker (clients, historians, monitors)
+//     and the broker restarts;
+//   - it is a client module with a machine on an OPC UA server that restarts
+//     (old.Intermediate.Clients[].Machines[].Server): its sessions and
+//     monitored items are on that server's old endpoint. A client with no
+//     machine there depends on nothing that moves, keeps running and keeps
+//     delivering through the transition.
+//
+// Added and changed manifests, and whatever a cascade stopped, then start in
+// dependency order. The objects come decoded with the bundles
+// (codegen.Bundle.Objects); no YAML is parsed here.
 //
 // This is the operational counterpart of codegen.DiffBundles: when the
 // SysML model evolves, the plant is reconciled incrementally instead of
@@ -72,78 +78,8 @@ func (c *Cluster) Reconfigure(old, new *codegen.Bundle) (*ReconfigureReport, err
 		return report, nil
 	}
 
-	oldObjs, err := manifestObjects(old)
-	if err != nil {
-		return nil, err
-	}
-	newObjs, err := manifestObjects(new)
-	if err != nil {
-		return nil, err
-	}
-
-	changedOrRemoved := map[string]bool{}
-	for _, f := range diff.Changed {
-		changedOrRemoved[f] = true
-	}
-	for _, f := range diff.Removed {
-		changedOrRemoved[f] = true
-	}
-	addedOrChanged := map[string]bool{}
-	for _, f := range diff.Added {
-		addedOrChanged[f] = true
-	}
-	for _, f := range diff.Changed {
-		addedOrChanged[f] = true
-	}
-
-	// Deployments to stop: those in changed/removed manifests...
-	stop := map[string]k8s.Object{}
-	brokerRestarts, serverRestarts := false, false
-	for file, objs := range oldObjs {
-		if !changedOrRemoved[file] {
-			continue
-		}
-		for _, o := range objs {
-			if o.Kind() != "Deployment" {
-				continue
-			}
-			stop[o.Name()] = o
-			switch componentOf(o) {
-			case "message-broker":
-				brokerRestarts = true
-			case "opcua-server":
-				serverRestarts = true
-			}
-		}
-	}
-	// ...plus dependency cascades.
-	for _, objs := range oldObjs {
-		for _, o := range objs {
-			if o.Kind() != "Deployment" {
-				continue
-			}
-			comp := componentOf(o)
-			cascade := (brokerRestarts && (comp == "opcua-client" || comp == "historian" || comp == "monitor")) ||
-				(serverRestarts && comp == "opcua-client")
-			if cascade {
-				stop[o.Name()] = o
-			}
-		}
-	}
-
-	// Stop in reverse dependency order.
-	var stopList []k8s.Object
-	for _, o := range stop {
-		stopList = append(stopList, o)
-	}
-	sort.SliceStable(stopList, func(i, j int) bool {
-		ri, rj := componentRank(stopList[i]), componentRank(stopList[j])
-		if ri != rj {
-			return ri > rj
-		}
-		return stopList[i].Name() < stopList[j].Name()
-	})
-	for _, o := range stopList {
+	plan := planReconfigure(old, new, diff)
+	for _, o := range plan.stop {
 		// A retried reconfigure (after a partial failure) finds some pods
 		// already stopped; skipping them makes the transition resumable.
 		if _, ok := c.PodStatus(o.Name() + "-0"); !ok {
@@ -154,36 +90,7 @@ func (c *Cluster) Reconfigure(old, new *codegen.Bundle) (*ReconfigureReport, err
 		}
 		report.Stopped = append(report.Stopped, o.Name())
 	}
-
-	// Start: deployments from added/changed manifests plus everything the
-	// cascade stopped whose manifest still exists in new.
-	restart := map[string]bool{}
-	for _, o := range stopList {
-		restart[o.Name()] = true
-	}
-	var startObjs []k8s.Object
-	configMaps := map[string]k8s.Object{}
-	for file, objs := range newObjs {
-		fileSelected := addedOrChanged[file]
-		for _, o := range objs {
-			switch o.Kind() {
-			case "ConfigMap":
-				configMaps[o.Namespace()+"/"+o.Name()] = o
-			case "Deployment":
-				if fileSelected || restart[o.Name()] {
-					startObjs = append(startObjs, o)
-				}
-			}
-		}
-	}
-	sort.SliceStable(startObjs, func(i, j int) bool {
-		ri, rj := componentRank(startObjs[i]), componentRank(startObjs[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return startObjs[i].Name() < startObjs[j].Name()
-	})
-	for _, o := range startObjs {
+	for _, o := range plan.start {
 		// Already running (started by a previous partially-failed attempt,
 		// or an unchanged manifest swept in by the cascade set): leave it.
 		// A Failed pod from that earlier attempt is cleared and retried.
@@ -193,7 +100,7 @@ func (c *Cluster) Reconfigure(old, new *codegen.Bundle) (*ReconfigureReport, err
 			}
 			_ = c.Remove(o.Name())
 		}
-		if err := c.startDeployment(o, configMaps); err != nil {
+		if err := c.startDeployment(o, plan.configMaps); err != nil {
 			return report, err
 		}
 		report.Started = append(report.Started, o.Name())
@@ -204,14 +111,113 @@ func (c *Cluster) Reconfigure(old, new *codegen.Bundle) (*ReconfigureReport, err
 	return report, nil
 }
 
-func manifestObjects(b *codegen.Bundle) (map[string][]k8s.Object, error) {
-	out := map[string][]k8s.Object{}
-	for name, data := range b.Manifests {
-		objs, err := k8s.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: decode %s: %w", name, err)
-		}
-		out[name] = objs
+// reconfigurePlan is the transition between two bundles as lists of
+// Deployments: stop in reverse dependency order, start in dependency order,
+// and the new bundle's ConfigMaps for the starts to read.
+type reconfigurePlan struct {
+	stop, start []k8s.Object
+	configMaps  map[string]k8s.Object
+}
+
+// planReconfigure applies Reconfigure's rules to a diff. It looks at the
+// bundles only, not at the cluster.
+func planReconfigure(old, new *codegen.Bundle, diff codegen.Diff) reconfigurePlan {
+	changedOrRemoved := map[string]bool{}
+	addedOrChanged := map[string]bool{}
+	for _, f := range diff.Changed {
+		changedOrRemoved[f] = true
+		addedOrChanged[f] = true
 	}
-	return out, nil
+	for _, f := range diff.Removed {
+		changedOrRemoved[f] = true
+	}
+	for _, f := range diff.Added {
+		addedOrChanged[f] = true
+	}
+
+	// Deployments to stop: those in changed/removed manifests...
+	type deployment struct {
+		file string
+		obj  k8s.Object
+	}
+	var running []deployment
+	for file := range old.Manifests {
+		for _, o := range old.Objects(file) {
+			if o.Kind() == "Deployment" {
+				running = append(running, deployment{file, o})
+			}
+		}
+	}
+	stop := map[string]k8s.Object{}
+	brokerRestarts := false
+	restartedServers := map[string]bool{}
+	for _, d := range running {
+		if !changedOrRemoved[d.file] {
+			continue
+		}
+		stop[d.obj.Name()] = d.obj
+		switch componentOf(d.obj) {
+		case "message-broker":
+			brokerRestarts = true
+		case "opcua-server":
+			restartedServers[d.obj.Name()] = true
+		}
+	}
+	// ...plus what depends on them: every broker connection, and the client
+	// modules bridging a machine of a restarted server.
+	dependentClients := map[string]bool{}
+	for _, cc := range old.Intermediate.Clients {
+		for _, m := range cc.Machines {
+			if restartedServers[m.Server] {
+				dependentClients[cc.Name] = true
+			}
+		}
+	}
+	for _, d := range running {
+		switch componentOf(d.obj) {
+		case "opcua-client":
+			if brokerRestarts || dependentClients[d.obj.Name()] {
+				stop[d.obj.Name()] = d.obj
+			}
+		case "historian", "monitor":
+			if brokerRestarts {
+				stop[d.obj.Name()] = d.obj
+			}
+		}
+	}
+
+	plan := reconfigurePlan{configMaps: map[string]k8s.Object{}}
+	for _, o := range stop {
+		plan.stop = append(plan.stop, o)
+	}
+	sortByRank(plan.stop, true)
+
+	// Start: deployments from added/changed manifests plus everything the
+	// cascade stopped whose manifest still exists in new.
+	for file := range new.Manifests {
+		for _, o := range new.Objects(file) {
+			switch o.Kind() {
+			case "ConfigMap":
+				plan.configMaps[o.Namespace()+"/"+o.Name()] = o
+			case "Deployment":
+				if _, restarted := stop[o.Name()]; addedOrChanged[file] || restarted {
+					plan.start = append(plan.start, o)
+				}
+			}
+		}
+	}
+	sortByRank(plan.start, false)
+	return plan
+}
+
+// sortByRank puts Deployments in dependency order (broker, servers, clients,
+// historians, monitors; by name within a tier), or in its reverse.
+func sortByRank(objs []k8s.Object, reverse bool) {
+	sort.Slice(objs, func(i, j int) bool {
+		ri, rj := componentRank(objs[i]), componentRank(objs[j])
+		if ri != rj {
+			return (ri < rj) != reverse
+		}
+		return objs[i].Name() < objs[j].Name()
+	})
 }

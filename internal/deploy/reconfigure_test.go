@@ -1,7 +1,12 @@
 package deploy
 
 import (
+	"fmt"
 	"net"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +23,25 @@ type reconfigRig struct {
 	fleet   *machinesim.Fleet
 	bundle  *codegen.Bundle
 	addrs   map[string]string
+
+	mu   sync.Mutex
+	held map[string]chan struct{} // machines whose endpoint does not resolve until the channel closes
+}
+
+// hold makes the machine's endpoint unresolvable until release is called: a
+// server that needs the machine blocks in its start, which holds a
+// Reconfigure open at the point where that server is down.
+func (r *reconfigRig) hold(machine string) (release func()) {
+	ch := make(chan struct{})
+	r.mu.Lock()
+	r.held[machine] = ch
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		delete(r.held, machine)
+		r.mu.Unlock()
+		close(ch)
+	}
 }
 
 func startReconfigRig(t *testing.T, spec icelab.FactorySpec) *reconfigRig {
@@ -33,11 +57,17 @@ func startReconfigRig(t *testing.T, spec icelab.FactorySpec) *reconfigRig {
 	}
 	t.Cleanup(func() { fleet.Close() })
 
-	rig := &reconfigRig{fleet: fleet, bundle: bundle, addrs: fleet.Addrs()}
+	rig := &reconfigRig{fleet: fleet, bundle: bundle, addrs: fleet.Addrs(), held: map[string]chan struct{}{}}
 	cluster := NewCluster(3, 32)
 	// Resolver uses the rig's mutable table so machines added later are
 	// found too.
 	cluster.MachineEndpoints = func(machine string, _ codegen.DriverConfig) (string, error) {
+		rig.mu.Lock()
+		held := rig.held[machine]
+		rig.mu.Unlock()
+		if held != nil {
+			<-held
+		}
 		addr, ok := rig.addrs[machine]
 		if !ok {
 			return "", errNoEndpoint(machine)
@@ -136,6 +166,11 @@ func TestReconfigureMachineAdded(t *testing.T) {
 		"factory/ICEProductionLine/workCell02/emco/values/AxesPositions/actualX", 2, 10*time.Second)
 }
 
+// TestReconfigureDriverEndpointChange: a machine's driver endpoint changes,
+// so its workcell's OPC UA server restarts — and with it exactly the client
+// modules that bridge a machine of that server, nothing else. The other
+// clients, the historians and the broker keep their pods, and the plant
+// behind them keeps delivering while the server is down.
 func TestReconfigureDriverEndpointChange(t *testing.T) {
 	rig := startReconfigRig(t, icelab.ICELab())
 
@@ -147,42 +182,217 @@ func TestReconfigureDriverEndpointChange(t *testing.T) {
 			moved.Machines[i].IP = "10.197.99.99"
 		}
 	}
-	factory := icelab.MustBuild(moved)
-	newBundle, err := codegen.Generate(factory, codegen.GenOptions{})
+	newBundle, err := codegen.Generate(icelab.MustBuild(moved), codegen.GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	report, err := rig.cluster.Reconfigure(rig.bundle, newBundle)
-	if err != nil {
-		t.Fatal(err)
+	// Who depends on the server that restarts, from the model: the clients
+	// with a machine on it. One machine of any other client is the bystander
+	// whose samples must keep coming.
+	const server = "opcua-server-workcell02"
+	wantStopped := map[string]bool{server: true}
+	bystander := ""
+	for _, cc := range rig.bundle.Intermediate.Clients {
+		dependent := false
+		for _, m := range cc.Machines {
+			dependent = dependent || m.Server == server
+		}
+		if dependent {
+			wantStopped[cc.Name] = true
+			continue
+		}
+		for _, m := range cc.Machines {
+			for _, v := range m.Subscriptions {
+				if bystander == "" && v.Type == "Double" {
+					bystander = v.Topic
+				}
+			}
+		}
 	}
-	// The workcell02 server restarted; all clients cascaded; historians
-	// and broker stayed.
+	if len(wantStopped) == 1+len(rig.bundle.Intermediate.Clients) || bystander == "" {
+		t.Fatalf("every client bridges %s: the ICE Lab grouping no longer exercises the scoped cascade", server)
+	}
+	count := func() int {
+		total := 0
+		for _, h := range rig.cluster.Historians() {
+			total += rig.cluster.Historian(h).Store.Count(bystander)
+		}
+		return total
+	}
+	waitFor(t, 10*time.Second, "bystander samples before the reconfigure", func() bool { return count() > 0 })
+	before := map[string]Pod{}
+	for _, p := range rig.cluster.Pods() {
+		before[p.Name] = p
+	}
+
+	// Hold the restarting server's start open (its machine does not resolve)
+	// and watch the bystander from inside the transition.
+	release := rig.hold("emco")
+	type result struct {
+		report *ReconfigureReport
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		report, err := rig.cluster.Reconfigure(rig.bundle, newBundle)
+		done <- result{report, err}
+	}()
+	waitFor(t, 10*time.Second, "the workcell02 server to go down", func() bool {
+		return rig.cluster.Server(server) == nil
+	})
+	during := count()
+	waitFor(t, 10*time.Second, "fresh bystander samples while the server is down", func() bool {
+		return count() >= during+3
+	})
+	select {
+	case r := <-done:
+		t.Fatalf("reconfigure finished (%+v, %v) while the restarted server's machine was held", r.report, r.err)
+	default:
+	}
+	release()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+
 	stopped := map[string]bool{}
-	for _, n := range report.Stopped {
+	for _, n := range r.report.Stopped {
 		stopped[n] = true
 	}
-	if !stopped["opcua-server-workcell02"] {
-		t.Errorf("stopped = %v, want workcell02 server", report.Stopped)
+	if !reflect.DeepEqual(stopped, wantStopped) {
+		t.Errorf("stopped %v, want exactly the server and the clients with a machine on it: %v", r.report.Stopped, wantStopped)
 	}
-	if stopped["message-broker"] {
-		t.Error("broker restarted for a server-only change")
-	}
-	if stopped["historian-1"] || stopped["historian-2"] {
-		t.Error("historians restarted for a server-only change")
-	}
-	if !stopped["opcua-client-1"] {
-		t.Errorf("clients did not cascade: %v", report.Stopped)
+	sort.Strings(r.report.Started)
+	if want := sortedKeys(wantStopped); !reflect.DeepEqual(r.report.Started, want) {
+		t.Errorf("started %v, want %v", r.report.Started, want)
 	}
 	if !rig.cluster.AllRunning() {
 		t.Fatal("pods not all running")
 	}
-	// Data still flows after the reconfiguration.
-	start := time.Now()
+	for _, p := range rig.cluster.Pods() {
+		was := before[p.Name]
+		if restarted := wantStopped[strings.TrimSuffix(p.Name, "-0")]; restarted == p.Started.Equal(was.Started) {
+			t.Errorf("pod %s: started %v before and %v after, restarted = %v", p.Name, was.Started, p.Started, restarted)
+		}
+	}
+	// Data flows again from the moved machine.
 	waitForSeries(t, rig.cluster,
 		"factory/ICEProductionLine/workCell02/emco/values/AxesPositions/actualX", 2, 10*time.Second)
-	_ = start
+}
+
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestReconfigurePlanStopsOnlyWhatDepends is the cascade rule as a property
+// over every single-machine edit of the ICE Lab — each machine removed,
+// cloned into its workcell, moved to the next workcell: what a transition
+// stops is the deployments whose manifest changed or went away, plus the
+// client modules with a machine on a server among those, and nothing else.
+// The expectation is built from file names and the intermediate model, not
+// from the decoded objects the plan reads.
+func TestReconfigurePlanStopsOnlyWhatDepends(t *testing.T) {
+	base := icelab.ICELab()
+	old, err := codegen.Generate(icelab.MustBuild(base), codegen.GenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workcells := base.Workcells()
+	edit := func(mutate func(spec *icelab.FactorySpec)) icelab.FactorySpec {
+		spec := icelab.ICELab()
+		mutate(&spec)
+		return spec
+	}
+	edits := map[string]icelab.FactorySpec{}
+	for i, m := range base.Machines {
+		i, m := i, m
+		edits["remove "+m.Name] = edit(func(spec *icelab.FactorySpec) {
+			spec.Machines = append(spec.Machines[:i:i], spec.Machines[i+1:]...)
+		})
+		edits["add a clone of "+m.Name] = edit(func(spec *icelab.FactorySpec) {
+			clone := m
+			clone.Name, clone.IP = m.Name+"Clone", fmt.Sprintf("10.197.77.%d", i+1)
+			spec.Machines = append(spec.Machines, clone)
+		})
+		edits["move "+m.Name] = edit(func(spec *icelab.FactorySpec) {
+			for w, wc := range workcells {
+				if wc == m.Workcell {
+					spec.Machines[i].Workcell = workcells[(w+1)%len(workcells)]
+				}
+			}
+		})
+	}
+
+	deploymentOf := func(manifest string) string { // "manifests/10-opcua-server-x.yaml" -> "opcua-server-x"
+		name := strings.TrimSuffix(strings.TrimPrefix(manifest, "manifests/"), ".yaml")
+		return name[strings.Index(name, "-")+1:]
+	}
+	narrower := 0
+	for name, spec := range edits {
+		bundle, err := codegen.Generate(icelab.MustBuild(spec), codegen.GenOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		diff := codegen.DiffBundles(old, bundle)
+		want := map[string]bool{}
+		for _, f := range append(append([]string(nil), diff.Changed...), diff.Removed...) {
+			if strings.HasPrefix(f, "manifests/") && f != "manifests/00-namespace.yaml" {
+				want[deploymentOf(f)] = true
+			}
+		}
+		if want["message-broker"] {
+			t.Fatalf("%s: the broker's manifest changed", name)
+		}
+		for _, cc := range old.Intermediate.Clients {
+			for _, m := range cc.Machines {
+				if want[m.Server] {
+					want[cc.Name] = true
+				}
+			}
+		}
+		got := map[string]bool{}
+		plan := planReconfigure(old, bundle, diff)
+		for _, o := range plan.stop {
+			got[o.Name()] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the plan stops %v, want %v", name, sortedKeys(got), sortedKeys(want))
+		}
+		clients := 0
+		for d := range got {
+			if strings.HasPrefix(d, "opcua-client-") {
+				clients++
+			}
+		}
+		if clients < len(old.Intermediate.Clients) {
+			narrower++
+		}
+		// Whatever stops and still exists starts again, servers before clients.
+		started := map[string]bool{}
+		for i, o := range plan.start {
+			started[o.Name()] = true
+			if i > 0 && componentRank(plan.start[i-1]) > componentRank(o) {
+				t.Errorf("%s: %s starts before %s", name, plan.start[i-1].Name(), o.Name())
+			}
+		}
+		for _, f := range diff.Removed {
+			delete(got, deploymentOf(f))
+		}
+		for d := range got {
+			if !started[d] {
+				t.Errorf("%s: %s stops and never starts again", name, d)
+			}
+		}
+	}
+	if narrower == 0 {
+		t.Error("every edit restarted every client: the property never saw a scoped cascade")
+	}
 }
 
 // TestReconfigureUnderPartitionConverges overlaps a model-driven

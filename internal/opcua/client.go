@@ -23,10 +23,17 @@ type Client struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan *Message
-	subs    map[int]*clientMonitor
-	closed  bool
-	readErr error
-	lost    atomic.Uint64
+	// pendingSubs maps an in-flight subscribe request to its pre-built
+	// monitor. The read loop registers it in subs when the server's ack
+	// arrives, before it reads the next frame: the variable may change right
+	// behind the ack, and a notification read before the monitor is
+	// registered has nowhere to go — lost for good if the value then stays
+	// put. (broker.Client stages its subscriptions the same way.)
+	pendingSubs map[uint64]*clientMonitor
+	subs        map[int]*clientMonitor
+	closed      bool
+	readErr     error
+	lost        atomic.Uint64
 
 	timeout time.Duration
 	done    chan struct{}
@@ -36,8 +43,11 @@ type Client struct {
 // notification sequence number expected from the server, so shed samples
 // (server- or client-side) are counted instead of vanishing silently.
 type clientMonitor struct {
-	ch   chan DataChange
-	next uint64 // 0 until the first sequenced notification arrives
+	ch chan DataChange
+	// next starts at 1, a monitored item's first number by DataChange's
+	// contract, so what the server shed before the first notification this
+	// client got to see is a gap like any other.
+	next uint64
 }
 
 // Dial connects to an OPC UA server at addr.
@@ -71,16 +81,17 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		return nil, fmt.Errorf("opcua client: dial %s: %w", addr, err)
 	}
 	c := &Client{
-		conn:      conn,
-		w:         wire.NewWriter(conn),
-		forceJSON: opts.ForceJSON,
-		pending:   map[uint64]chan *Message{},
-		subs:      map[int]*clientMonitor{},
-		timeout:   timeout,
-		done:      make(chan struct{}),
+		conn:        conn,
+		w:           wire.NewWriter(conn),
+		forceJSON:   opts.ForceJSON,
+		pending:     map[uint64]chan *Message{},
+		pendingSubs: map[uint64]*clientMonitor{},
+		subs:        map[int]*clientMonitor{},
+		timeout:     timeout,
+		done:        make(chan struct{}),
 	}
 	go c.readLoop()
-	if _, err := c.roundTrip(&Message{Op: OpHello}); err != nil {
+	if _, err := c.roundTrip(&Message{Op: OpHello}, nil); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("opcua client: handshake with %s: %w", addr, err)
 	}
@@ -156,6 +167,7 @@ func (c *Client) readLoop() {
 				close(st.ch)
 				delete(c.subs, id)
 			}
+			clear(c.pendingSubs)
 			c.mu.Unlock()
 			return
 		}
@@ -167,7 +179,7 @@ func (c *Client) readLoop() {
 				if m.Seq > 0 {
 					// A jump past the expected number means the server shed
 					// notifications under backpressure; count the gap.
-					if st.next != 0 && m.Seq > st.next {
+					if m.Seq > st.next {
 						c.lost.Add(m.Seq - st.next)
 					}
 					st.next = m.Seq + 1
@@ -207,6 +219,12 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.mu.Lock()
+		if st, ok := c.pendingSubs[m.ID]; ok {
+			delete(c.pendingSubs, m.ID)
+			if m.Op == OpSubscribe && m.OK {
+				c.subs[m.SubID] = st
+			}
+		}
 		ch := c.pending[m.ID]
 		delete(c.pending, m.ID)
 		c.mu.Unlock()
@@ -218,7 +236,10 @@ func (c *Client) readLoop() {
 	}
 }
 
-func (c *Client) roundTrip(req *Message) (*Message, error) {
+// roundTrip sends a request and waits for its response. A non-nil sub is
+// staged in pendingSubs for the read loop to register with the subscribe
+// ack (see the pendingSubs field).
+func (c *Client) roundTrip(req *Message, sub *clientMonitor) (*Message, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.readErr
@@ -232,11 +253,15 @@ func (c *Client) roundTrip(req *Message) (*Message, error) {
 	req.ID = c.nextID
 	ch := make(chan *Message, 1)
 	c.pending[req.ID] = ch
+	if sub != nil {
+		c.pendingSubs[req.ID] = sub
+	}
 	c.mu.Unlock()
 
 	if err := c.w.WriteFrame(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
+		delete(c.pendingSubs, req.ID)
 		c.mu.Unlock()
 		return nil, fmt.Errorf("opcua client: send: %w", err)
 	}
@@ -255,14 +280,25 @@ func (c *Client) roundTrip(req *Message) (*Message, error) {
 	case <-timer.C:
 		c.mu.Lock()
 		delete(c.pending, req.ID)
+		delete(c.pendingSubs, req.ID)
 		c.mu.Unlock()
+		// The response may have raced the timer, and the read loop may have
+		// registered a staged monitor with it: prefer it to a timeout, so
+		// the caller's view and the client's table cannot diverge.
+		select {
+		case resp, ok := <-ch:
+			if ok && resp.OK {
+				return resp, nil
+			}
+		default:
+		}
 		return nil, fmt.Errorf("opcua client: %s request timed out after %v", req.Op, c.timeout)
 	}
 }
 
 // Read fetches a variable's value.
 func (c *Client) Read(id NodeID) (Variant, error) {
-	resp, err := c.roundTrip(&Message{Op: OpRead, NodeID: id})
+	resp, err := c.roundTrip(&Message{Op: OpRead, NodeID: id}, nil)
 	if err != nil {
 		return Variant{}, err
 	}
@@ -274,13 +310,13 @@ func (c *Client) Read(id NodeID) (Variant, error) {
 
 // Write sets a variable's value.
 func (c *Client) Write(id NodeID, v Variant) error {
-	_, err := c.roundTrip(&Message{Op: OpWrite, NodeID: id, Value: &v})
+	_, err := c.roundTrip(&Message{Op: OpWrite, NodeID: id, Value: &v}, nil)
 	return err
 }
 
 // Call invokes a method node.
 func (c *Client) Call(id NodeID, args ...Variant) ([]Variant, error) {
-	resp, err := c.roundTrip(&Message{Op: OpCall, NodeID: id, Args: args})
+	resp, err := c.roundTrip(&Message{Op: OpCall, NodeID: id, Args: args}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +325,7 @@ func (c *Client) Call(id NodeID, args ...Variant) ([]Variant, error) {
 
 // Browse describes a node; an empty id browses the root folder.
 func (c *Client) Browse(id NodeID) (NodeInfo, error) {
-	resp, err := c.roundTrip(&Message{Op: OpBrowse, NodeID: id})
+	resp, err := c.roundTrip(&Message{Op: OpBrowse, NodeID: id}, nil)
 	if err != nil {
 		return NodeInfo{}, err
 	}
@@ -320,14 +356,13 @@ func (c *Client) BrowseTree(id NodeID) ([]NodeInfo, error) {
 // Subscribe registers a monitored item; value changes arrive on the
 // returned channel until Unsubscribe or connection loss.
 func (c *Client) Subscribe(id NodeID) (int, <-chan DataChange, error) {
-	resp, err := c.roundTrip(&Message{Op: OpSubscribe, NodeID: id})
+	// 64 deep, as the server's queue for the item is; beyond it the read
+	// loop sheds the oldest and counts it (Lost).
+	st := &clientMonitor{ch: make(chan DataChange, 64), next: 1}
+	resp, err := c.roundTrip(&Message{Op: OpSubscribe, NodeID: id}, st)
 	if err != nil {
 		return 0, nil, err
 	}
-	st := &clientMonitor{ch: make(chan DataChange, 64)}
-	c.mu.Lock()
-	c.subs[resp.SubID] = st
-	c.mu.Unlock()
 	return resp.SubID, st.ch, nil
 }
 
@@ -339,7 +374,7 @@ func (c *Client) Lost() uint64 { return c.lost.Load() }
 
 // Unsubscribe cancels a monitored item.
 func (c *Client) Unsubscribe(subID int) error {
-	_, err := c.roundTrip(&Message{Op: OpUnsubscribe, SubID: subID})
+	_, err := c.roundTrip(&Message{Op: OpUnsubscribe, SubID: subID}, nil)
 	c.mu.Lock()
 	if st, ok := c.subs[subID]; ok {
 		delete(c.subs, subID)

@@ -2,7 +2,9 @@ package opcua
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestWriteRawMatchesWrite: a raw scalar in json.Marshal's encoding, written
@@ -18,8 +20,8 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 	if _, err := s.AddVariable(s.Root(), ref, "ref", "Double", V(nil), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, handleCh, _ := s.Subscribe(viaHandle.ID, 1)
-	_, refCh, _ := s.Subscribe(ref, 1)
+	handleItem, _ := s.Subscribe(viaHandle.ID, 1)
+	refItem, _ := s.Subscribe(ref, 1)
 	for _, raw := range []string{
 		`1`, `0`, `-0`, `1e-7`, `1e+21`, `42`, `-3.25`, `true`, `false`, `null`,
 		`""`, `"idle"`, `"a \"quoted\" \\ value"`, `"\u003ctag\u003e"`, `"1"`, `"true"`,
@@ -41,7 +43,9 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("WriteRaw(%s) stored %s %s, Write(V(decoded)) stored %s %s", raw, got.Type, got.Value, want.Type, want.Value)
 		}
-		if dc, rc := <-handleCh, <-refCh; !dc.Value.Equal(rc.Value) || dc.Seq != rc.Seq {
+		dc, _ := handleItem.Next()
+		rc, _ := refItem.Next()
+		if !dc.Value.Equal(rc.Value) || dc.Seq != rc.Seq {
 			t.Errorf("WriteRaw(%s) notified %s %s seq %d, Write notified %s %s seq %d",
 				raw, dc.Value.Type, dc.Value.Value, dc.Seq, rc.Value.Type, rc.Value.Value, rc.Seq)
 		}
@@ -50,16 +54,14 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 	if err := viaHandle.WriteRaw([]byte(`"true"`)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case dc := <-handleCh:
+	if dc, queued, _ := handleItem.poll(); queued {
 		t.Errorf("unchanged value notified: %+v", dc)
-	default:
 	}
 	// The same bytes under another type are a change: "true" was a string.
 	if err := viaHandle.WriteRaw([]byte(`true`)); err != nil {
 		t.Fatal(err)
 	}
-	if dc := <-handleCh; dc.Value.Type != "Boolean" {
+	if dc, _ := handleItem.Next(); dc.Value.Type != "Boolean" {
 		t.Errorf("type change notified as %s", dc.Value.Type)
 	}
 
@@ -77,13 +79,92 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 func TestWriteRawUnchangedAllocatesNothing(t *testing.T) {
 	s := NewAddressSpace()
 	n, _ := s.AddVariable(s.Root(), NewNodeID(1, "v"), "v", "Double", V(nil), nil)
-	_, _, _ = s.Subscribe(n.ID, 1)
+	_, _ = s.Subscribe(n.ID, 1)
 	raw := []byte(`12.5`)
 	if err := n.WriteRaw(raw); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = n.WriteRaw(raw) }); allocs != 0 {
 		t.Errorf("unchanged WriteRaw allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestIdleMonitoredItemCostsUnderAKilobyte: a monitored item whose variable
+// never changes holds a header and a wake-up channel, no queue storage — a
+// plant subscribes every variable it models, and most of them are quiet or
+// kept up with.
+func TestIdleMonitoredItemCostsUnderAKilobyte(t *testing.T) {
+	s := NewAddressSpace()
+	n, _ := s.AddVariable(s.Root(), NewNodeID(1, "v"), "v", "Double", V(nil), nil)
+	const items = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < items; i++ {
+		if _, err := s.Subscribe(n.ID, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perItem := (after.TotalAlloc - before.TotalAlloc) / items; perItem >= 1<<10 {
+		t.Errorf("an idle monitored item costs %d B, want < 1 KB", perItem)
+	}
+}
+
+// TestKeptUpMonitoredItemAllocatesOnlyTheValue: once the queue has found the
+// depth its consumer needs, a changed value costs its one copy (WriteRaw's)
+// and the notification nothing.
+func TestKeptUpMonitoredItemAllocatesOnlyTheValue(t *testing.T) {
+	s := NewAddressSpace()
+	n, _ := s.AddVariable(s.Root(), NewNodeID(1, "v"), "v", "Double", V(nil), nil)
+	item, _ := s.Subscribe(n.ID, 64)
+	raws := [][]byte{[]byte(`1.5`), []byte(`2.5`)}
+	i := 0
+	change := func() {
+		i++
+		if err := n.WriteRaw(raws[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := item.Next(); !ok {
+			t.Fatal("no notification")
+		}
+	}
+	change()
+	if allocs := testing.AllocsPerRun(200, change); allocs != 1 {
+		t.Errorf("a changed value with a kept-up monitor allocates %v objects, want 1 (the value)", allocs)
+	}
+}
+
+// TestUnsubscribeWakesABlockedNext: the item's puller — Server.handle waits
+// for it on teardown — is released by Unsubscribe, after draining what was
+// queued.
+func TestUnsubscribeWakesABlockedNext(t *testing.T) {
+	s := NewAddressSpace()
+	n, _ := s.AddVariable(s.Root(), NewNodeID(1, "v"), "v", "Int64", V(0), nil)
+	item, _ := s.Subscribe(n.ID, 4)
+	got := make(chan []uint64, 1)
+	go func() {
+		var seqs []uint64
+		for {
+			dc, ok := item.Next()
+			if !ok {
+				got <- seqs
+				return
+			}
+			seqs = append(seqs, dc.Seq)
+		}
+	}()
+	for i := 1; i <= 3; i++ {
+		_ = s.Write(n.ID, V(i))
+	}
+	s.Unsubscribe(item.ID())
+	_ = s.Write(n.ID, V(99)) // nobody is subscribed any more
+	select {
+	case seqs := <-got:
+		if len(seqs) != 3 || seqs[0] != 1 || seqs[2] != 3 {
+			t.Errorf("the puller saw seqs %v before the end, want [1 2 3]", seqs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Next still blocked after Unsubscribe")
 	}
 }
 
@@ -94,9 +175,9 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 	s := NewAddressSpace()
 	a, _ := s.AddVariable(s.Root(), NewNodeID(1, "a"), "a", "Int64", V(0), nil)
 	b, _ := s.AddVariable(s.Root(), NewNodeID(1, "b"), "b", "Int64", V(0), nil)
-	_, roomy, _ := s.Subscribe(a.ID, 16)
-	tightID, tight, _ := s.Subscribe(a.ID, 2)
-	_, other, _ := s.Subscribe(b.ID, 16)
+	roomy, _ := s.Subscribe(a.ID, 16)
+	tight, _ := s.Subscribe(a.ID, 2)
+	other, _ := s.Subscribe(b.ID, 16)
 
 	const writes = 7
 	for i := 1; i <= writes; i++ {
@@ -104,15 +185,11 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drain := func(ch <-chan DataChange) (seqs []uint64) {
-		for {
-			select {
-			case dc := <-ch:
-				seqs = append(seqs, dc.Seq)
-			default:
-				return seqs
-			}
+	drain := func(m *MonitoredItem) (seqs []uint64) {
+		for _, dc := range queued(m) {
+			seqs = append(seqs, dc.Seq)
 		}
+		return seqs
 	}
 	if got := drain(roomy); len(got) != writes || got[0] != 1 || got[writes-1] != writes {
 		t.Errorf("roomy monitor saw seqs %v, want 1..%d", got, writes)
@@ -126,9 +203,9 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 	}
 
 	// Dropping one of a's monitors leaves the other two lists as they were.
-	s.Unsubscribe(tightID)
-	if _, open := <-tight; open {
-		t.Error("unsubscribed channel still open")
+	s.Unsubscribe(tight.ID())
+	if _, open := tight.Next(); open {
+		t.Error("unsubscribed item still delivers")
 	}
 	_ = s.Write(a.ID, V(100))
 	_ = b.WriteRaw([]byte(`5`))
@@ -140,5 +217,16 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 	}
 	if len(a.monitors) != 1 || len(b.monitors) != 1 || len(s.monitors) != 2 {
 		t.Errorf("monitor indexes out of step: a=%d b=%d all=%d", len(a.monitors), len(b.monitors), len(s.monitors))
+	}
+}
+
+// queued takes everything the item holds right now.
+func queued(m *MonitoredItem) (out []DataChange) {
+	for {
+		dc, ok, _ := m.poll()
+		if !ok {
+			return out
+		}
+		out = append(out, dc)
 	}
 }

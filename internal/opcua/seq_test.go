@@ -1,8 +1,13 @@
 package opcua
 
 import (
+	"bufio"
+	"bytes"
+	"net"
 	"testing"
 	"time"
+
+	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
 // TestNotificationSequencing: each monitor numbers its notifications 1, 2,
@@ -14,7 +19,7 @@ func TestNotificationSequencing(t *testing.T) {
 	if _, err := s.AddVariable(s.Root(), id, "v", "Int64", V(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, ch, err := s.Subscribe(id, 2)
+	item, err := s.Subscribe(id, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +31,8 @@ func TestNotificationSequencing(t *testing.T) {
 		}
 	}
 	var seqs []uint64
-	for {
-		select {
-		case dc := <-ch:
-			seqs = append(seqs, dc.Seq)
-			continue
-		default:
-		}
-		break
+	for _, dc := range queued(item) {
+		seqs = append(seqs, dc.Seq)
 	}
 	if len(seqs) == 0 || seqs[len(seqs)-1] != 5 {
 		t.Fatalf("seqs = %v, want the final change (seq 5) retained", seqs)
@@ -101,5 +100,94 @@ done:
 		t.Fatalf("received %d of %d notifications but Lost() = 0", got, writes)
 	} else if want := lastSeq - uint64(got); lost < want {
 		t.Errorf("Lost() = %d, want >= %d (gaps below the last delivered seq)", lost, want)
+	}
+}
+
+// serveSubscribeThenNotify is a server that answers a subscribe and, in the
+// same write, pushes the item's first notification numbered firstSeq: what a
+// variable changing right behind the acknowledgement (and a burst shed
+// before the puller first ran, for firstSeq > 1) looks like on the wire,
+// without the timing.
+func serveSubscribeThenNotify(t *testing.T, firstSeq uint64) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		for {
+			var req Message
+			if err := wire.ReadFrame(r, &req); err != nil {
+				return
+			}
+			var out bytes.Buffer
+			_ = wire.WriteFrame(&out, &Message{ID: req.ID, Op: req.Op, OK: true, SubID: 7})
+			if req.Op == OpSubscribe {
+				v := V(42)
+				_ = wire.WriteFrame(&out, &Message{Op: OpNotify, NodeID: req.NodeID, Value: &v, SubID: 7, Seq: firstSeq, OK: true})
+			}
+			if _, err := conn.Write(out.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSubscribeDeliversChangeBehindTheAck: a notification that reaches the
+// client directly behind the subscribe acknowledgement is delivered. The
+// read loop handles it before Subscribe's caller runs again, so the monitor
+// has to be registered by the read loop, with the acknowledgement; a value
+// that changes once and then rests would otherwise never arrive.
+func TestSubscribeDeliversChangeBehindTheAck(t *testing.T) {
+	c, err := Dial(serveSubscribeThenNotify(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	subID, ch, err := c.Subscribe(NewNodeID(1, "M", "v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case dc := <-ch:
+		if dc.SubID != subID || dc.Seq != 1 || !dc.Value.Equal(V(42)) {
+			t.Errorf("got %+v, want seq 1 of subscription %d with value 42", dc, subID)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the notification sent right behind the subscribe ack never arrived")
+	}
+	if lost := c.Lost(); lost != 0 {
+		t.Errorf("Lost() = %d with nothing shed", lost)
+	}
+}
+
+// TestLostCountsWhatWasShedBeforeTheFirstNotification: a monitored item
+// numbers from 1, so a stream that opens on seq 101 has lost 100 — a burst
+// the server shed before its puller first ran is counted in full.
+func TestLostCountsWhatWasShedBeforeTheFirstNotification(t *testing.T) {
+	c, err := Dial(serveSubscribeThenNotify(t, 101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, ch, err := c.Subscribe(NewNodeID(1, "M", "v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ch:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no notification")
+	}
+	if lost := c.Lost(); lost != 100 {
+		t.Errorf("Lost() = %d after a stream that opened on seq 101, want 100", lost)
 	}
 }

@@ -10,6 +10,11 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
+// monitorDepth bounds the notifications queued for one monitored item of a
+// connection; beyond it the oldest is shed and the client counts the gap
+// (Client.Lost).
+const monitorDepth = 64
+
 // Server exposes an AddressSpace over the framed TCP protocol.
 type Server struct {
 	Name  string
@@ -211,23 +216,29 @@ func (s *Server) handle(conn net.Conn) {
 				resp.Node = &info
 			}
 		case OpSubscribe:
-			subID, ch, err := s.Space.Subscribe(req.NodeID, 64)
+			item, err := s.Space.Subscribe(req.NodeID, monitorDepth)
 			if err != nil {
 				resp.OK, resp.Error = false, err.Error()
 				break
 			}
-			subs[subID] = struct{}{}
-			resp.SubID = subID
+			subs[item.ID()] = struct{}{}
+			resp.SubID = item.ID()
 			subWG.Add(1)
-			go func(nodeID NodeID) {
+			go func() {
+				// The item's puller; Unsubscribe (here, or the teardown
+				// above) ends it.
 				defer subWG.Done()
-				for change := range ch {
+				for {
+					change, ok := item.Next()
+					if !ok {
+						return
+					}
 					v := change.Value
-					if err := send(&Message{Op: OpNotify, NodeID: nodeID, Value: &v, SubID: change.SubID, Seq: change.Seq, OK: true}); err != nil {
+					if err := send(&Message{Op: OpNotify, NodeID: change.NodeID, Value: &v, SubID: change.SubID, Seq: change.Seq, OK: true}); err != nil {
 						return
 					}
 				}
-			}(req.NodeID)
+			}()
 		case OpUnsubscribe:
 			if _, ok := subs[req.SubID]; ok {
 				s.Space.Unsubscribe(req.SubID)

@@ -17,6 +17,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/smartfactory/sysml2conf/internal/ring"
 )
 
 // NodeID identifies a node, e.g. "ns=1;s=EMCO/AxesPositions/actualX".
@@ -120,7 +122,7 @@ type Node struct {
 	children   []NodeID
 	value      Variant
 	method     MethodFunc
-	monitors   []*monitor // this node's monitored items; guarded by space.subMu
+	monitors   []*MonitoredItem // this node's monitored items; guarded by space.subMu
 }
 
 // NodeInfo is the wire-friendly description of a node.
@@ -144,14 +146,51 @@ type AddressSpace struct {
 	// notify, which therefore never looks at another node's monitors).
 	subMu    sync.Mutex
 	nextSub  int
-	monitors map[int]*monitor
+	monitors map[int]*MonitoredItem
 }
 
-type monitor struct {
-	id   int
-	node *Node
-	ch   chan DataChange
-	seq  uint64 // per-monitor notification counter (gap = dropped sample)
+// MonitoredItem is one subscription to a variable's changes: a drop-oldest
+// queue that notify fills and one consumer empties with Next. The queue
+// (internal/ring) holds nothing until the variable first changes and grows
+// with the consumer's lag up to the depth given to Subscribe, so a plant's
+// thousand quiet or keeping-up variables cost a header each, not a
+// worst-case buffer each. Everything below id is guarded by the space's
+// subMu — the lock notify already takes — growth included.
+type MonitoredItem struct {
+	id    int
+	node  *Node
+	space *AddressSpace
+
+	queue  ring.Queue[DataChange]
+	seq    uint64        // per-monitor notification counter (gap = dropped sample)
+	wake   chan struct{} // cap 1: "queue non-empty"; closed by Unsubscribe
+	closed bool
+}
+
+// ID is the subscription id: DataChange.SubID of every change the item
+// reports, and the argument to Unsubscribe.
+func (m *MonitoredItem) ID() int { return m.id }
+
+// Next returns the oldest queued change, waiting for one if there is none.
+// After Unsubscribe it hands out what was still queued and then reports
+// ok = false (a consumer blocked in it is woken to do so). One goroutine
+// at a time may call it.
+func (m *MonitoredItem) Next() (DataChange, bool) {
+	for {
+		dc, ok, closed := m.poll()
+		if ok || closed {
+			return dc, ok
+		}
+		<-m.wake
+	}
+}
+
+// poll is Next without the wait.
+func (m *MonitoredItem) poll() (dc DataChange, ok, closed bool) {
+	m.space.subMu.Lock()
+	defer m.space.subMu.Unlock()
+	dc, ok = m.queue.Pop()
+	return dc, ok, m.closed
 }
 
 // DataChange is one monitored-item notification. Seq numbers every
@@ -170,7 +209,7 @@ func NewAddressSpace() *AddressSpace {
 	s := &AddressSpace{
 		nodes:    map[NodeID]*Node{},
 		root:     NodeID("ns=0;s=Objects"),
-		monitors: map[int]*monitor{},
+		monitors: map[int]*MonitoredItem{},
 	}
 	s.nodes[s.root] = &Node{ID: s.root, BrowseName: "Objects", Class: ClassObject}
 	return s
@@ -350,31 +389,34 @@ func (s *AddressSpace) CountByClass() (objects, variables, methods int) {
 	return
 }
 
-// Subscribe registers a monitored item on a variable; changes are delivered
-// on the returned channel until Unsubscribe.
-func (s *AddressSpace) Subscribe(id NodeID, buffer int) (int, <-chan DataChange, error) {
+// Subscribe registers a monitored item on a variable. Its changes queue in
+// the returned item, at most depth of them (the oldest is shed beyond that,
+// and the gap shows in DataChange.Seq), until Unsubscribe.
+func (s *AddressSpace) Subscribe(id NodeID, depth int) (*MonitoredItem, error) {
 	s.mu.RLock()
 	n, ok := s.nodes[id]
 	s.mu.RUnlock()
 	if !ok {
-		return 0, nil, fmt.Errorf("opcua: node %s not found", id)
+		return nil, fmt.Errorf("opcua: node %s not found", id)
 	}
 	if n.Class != ClassVariable {
-		return 0, nil, fmt.Errorf("opcua: cannot subscribe to %s node %s", n.Class, id)
+		return nil, fmt.Errorf("opcua: cannot subscribe to %s node %s", n.Class, id)
 	}
-	if buffer <= 0 {
-		buffer = 16
+	if depth <= 0 {
+		depth = 16
 	}
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	s.nextSub++
-	m := &monitor{id: s.nextSub, node: n, ch: make(chan DataChange, buffer)}
+	m := &MonitoredItem{id: s.nextSub, node: n, space: s,
+		queue: ring.Queue[DataChange]{Bound: depth}, wake: make(chan struct{}, 1)}
 	s.monitors[m.id] = m
 	n.monitors = append(n.monitors, m)
-	return m.id, m.ch, nil
+	return m, nil
 }
 
-// Unsubscribe removes a monitored item and closes its channel.
+// Unsubscribe removes a monitored item and ends its stream: Next drains
+// what is queued, then reports the end.
 func (s *AddressSpace) Unsubscribe(subID int) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
@@ -386,7 +428,10 @@ func (s *AddressSpace) Unsubscribe(subID int) {
 	if i := slices.Index(m.node.monitors, m); i >= 0 {
 		m.node.monitors = slices.Delete(m.node.monitors, i, i+1)
 	}
-	close(m.ch)
+	// Off both indexes, so notify cannot reach the item again and nothing
+	// sends on wake after this close.
+	m.closed = true
+	close(m.wake)
 }
 
 // notify delivers a changed value to the monitors of node n, and to no one
@@ -395,22 +440,14 @@ func (s *AddressSpace) notify(n *Node, v Variant) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	for _, m := range n.monitors {
-		// Seq is consumed even when the notification is shed below, so a
-		// consumer tracking consecutive numbers sees the gap.
+		// Seq is consumed even when a notification is shed (a full queue
+		// drops its oldest), so a consumer tracking consecutive numbers sees
+		// the gap.
 		m.seq++
-		dc := DataChange{SubID: m.id, NodeID: n.ID, Value: v, Seq: m.seq}
+		m.queue.Push(DataChange{SubID: m.id, NodeID: n.ID, Value: v, Seq: m.seq})
 		select {
-		case m.ch <- dc:
-		default:
-			// Slow consumer: drop the oldest by draining one, then retry.
-			select {
-			case <-m.ch:
-			default:
-			}
-			select {
-			case m.ch <- dc:
-			default:
-			}
+		case m.wake <- struct{}{}:
+		default: // a wake-up is already pending
 		}
 	}
 }

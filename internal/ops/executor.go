@@ -764,9 +764,14 @@ func (e *Executor) publisher() {
 			next = e.ledger.Flushed() + 1
 			continue
 		}
+		// Idleness is read before the sequence: workers append and only then
+		// go idle, so once they are seen idle the sequence read after it is
+		// final. The other way round a worker can append between the two
+		// reads, and the publisher would leave with that entry unpublished.
+		idle := workersIdle()
 		last := e.ledger.LastSeq()
 		if next > last {
-			if workersIdle() && e.ledger.Flushed() == last {
+			if idle && e.ledger.Flushed() == last {
 				return
 			}
 			select {

@@ -451,3 +451,37 @@ func TestExecutorRestartNoDoubleDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReturnsWithLedgerFlushed: a nil error from Run means every ledger
+// event was acknowledged by the broker. The publisher used to decide it was
+// done from a sequence read before it checked that the workers were idle, so
+// a completion appended between the two reads stayed unpublished about once
+// in 150 campaigns; short campaigns end on exactly that edge, so a few
+// hundred of them (under -race in make check) cover it.
+func TestRunReturnsWithLedgerFlushed(t *testing.T) {
+	fleet, inv := testFleet(t, 2, "work")
+	brk := broker.New()
+	if err := brk.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	campaigns := 400
+	if testing.Short() {
+		campaigns = 50
+	}
+	for i := 0; i < campaigns; i++ {
+		plan, err := Compile(Goal{Campaign: fmt.Sprintf("flush-%d", i), Part: "w", Count: 1 + i%5},
+			Recipe{Part: "w", Operations: []Operation{{Name: "work", Capability: "work"}}}, inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewExecutor(plan, ExecOptions{Resolver: fleetResolver(fleet), BrokerAddr: brk.Addr}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LedgerFlushed != rep.LedgerTotal || rep.LedgerTotal != uint64(len(plan.Steps)) {
+			t.Fatalf("campaign %d: Run returned nil with %d of %d ledger events flushed (%d steps)",
+				i, rep.LedgerFlushed, rep.LedgerTotal, len(plan.Steps))
+		}
+	}
+}

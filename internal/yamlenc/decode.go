@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Unmarshal parses a block-style YAML document produced by Marshal into
@@ -36,6 +37,9 @@ func UnmarshalDocs(data []byte) ([]any, error) {
 		v, err := d.parseBlock(0)
 		if err != nil {
 			return err
+		}
+		if ln, more := d.peekLine(); more {
+			return fmt.Errorf("yamlenc: line %d: content after the end of the document's value", ln.num)
 		}
 		docs = append(docs, v)
 		cur = nil
@@ -257,6 +261,50 @@ func splitKey(s string, lineNum int) (key, rest string, err error) {
 	return strings.TrimSpace(s[:idx]), strings.TrimSpace(s[idx+1:]), nil
 }
 
+// unquote interprets s, a double-quoted scalar with its quotes, exactly as
+// strconv.Unquote does: the same value, and !ok for whatever it rejects (a
+// bare quote or newline inside, a malformed escape). strconv.Unquote builds
+// the value in a buffer of 1.5× the input and then copies it into a string;
+// the ConfigMap scalars of a manifest are whole JSON documents, so that is
+// 2.5× every machine's configuration per decode. Here the value is written
+// once, into one buffer of the input's length — an escape never takes more
+// room decoded than written — which the returned string then owns. (Only a
+// byte of invalid UTF-8 grows, into U+FFFD; the builder makes room.)
+func unquote(s string) (value string, ok bool) {
+	body := s[1 : len(s)-1]
+	if !strings.ContainsAny(body, "\\\"\n") && utf8.ValidString(body) {
+		return body, true
+	}
+	var b strings.Builder
+	b.Grow(len(body))
+	for {
+		run, _, escaped := strings.Cut(body, `\`)
+		if strings.IndexByte(run, '"') >= 0 || strings.IndexByte(run, '\n') >= 0 {
+			return "", false
+		}
+		if utf8.ValidString(run) {
+			b.WriteString(run)
+		} else {
+			for _, r := range run { // an invalid byte reads as U+FFFD
+				b.WriteRune(r)
+			}
+		}
+		if !escaped {
+			return b.String(), true
+		}
+		r, multibyte, rest, err := strconv.UnquoteChar(body[len(run):], '"')
+		if err != nil {
+			return "", false
+		}
+		if r < utf8.RuneSelf || !multibyte {
+			b.WriteByte(byte(r)) // \xNN and \NNN name a byte, not a rune
+		} else {
+			b.WriteRune(r)
+		}
+		body = rest
+	}
+}
+
 // scalarValue interprets an inline scalar.
 func scalarValue(s string) any {
 	switch s {
@@ -272,7 +320,7 @@ func scalarValue(s string) any {
 		return []any{}
 	}
 	if strings.HasPrefix(s, "\"") && strings.HasSuffix(s, "\"") && len(s) >= 2 {
-		if u, err := strconv.Unquote(s); err == nil {
+		if u, ok := unquote(s); ok {
 			return u
 		}
 	}

@@ -257,8 +257,8 @@ func encodeSeq(b *strings.Builder, v reflect.Value, indent int) error {
 	}
 	for i := 0; i < v.Len(); i++ {
 		item := deref(v.Index(i))
-		if item.IsValid() && item.Kind() == reflect.Interface && !item.IsNil() {
-			item = deref(item.Elem())
+		if item.IsValid() && item.Kind() == reflect.Interface {
+			item = deref(item.Elem()) // a nil interface becomes the invalid Value: "null"
 		}
 		b.WriteString(indentStr(indent))
 		b.WriteString("- ")
