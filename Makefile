@@ -1,26 +1,6 @@
 GO ?= go
 
-# Tier-1 benchmark set tracked by the regression harness: the build side
-# (full model analysis + generation, the 1x-8x scale sweep, the language
-# front end), the data plane (broker fan-out, framed wire, historian
-# ingest), the durability tier (WAL append, crash recovery), the historian
-# serving tier (concurrent cached aggregate queries), the federated
-# plant at 1000+ machines (cross-shard forward + bridge path) and the
-# operations tier (campaign planner/executor steps/s over the fleet).
-BENCH_PATTERN ?= BenchmarkTable1|BenchmarkAblationScale|BenchmarkParserThroughput|BenchmarkBrokerFanout|BenchmarkBrokerWire|BenchmarkHistorianIngest|BenchmarkHistorianQuery|BenchmarkWALAppend|BenchmarkHistorianRecovery|BenchmarkFederatedScale|BenchmarkCampaignThroughput
-DATAPLANE_PATTERN = BenchmarkBrokerFanout|BenchmarkBrokerWire|BenchmarkHistorianIngest|BenchmarkHistorianQuery|BenchmarkWALAppend|BenchmarkHistorianRecovery
-BENCH_DATE ?= $(shell date +%Y-%m-%d)
-# Benchmark repetitions: BENCH_COUNT > 1 runs each benchmark N times and
-# benchdiff -best-of keeps the fastest run, so the regression gate compares
-# min-of-N instead of a single noisy sample.
-BENCH_COUNT ?= 1
-# Benchmarks whose ns/op measures a blocking round trip (scheduler wake-up
-# latency) rather than pipelined throughput: benchdiff annotates their
-# regressions as LATENCY-BOUND instead of failing the gate, since they swing
-# with runner load far beyond the 15% threshold.
-BENCH_LATENCY_BOUND ?= ^BenchmarkBrokerWireSync$$
-
-.PHONY: build test check soak soak-federated soak-query soak-campaign bench benchdiff bench-full bench-dataplane bench-smoke fuzz plantbench plantbench-ab
+.PHONY: build test check soak soak-federated soak-query soak-campaign fuzz plantbench plantbench-ab
 
 build:
 	$(GO) build ./...
@@ -78,19 +58,23 @@ plantbench-ab:
 	.bench_build/plantbench compare $(AB)/out-ref/runs.jsonl $(AB)/out-change/runs.jsonl
 
 # Exploratory fuzzing of the decoders of bytes we did not just produce: the
-# binary wire decoder (corrupt, truncated and oversized frames against the
-# mixed-framing reader and the frame codec), the machine driver protocol
-# (the sweep response splitter against encoding/json, and the emulator's
-# request dispatch) and the YAML decoder every manifest is read back with
-# (its one-pass unquote against strconv.Unquote; the document decoder
-# against panics and against its own encoder). CI runs only the seed corpora
-# (via `make check`); run this for minutes or hours when touching
-# internal/wire framing, a protocol codec, the machinesim wire protocol or
+# wire frame reader with each protocol's frame codec (corrupt, truncated
+# and oversized frames; broker frames and OPC UA messages), the historian's
+# WAL record codec, the machine driver protocol (the sweep response
+# splitter against encoding/json, and the emulator's request dispatch) and
+# the YAML decoder every manifest is read back with (its one-pass unquote
+# against strconv.Unquote; the document decoder against panics and against
+# its own encoder). CI runs only the seed corpora (via `make check`); run
+# this for minutes or hours when touching internal/wire framing, a protocol
+# codec, the WAL record format, the machinesim wire protocol or
 # internal/yamlenc.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
 	$(GO) test -fuzz=FuzzBinaryBodyRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
+	$(GO) test -fuzz=FuzzOpcuaFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/opcua/
+	$(GO) test -fuzz=FuzzOpcuaBodyRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/opcua/
+	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/historian/
 	$(GO) test -fuzz=FuzzSweepResponse -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
 	$(GO) test -fuzz=FuzzUnquote -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/yamlenc/
@@ -141,37 +125,3 @@ soak-campaign:
 		-run 'TestCampaignChaosAuditExactCompletion' \
 		./internal/deploy/
 	$(GO) test -race -count=1 ./internal/ops/
-
-# Tier-3: run the tier-1 benchmarks, snapshot them to BENCH_<date>.json,
-# and fail on a >15% ns/op regression against the latest committed snapshot.
-bench:
-	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=1s -count=$(BENCH_COUNT) . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	@cat bench.out
-	$(GO) run ./cmd/benchdiff -write BENCH_$(BENCH_DATE).json -compare-latest . -best-of $(BENCH_COUNT) -latency-bound '$(BENCH_LATENCY_BOUND)' < bench.out
-	@rm -f bench.out
-
-# Compare the two most recent snapshots without re-running benchmarks.
-benchdiff:
-	$(GO) run ./cmd/benchdiff \
-		-prev $$(ls BENCH_*.json | sort | tail -n 2 | head -n 1) \
-		-cur  $$(ls BENCH_*.json | sort | tail -n 1)
-
-# Only the runtime data-plane benchmarks (broker, wire, historian) — quick
-# feedback when iterating on the message path.
-bench-dataplane:
-	$(GO) test -run='^$$' -bench='$(DATAPLANE_PATTERN)' -benchmem -benchtime=1s .
-
-# Smoke-run the hot-path benchmarks at a fixed tiny iteration count — PR CI
-# uses this to prove the wire and fan-out paths still execute end to end
-# (a hang or Fatal fails fast) without paying for a statistically
-# meaningful -benchtime on shared runners. The federated case runs in its
-# own invocation: -bench sub-patterns apply per slash level, and the
-# shards= filter would otherwise hide BenchmarkBrokerFanout's sub-benches.
-bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkBrokerWire|BenchmarkBrokerFanout|BenchmarkHistorianQuery' -benchtime=100x -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkFederatedScale/shards=4/machines=1000$$' -benchtime=100x -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkCampaignThroughput/shards=1$$' -benchtime=100x -benchmem .
-
-# Every benchmark in the repo, including the slow end-to-end deploy loops.
-bench-full:
-	$(GO) test -bench=. -benchmem ./...

@@ -8,7 +8,8 @@
 // the ledger stream crosses forward uplinks exactly as a sharded plant's
 // would. Run() does not return until every ledger event is acknowledged,
 // so ns/op is the end-to-end steps/s the executor sustains, not just the
-// dispatch rate. Part of the tier-1 regression set (`make bench`).
+// dispatch rate. An ungated microscope, run by hand with
+// `go test -run '^$' -bench BenchmarkCampaignThroughput .`.
 package sysml2conf
 
 import (

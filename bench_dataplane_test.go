@@ -2,8 +2,8 @@
 // subscriber. Where bench_test.go measures the *build* side (model ->
 // configuration), these measure the *run* side the configuration deploys:
 // broker subscription matching and fan-out, the framed TCP wire, and
-// historian ingestion. They are part of the tier-1 regression set
-// (`make bench`); `make bench-dataplane` runs only this file.
+// historian ingestion. Ungated microscopes, run by hand with
+// `go test -run '^$' -bench 'BenchmarkBroker|BenchmarkHistorianIngest' .`.
 //
 //	BenchmarkBrokerFanout    — in-process publish across a subscribers x
 //	                           topics matrix (selective and broadcast)
@@ -79,21 +79,15 @@ func BenchmarkBrokerFanout(b *testing.B) {
 // per-subscriber ring (256) so drop-oldest shedding never hides losses,
 // and the clock does not stop until every published message was delivered
 // — the number is the true amortized per-message wire cost, not a staging
-// cost. BenchmarkBrokerWireSync keeps the old one-roundtrip-per-op shape;
-// BenchmarkBrokerWireJSON pins the pipelined shape to the legacy JSON
-// framing so the binary protocol's win stays measured.
-func BenchmarkBrokerWire(b *testing.B)     { benchBrokerWirePipelined(b, false) }
-func BenchmarkBrokerWireJSON(b *testing.B) { benchBrokerWirePipelined(b, true) }
-
-func benchBrokerWirePipelined(b *testing.B, forceJSON bool) {
+// cost. BenchmarkBrokerWireSync keeps the old one-roundtrip-per-op shape.
+func BenchmarkBrokerWire(b *testing.B) {
 	bk := broker.New()
 	if err := bk.Serve("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
 	}
 	defer bk.Close()
 
-	opts := broker.ClientOptions{ForceJSON: forceJSON}
-	sub, err := broker.DialClientWith(bk.Addr(), opts)
+	sub, err := broker.DialClient(bk.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,15 +111,13 @@ func benchBrokerWirePipelined(b *testing.B, forceJSON bool) {
 		}
 	}()
 
-	pub, err := broker.DialClientWith(bk.Addr(), opts)
+	pub, err := broker.DialClient(bk.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer pub.Close()
-	// One synchronous roundtrip: by the time its response arrives, the
-	// broker's binary advert (sent first) has been processed and both
-	// sides have switched framing — the timed loop measures one protocol,
-	// not a negotiation transient.
+	// One synchronous roundtrip and its delivery before the clock starts:
+	// the timed loop measures the steady state, not connection warm-up.
 	sem <- struct{}{}
 	if err := pub.Publish("wire/wc02/emco/values/actualX", fanoutPayload, false); err != nil {
 		b.Fatal(err)

@@ -1,7 +1,8 @@
 // Durability benchmarks: the write-ahead-log append path and historian
 // crash recovery. These complete the data-plane set in
 // bench_dataplane_test.go with the persistence tier the acked pipeline
-// rides on. Both are part of the tier-1 regression set (`make bench`).
+// rides on. Ungated microscopes, run by hand with
+// `go test -run '^$' -bench 'BenchmarkWALAppend|BenchmarkHistorianRecovery' .`.
 //
 //	BenchmarkWALAppend           — segmented log append, with and without
 //	                               fsync (group commit amortises the sync)

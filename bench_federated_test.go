@@ -14,8 +14,8 @@
 // pipelined (PublishAsync with a credit window against end-to-end
 // delivery), matching how BenchmarkBrokerWire measures the direct path —
 // the serial-publisher variant would measure round-trip latency, which
-// the federation tier no longer pays per message. Part of the tier-1
-// regression set (`make bench`).
+// the federation tier no longer pays per message. An ungated microscope,
+// run by hand with `go test -run '^$' -bench BenchmarkFederatedScale .`.
 package sysml2conf
 
 import (

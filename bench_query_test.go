@@ -1,7 +1,8 @@
 // Historian serving-tier benchmark: cached aggregate reads through the
 // query layer while ingest keeps mutating the store — the dashboard-fleet
 // shape where hundreds of panels poll the same settled windows as fresh
-// telemetry streams in. Part of the tier-1 regression set (`make bench`).
+// telemetry streams in. An ungated microscope, run by hand with
+// `go test -run '^$' -bench BenchmarkHistorianQuery .`.
 //
 //	BenchmarkHistorianQuery — readers=N concurrent aggregate queries over
 //	                          settled history, chaos writer running

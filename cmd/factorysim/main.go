@@ -249,14 +249,11 @@ func main() {
 	published, delivered, dropped, subscriptions := cluster.BrokerStats()
 	fmt.Printf("broker: %d published, %d delivered, %d dropped, %d subscriptions\n",
 		published, delivered, dropped, subscriptions)
-	binConns, jsonConns := cluster.BrokerWireStats()
-	fmt.Printf("broker: wire protocol %d binary / %d json connections\n", binConns, jsonConns)
 	for _, ss := range cluster.BrokerShardStats() {
-		fmt.Printf("  shard %d: %d published, %d delivered, %d subscriptions; forwarded=%d fwdWindow=%d/%d/%d bridgedIn=%d bridgeDups=%d bridgeInFlight=%d reconnects=%d refused=%d wire=%db/%dj\n",
+		fmt.Printf("  shard %d: %d published, %d delivered, %d subscriptions; forwarded=%d fwdWindow=%d/%d/%d bridgedIn=%d bridgeDups=%d bridgeInFlight=%d reconnects=%d refused=%d\n",
 			ss.Shard, ss.Published, ss.Delivered, ss.Subscriptions,
 			ss.Forwarded, ss.ForwardInFlight, ss.ForwardStalls, ss.ForwardReplayed,
-			ss.BridgedIn, ss.BridgeDups, ss.BridgeInFlight, ss.Reconnects, ss.Refused,
-			ss.BinaryConns, ss.JSONConns)
+			ss.BridgedIn, ss.BridgeDups, ss.BridgeInFlight, ss.Reconnects, ss.Refused)
 	}
 
 	totalSeries, totalPoints := 0, uint64(0)

@@ -193,7 +193,7 @@ func (l *bridgeLink) run() {
 			}
 			connected = true
 			attempt = -1 // a live connection resets the backoff
-			l.pump(NewClientConnOpts(conn, ClientOptions{Timeout: l.n.opts.DialTimeout, ForceJSON: l.n.opts.ForceJSON}))
+			l.pump(NewClientConn(conn, l.n.opts.DialTimeout))
 		}
 		select {
 		case <-l.stop:
@@ -292,8 +292,7 @@ func (l *bridgeLink) pump(client *Client) {
 //
 // Acks are cumulative and batched: the loop opportunistically drains
 // whatever the owner has in flight, republishes each message, and acks
-// once with the batch's highest sequence — on a binary connection the
-// writer coalesces even those into at most one piggybacked header entry
+// once with the batch's highest sequence — the writer coalesces even those into at most one piggybacked header entry
 // per flush. A burst therefore costs one ack, not one ack round per
 // message, which is what lets the owner's delivery window stream instead
 // of lock-stepping on the bridge.

@@ -108,12 +108,6 @@ type Broker struct {
 	// gives 100ms initial / 5s cap / factor 2.
 	RedeliveryBackoff resilience.Backoff
 
-	// ForceJSON pins every connection to the legacy JSON framing: the
-	// broker neither advertises the binary protocol nor switches a writer
-	// after a binary frame arrives. Set before Serve. Exists to stand in
-	// for a pre-binary peer in mixed-version tests and audits.
-	ForceJSON bool
-
 	// Federation hooks, installed by NewNode before Serve (nil on a
 	// standalone broker). owns reports whether a topic is placed on this
 	// broker; forward routes a publish for a topic this broker does not
@@ -159,9 +153,7 @@ type Broker struct {
 	dropped      atomic.Uint64
 	redelivered  atomic.Uint64
 	ackedRefused atomic.Uint64
-	binaryConns  atomic.Uint64 // connections that negotiated binary framing
-	jsonConns    atomic.Uint64 // connections that ended on JSON framing
-	liveBinary   atomic.Int64  // binary connections currently open (gates msgEnc)
+	liveConns    atomic.Int64 // wire connections currently open (gates msgEnc)
 }
 
 // New creates a broker.
@@ -252,12 +244,11 @@ func (b *Broker) publish(topic string, payload []byte, retain, owned bool) error
 		}
 		return append([]byte(nil), payload...)
 	}
-	// The shared encode-once holder is only worth its allocation when a
-	// binary connection might deliver this message; with none live, sendMsg
-	// takes the regular per-frame path on a nil enc. A connection that flips
-	// to binary mid-publish just encodes those in-flight frames itself.
+	// The shared encode-once holder is only worth its allocation while a
+	// wire connection is live and might deliver this message; with none,
+	// fan-out stays in process and no frame is ever encoded.
 	var enc *msgEnc
-	if b.liveBinary.Load() > 0 {
+	if b.liveConns.Load() > 0 {
 		enc = &msgEnc{}
 	}
 	var msg Message
@@ -373,15 +364,6 @@ func (b *Broker) Unsubscribe(id int) {
 	}
 }
 
-// WireStats reports how connections negotiated their framing: binary is
-// the lifetime count of connections that switched to the compact binary
-// protocol, json the count of completed connections that stayed on the
-// legacy JSON framing. Their sum trails the accept count while
-// still-negotiating connections are live.
-func (b *Broker) WireStats() (binary, json uint64) {
-	return b.binaryConns.Load(), b.jsonConns.Load()
-}
-
 // Stats returns lifetime counters: messages published, accepted for
 // delivery, and dropped because a subscriber's ring buffer overflowed,
 // plus the live subscription count. delivered counts ring accepts, so
@@ -452,57 +434,44 @@ func (b *Broker) Close() error {
 
 // frame ops
 const (
-	opPub    = "pub"
-	opSub    = "sub"
-	opUnsub  = "unsub"
-	opMsg    = "msg"
-	opAck    = "ack"
-	opMsgAck = "mack" // consumer → broker: cumulative ack of an acked sub
-	opErr    = "err"
-	opHello  = "hello" // capability advert/ack for binary-framing negotiation
+	opPub   = "pub"
+	opSub   = "sub"
+	opUnsub = "unsub"
+	opMsg   = "msg"
+	opAck   = "ack"
+	opErr   = "err"
 )
 
-// frame is the broker's wire message, carried by the shared length-prefixed
-// JSON framing in internal/wire.
+// frame is the broker's wire message, carried by the shared framing in
+// internal/wire (wirecodec.go has its encoding).
 type frame struct {
-	ID      uint64 `json:"id,omitempty"`
-	Op      string `json:"op"`
-	Topic   string `json:"topic,omitempty"`
-	Payload []byte `json:"payload,omitempty"` // base64 on the wire
-	Retain  bool   `json:"retain,omitempty"`
-	SubID   int    `json:"subId,omitempty"`
-	Error   string `json:"error,omitempty"`
+	ID      uint64
+	Op      string
+	Topic   string
+	Payload []byte
+	Retain  bool
+	SubID   int
+	Error   string
 
 	// Acked-delivery fields. On opSub, Acked/Session/FromSeq request an
 	// acked session; on opMsg, Seq carries the message's sequence number; on
-	// opMsgAck, Seq is the cumulative ack; on opPub, Session/Seq enable
-	// publisher-side dedup of idempotent retries.
-	Acked   bool   `json:"acked,omitempty"`
-	Session string `json:"session,omitempty"`
-	Seq     uint64 `json:"seq,omitempty"`
-	FromSeq uint64 `json:"fromSeq,omitempty"`
+	// opPub, Session/Seq enable publisher-side dedup of idempotent retries.
+	// Consumer acks ride frame headers (wire.Writer.QueueAck), not frames.
+	Acked   bool
+	Session string
+	Seq     uint64
+	FromSeq uint64
 
 	// NoAck on opPub requests fire-and-forget: the broker suppresses the
-	// ack response. Pre-binary brokers ignore the field and answer anyway
-	// with the frame's ID (0), which pre-binary clients already discard —
-	// the field is safe in both directions.
-	NoAck bool `json:"noAck,omitempty"`
+	// ack response.
+	NoAck bool
 	// Fwd on opPub marks a windowed federation forward: the publishing
 	// peer keeps many of these in flight and asks for cumulative
 	// acknowledgement — the broker answers the common (accepted, non-dup)
 	// case through the subID-0 piggyback ack channel, keyed by the
 	// frame's ID, and reserves per-frame ack/err responses for the
-	// exceptional results (dup, error). A broker that ignores the field
-	// answers every frame individually, which the forwarding client also
-	// accepts — the cumulative protocol degrades to per-frame, never
-	// breaks.
-	Fwd bool `json:"fwd,omitempty"`
-	// Binary on opHello advertises (broker → client) or acknowledges
-	// (client → broker) the compact binary framing. The advert is a normal
-	// JSON frame with ID 0 that pre-binary clients provably ignore, which
-	// is what makes negotiation transparent: no handshake round trip, no
-	// version split — a peer that never answers just stays on JSON.
-	Binary bool `json:"binary,omitempty"`
+	// exceptional results (dup, error).
+	Fwd bool
 }
 
 // Serve starts the TCP listener at addr (port 0 picks a free port).
@@ -575,12 +544,9 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}
 	mySubs := map[int]connSub{}
 	var pumpWG sync.WaitGroup
+	b.liveConns.Add(1)
 	defer func() {
-		if !w.Binary() {
-			b.jsonConns.Add(1)
-		} else {
-			b.liveBinary.Add(-1)
-		}
+		b.liveConns.Add(-1)
 		for id, cs := range mySubs {
 			if cs.acked {
 				b.detachOwned(id, cs.ch)
@@ -591,15 +557,9 @@ func (b *Broker) handleConn(conn net.Conn) {
 		pumpWG.Wait()
 	}()
 
-	// Advertise the binary framing. The advert is an ID-0 JSON frame a
-	// pre-binary client silently discards; a binary-capable client answers
-	// with a binary hello, and the peerBinary check below flips this
-	// connection's writer. mySubs is only touched on this goroutine, and
-	// piggybacked acks are delivered on it too (inside ReadFrame), so OnAck
-	// needs no locking.
-	if !b.ForceJSON {
-		_ = send(&frame{Op: opHello, Binary: true})
-	}
+	// Consumer acks ride frame headers. mySubs is only touched on this
+	// goroutine, and piggybacked acks are delivered on it too (inside
+	// ReadFrame), so OnAck needs no locking.
 	r.OnAck = func(subID int, seq uint64) {
 		if cs, ok := mySubs[subID]; ok && cs.acked {
 			b.Ack(subID, seq)
@@ -611,11 +571,6 @@ func (b *Broker) handleConn(conn net.Conn) {
 		f = frame{}
 		if err := r.ReadFrame(&f); err != nil {
 			return
-		}
-		if !w.Binary() && r.PeerBinary() && !b.ForceJSON {
-			w.SetBinary(true)
-			b.binaryConns.Add(1)
-			b.liveBinary.Add(1)
 		}
 		switch f.Op {
 		case opPub:
@@ -657,9 +612,8 @@ func (b *Broker) handleConn(conn net.Conn) {
 				// earlier explicit response.
 				if dup {
 					_ = send(&frame{ID: f.ID, Op: opAck, Acked: true})
-				} else if ok, _ := w.QueueAck(0, f.ID); !ok {
-					// JSON peer: no header acks — degrade to per-frame.
-					_ = send(&frame{ID: f.ID, Op: opAck})
+				} else {
+					_ = w.QueueAck(0, f.ID)
 				}
 			case !f.NoAck:
 				_ = send(&frame{ID: f.ID, Op: opAck, Acked: dup})
@@ -681,13 +635,6 @@ func (b *Broker) handleConn(conn net.Conn) {
 					}
 				}
 			}(id, ch)
-		case opMsgAck:
-			if cs, ok := mySubs[f.SubID]; ok && cs.acked {
-				b.Ack(f.SubID, f.Seq)
-			}
-		case opHello:
-			// Capability ack from a binary-capable client; the peerBinary
-			// check above has already switched the writer. Nothing to answer.
 		case opUnsub:
 			if _, ok := mySubs[f.SubID]; ok {
 				b.Unsubscribe(f.SubID)

@@ -1,7 +1,11 @@
 package broker
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -365,5 +369,152 @@ func TestSubscribeUnsubscribeChurn(t *testing.T) {
 	pubWG.Wait()
 	if _, _, _, subs := b.Stats(); subs != 0 {
 		t.Errorf("leaked %d subscriptions", subs)
+	}
+}
+
+// recvMsg pulls one message with a timeout.
+func recvMsg(t *testing.T, ch <-chan Message, what string) Message {
+	t.Helper()
+	select {
+	case m, ok := <-ch:
+		if !ok {
+			t.Fatalf("%s: channel closed", what)
+		}
+		return m
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: timed out", what)
+	}
+	panic("unreachable")
+}
+
+// TestRawPayloadByteForByte: a payload that is not UTF-8 (and holds the
+// frame magic) crosses publisher → broker → subscriber byte for byte, live
+// and as a retained replay — any string round trip on the path would
+// mangle it.
+func TestRawPayloadByteForByte(t *testing.T) {
+	raw := []byte{0x00, 0xB7, 0xFF, 0xFE, 0x80, 0x01, 0x00, 0xB7}
+	b := New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	sub, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	_, ch, err := sub.Subscribe("raw/#")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	if err := pub.Publish("raw/live", raw, false); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvMsg(t, ch, "live delivery"); m.Topic != "raw/live" || !bytes.Equal(m.Payload, raw) {
+		t.Errorf("live payload mangled: %q % x", m.Topic, m.Payload)
+	}
+	if err := pub.Publish("raw/retained", raw, true); err != nil {
+		t.Fatal(err)
+	}
+	recvMsg(t, ch, "retained delivery")
+	late, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	_, lateCh, err := late.Subscribe("raw/retained")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := recvMsg(t, lateCh, "retained replay"); !m.Retained || !bytes.Equal(m.Payload, raw) {
+		t.Errorf("retained replay mangled: retained=%v % x", m.Retained, m.Payload)
+	}
+}
+
+// TestPiggybackAckAdvancesWindow: Client.Ack rides the frame header
+// (QueueAck) — the broker must still advance the session window so a
+// bounded-window session never stalls.
+func TestPiggybackAckAdvancesWindow(t *testing.T) {
+	b := New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	c, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	subID, ch, err := c.SubscribeSession("w/#", "winsess", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	// Publish well past the default window; progress requires the
+	// piggybacked acks to actually land broker-side.
+	const n = 2000
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= n; i++ {
+			if err := pub.Publish("w/x", []byte("v"), false); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 1; i <= n; i++ {
+		m := recvMsg(t, ch, fmt.Sprintf("message %d", i))
+		if err := c.Ack(subID, m.Seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerRefusesNonFrame: bytes that do not open with the frame magic —
+// here a length-prefixed JSON frame — get no answer; the broker closes the
+// connection.
+func TestServerRefusesNonFrame(t *testing.T) {
+	b := New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	assertRefusesNonFrame(t, b.Addr())
+}
+
+func assertRefusesNonFrame(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 2, '{', '}'}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after a non-frame (read % x)", got)
+	}
+	if len(got) != 0 {
+		t.Errorf("server answered a non-frame with % x", got)
 	}
 }

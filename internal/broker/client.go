@@ -13,9 +13,8 @@ import (
 
 // Client is a TCP connection to a Broker.
 type Client struct {
-	conn      net.Conn
-	w         *wire.Writer
-	forceJSON bool
+	conn net.Conn
+	w    *wire.Writer
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -70,25 +69,8 @@ func DialClient(addr string) (*Client, error) {
 }
 
 // DialClientTimeout connects with an explicit timeout used for dialing and
-// for each request/ack round trip.
+// for each request/ack round trip; zero or less means 5 seconds.
 func DialClientTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return DialClientWith(addr, ClientOptions{Timeout: timeout})
-}
-
-// ClientOptions configures a broker client connection.
-type ClientOptions struct {
-	// Timeout bounds dialing and each request/ack round trip; zero means
-	// 5 seconds.
-	Timeout time.Duration
-	// ForceJSON pins the connection to the legacy JSON framing: the client
-	// ignores the broker's binary advert. Exists to stand in for a
-	// pre-binary peer in mixed-version tests and audits.
-	ForceJSON bool
-}
-
-// DialClientWith connects with explicit options.
-func DialClientWith(addr string, opts ClientOptions) (*Client, error) {
-	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
@@ -96,28 +78,21 @@ func DialClientWith(addr string, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broker client: dial %s: %w", addr, err)
 	}
-	return NewClientConnOpts(conn, opts), nil
+	return NewClientConn(conn, timeout), nil
 }
 
 // NewClientConn wraps an already-established connection to a broker. The
 // path for callers that dial through an interposer — federation bridge
 // links dial through the fault injector so a chaos schedule can drop or
-// delay bridge frames like any other link.
+// delay bridge frames like any other link. A timeout of zero or less
+// means 5 seconds.
 func NewClientConn(conn net.Conn, timeout time.Duration) *Client {
-	return NewClientConnOpts(conn, ClientOptions{Timeout: timeout})
-}
-
-// NewClientConnOpts wraps an already-established connection with explicit
-// options.
-func NewClientConnOpts(conn net.Conn, opts ClientOptions) *Client {
-	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
 	c := &Client{
 		conn:        conn,
 		w:           wire.NewWriter(conn),
-		forceJSON:   opts.ForceJSON,
 		pending:     map[uint64]chan *frame{},
 		pendingSubs: map[uint64]*clientSub{},
 		subs:        map[int]*clientSub{},
@@ -241,17 +216,6 @@ func (c *Client) readLoop() {
 				}
 			}
 			c.mu.Unlock()
-			continue
-		}
-		if f.Op == opHello && f.ID == 0 {
-			// The broker's binary-capability advert. Answer with a binary
-			// hello (the broker switches its writer when it arrives) unless
-			// this client is pinned to JSON. Writes from the read loop are
-			// safe: the coalescing writer never blocks on the peer reading.
-			if f.Binary && !c.forceJSON && !c.w.Binary() {
-				c.w.SetBinary(true)
-				_ = c.w.WriteFrame(&frame{Op: opHello, Binary: true})
-			}
 			continue
 		}
 		c.mu.Lock()
@@ -538,10 +502,10 @@ func (c *Client) subscribe(f *frame, acked bool, fromSeq uint64, depth int) (int
 
 // Ack cumulatively acknowledges every sequence up to and including seq on
 // an acked subscription. Fire-and-forget: the broker does not reply, and a
-// lost ack only costs a redelivery the client dedups. On a binary
-// connection the ack is staged with the writer — coalesced per
-// subscription and piggybacked on the next outgoing frame's header — so a
-// fast consumer stops paying a full frame per window advance.
+// lost ack only costs a redelivery the client dedups. The ack is staged
+// with the writer — coalesced per subscription and piggybacked on the next
+// outgoing frame's header — so a fast consumer stops paying a full frame
+// per window advance.
 func (c *Client) Ack(subID int, seq uint64) error {
 	c.mu.Lock()
 	if c.closed {
@@ -549,13 +513,7 @@ func (c *Client) Ack(subID int, seq uint64) error {
 		return errors.New("broker client: closed")
 	}
 	c.mu.Unlock()
-	if ok, err := c.w.QueueAck(subID, seq); ok {
-		if err != nil {
-			return fmt.Errorf("broker client: ack: %w", err)
-		}
-		return nil
-	}
-	if err := c.w.WriteFrame(&frame{Op: opMsgAck, SubID: subID, Seq: seq}); err != nil {
+	if err := c.w.QueueAck(subID, seq); err != nil {
 		return fmt.Errorf("broker client: ack: %w", err)
 	}
 	return nil

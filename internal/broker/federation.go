@@ -65,12 +65,6 @@ type NodeOptions struct {
 	// 2s cap).
 	ReconnectBackoff resilience.Backoff
 
-	// ForceJSON pins the node's broker and every link client it dials
-	// (uplinks, bridge pulls) to the legacy JSON framing — a whole shard
-	// standing in for a pre-binary federation member in mixed-version
-	// tests.
-	ForceJSON bool
-
 	// RedeliveryBackoff is handed to the wrapped broker.
 	RedeliveryBackoff resilience.Backoff
 }
@@ -174,7 +168,6 @@ func NewNode(shard, shards int, opts NodeOptions) *Node {
 		links:   map[int]*bridgeLink{},
 	}
 	n.Broker.RedeliveryBackoff = opts.RedeliveryBackoff
-	n.Broker.ForceJSON = opts.ForceJSON
 	n.Broker.owns = n.owns
 	n.Broker.forward = n.forwardPublish
 	n.Broker.forwardAsync = n.forwardAsync
@@ -392,7 +385,7 @@ func (u *uplink) connect() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClientConnOpts(conn, ClientOptions{Timeout: u.n.opts.DialTimeout, ForceJSON: u.n.opts.ForceJSON}), nil
+	return NewClientConn(conn, u.n.opts.DialTimeout), nil
 }
 
 // stage writes unstaged entries to the connection in queue order. Each

@@ -621,99 +621,96 @@ func TestFederationBridgeAckLostReplayDedup(t *testing.T) {
 // TestPublishSeqAsyncCumulative exercises the client side of the forward
 // protocol against a plain broker (no owns hook: every topic is owned, so
 // Fwd publishes take the owner's answer path): completions are FIFO over
-// the cumulative-ack channel, a (session, seq) resend resolves dup=true
-// through the explicit-ack escape, and a JSON-pinned client degrades to
-// per-frame acks with identical semantics.
+// the cumulative-ack channel, and a (session, seq) resend resolves dup=true
+// through the explicit-ack escape. The subtest is named after the binary
+// framing, the one the broker speaks.
 func TestPublishSeqAsyncCumulative(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		json bool
-	}{{"binary", false}, {"json", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := New()
-			if err := b.Serve("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			sub, err := DialClient(b.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sub.Close()
-			_, ch, err := sub.Subscribe("fwd/#")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pub, err := DialClientWith(b.Addr(), ClientOptions{ForceJSON: tc.json})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pub.Close()
+	t.Run("binary", testPublishSeqAsyncCumulative)
+}
 
-			if err := pub.PublishSeqAsync("fwd/+/bad", nil, false, "s", 1, func(bool, error) {}); err == nil {
-				t.Fatal("wildcard publish topic accepted")
-			}
+func testPublishSeqAsyncCumulative(t *testing.T) {
+	b := New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	sub, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	_, ch, err := sub.Subscribe("fwd/#")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
 
-			const n = 10
-			type res struct {
-				i   int
-				dup bool
-				err error
-			}
-			results := make(chan res, n+1)
-			for i := 1; i <= n; i++ {
-				i := i
-				payload := []byte(fmt.Sprintf("a-%d", i))
-				if err := pub.PublishSeqAsync("fwd/async/x", payload, false, "async-pub", uint64(i), func(dup bool, err error) {
-					results <- res{i, dup, err}
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for want := 1; want <= n; want++ {
-				select {
-				case r := <-results:
-					if r.err != nil {
-						t.Fatalf("forward %d: %v", r.i, r.err)
-					}
-					if r.dup {
-						t.Fatalf("forward %d reported dup on first delivery", r.i)
-					}
-					if r.i != want {
-						t.Fatalf("completion %d arrived before %d; cumulative completion must be FIFO", r.i, want)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("completion %d never arrived", want)
-				}
-			}
+	if err := pub.PublishSeqAsync("fwd/+/bad", nil, false, "s", 1, func(bool, error) {}); err == nil {
+		t.Fatal("wildcard publish topic accepted")
+	}
 
-			// A retry of an accepted (session, seq) resolves dup — the
-			// explicit per-frame ack overriding the cumulative channel.
-			if err := pub.PublishSeqAsync("fwd/async/x", []byte("retry"), false, "async-pub", n, func(dup bool, err error) {
-				results <- res{0, dup, err}
-			}); err != nil {
-				t.Fatal(err)
+	const n = 10
+	type res struct {
+		i   int
+		dup bool
+		err error
+	}
+	results := make(chan res, n+1)
+	for i := 1; i <= n; i++ {
+		i := i
+		payload := []byte(fmt.Sprintf("a-%d", i))
+		if err := pub.PublishSeqAsync("fwd/async/x", payload, false, "async-pub", uint64(i), func(dup bool, err error) {
+			results <- res{i, dup, err}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for want := 1; want <= n; want++ {
+		select {
+		case r := <-results:
+			if r.err != nil {
+				t.Fatalf("forward %d: %v", r.i, r.err)
 			}
-			select {
-			case r := <-results:
-				if r.err != nil || !r.dup {
-					t.Fatalf("retry: dup=%v err=%v, want dup=true", r.dup, r.err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("retry completion never arrived")
+			if r.dup {
+				t.Fatalf("forward %d reported dup on first delivery", r.i)
 			}
+			if r.i != want {
+				t.Fatalf("completion %d arrived before %d; cumulative completion must be FIFO", r.i, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("completion %d never arrived", want)
+		}
+	}
 
-			for i := 1; i <= n; i++ {
-				m := recvMsg(t, ch, "delivery")
-				if want := fmt.Sprintf("a-%d", i); string(m.Payload) != want {
-					t.Fatalf("got %q, want %q", m.Payload, want)
-				}
-			}
-			select {
-			case m := <-ch:
-				t.Fatalf("duplicate delivery %q", m.Payload)
-			case <-time.After(200 * time.Millisecond):
-			}
-		})
+	// A retry of an accepted (session, seq) resolves dup — the
+	// explicit per-frame ack overriding the cumulative channel.
+	if err := pub.PublishSeqAsync("fwd/async/x", []byte("retry"), false, "async-pub", n, func(dup bool, err error) {
+		results <- res{0, dup, err}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-results:
+		if r.err != nil || !r.dup {
+			t.Fatalf("retry: dup=%v err=%v, want dup=true", r.dup, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("retry completion never arrived")
+	}
+
+	for i := 1; i <= n; i++ {
+		m := recvMsg(t, ch, "delivery")
+		if want := fmt.Sprintf("a-%d", i); string(m.Payload) != want {
+			t.Fatalf("got %q, want %q", m.Payload, want)
+		}
+	}
+	select {
+	case m := <-ch:
+		t.Fatalf("duplicate delivery %q", m.Payload)
+	case <-time.After(200 * time.Millisecond):
 	}
 }

@@ -2,37 +2,36 @@ package broker
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
-// fuzzSeedStream builds a valid mixed stream for the seed corpus: binary
-// data frames, a piggybacked ack, an ack-only frame, and a JSON frame.
+// fuzzSeedStream builds a valid stream for the seed corpus: data frames, a
+// piggybacked ack and an ack-only frame.
 func fuzzSeedStream() []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
-	_ = w.WriteFrame(&frame{Op: opPub, Topic: "f/x", Payload: []byte("json first")})
-	w.SetBinary(true)
-	_, _ = w.QueueAck(2, 9)
+	_ = w.WriteFrame(&frame{Op: opPub, Topic: "f/x", Payload: []byte("first")})
+	_ = w.QueueAck(2, 9)
 	_ = w.WriteFrame(&frame{Op: opMsg, SubID: 1, Seq: 4, Topic: "f/x", Payload: []byte{0x00, 0xB7, 0xFF}})
-	_, _ = w.QueueAck(3, 17) // no data frame follows: flushes ack-only
+	_ = w.QueueAck(3, 17) // no data frame follows: flushes ack-only
 	_ = w.Flush()
 	return buf.Bytes()
 }
 
 // FuzzBinaryFrameDecode throws corrupt, truncated and oversized streams at
-// the mixed-framing reader and the broker frame codec. The invariant is
+// the frame reader and the broker frame codec. The invariant is
 // error-or-decode — never a panic, never an over-allocation (MaxFrame and
-// the Dec bounds checks bite before any length is trusted).
+// the Dec bounds checks bite before any length is trusted) — and a stream
+// that does not open with the magic is refused outright.
 func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Add(fuzzSeedStream())
 	f.Add([]byte{wire.Magic, wire.BinaryVersion, 4, 0, 3, 1, 2, 3})
 	f.Add([]byte{wire.Magic, 99, 0, 0})                    // bad version
 	f.Add([]byte{wire.Magic, wire.BinaryVersion, 0, 0xFF}) // unknown hflags
 	f.Add([]byte{wire.Magic, wire.BinaryVersion, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02})
-	f.Add([]byte{0, 0, 0, 2, '{', '}'}) // JSON frame
+	f.Add([]byte{0, 0, 0, 2, '{', '}'}) // legacy JSON frame: must be refused
 	seed := fuzzSeedStream()
 	f.Add(seed[:len(seed)-3]) // truncated tail
 
@@ -45,11 +44,11 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		for i := 0; i < 64; i++ {
 			var fr frame
 			err := r.ReadFrame(&fr)
+			if i == 0 && len(data) > 0 && data[0] != wire.Magic && err == nil {
+				t.Fatalf("stream opening with %#x decoded as %+v", data[0], fr)
+			}
 			if err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return
-				}
-				return // decode errors are the expected outcome for garbage
+				return // EOF, truncation or garbage: the expected outcomes
 			}
 			// A decoded frame must re-encode without panicking.
 			if op := fr.WireOp(); op != 0 {

@@ -8,29 +8,26 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
-// Binary op bytes for the broker protocol (op 0 is reserved by
-// internal/wire for ack-only frames). The JSON protocol carries the same
-// ops as strings; byteToOp/opToByte map between the two.
+// Op bytes of the broker protocol (op 0 is reserved by internal/wire for
+// ack-only frames); byteToOp/opToByte map them to frame.Op. The numbers
+// are the wire contract: 6 (a retired ack frame) and 8 (a retired
+// capability advert) stay unassigned.
 const (
-	bopPub byte = iota + 1
-	bopSub
-	bopUnsub
-	bopMsg
-	bopAck
-	bopMsgAck
-	bopErr
-	bopHello
+	bopPub   byte = 1
+	bopSub   byte = 2
+	bopUnsub byte = 3
+	bopMsg   byte = 4
+	bopAck   byte = 5
+	bopErr   byte = 7
 )
 
 var byteToOp = [...]string{
-	bopPub:    opPub,
-	bopSub:    opSub,
-	bopUnsub:  opUnsub,
-	bopMsg:    opMsg,
-	bopAck:    opAck,
-	bopMsgAck: opMsgAck,
-	bopErr:    opErr,
-	bopHello:  opHello,
+	bopPub:   opPub,
+	bopSub:   opSub,
+	bopUnsub: opUnsub,
+	bopMsg:   opMsg,
+	bopAck:   opAck,
+	bopErr:   opErr,
 }
 
 var opToByte = func() map[string]byte {
@@ -43,20 +40,19 @@ var opToByte = func() map[string]byte {
 	return m
 }()
 
-// Binary body flag bits.
+// Body flag bits. Bit 3 (a retired capability flag) stays unassigned.
 const (
-	bfRetain byte = 1 << iota
-	bfAcked
-	bfNoAck
-	bfBinary
-	bfFwd
+	bfRetain byte = 1 << 0
+	bfAcked  byte = 1 << 1
+	bfNoAck  byte = 1 << 2
+	bfFwd    byte = 1 << 4
 )
 
-// WireOp implements wire.BinaryFrame: the frame's binary op byte, or 0 for
-// ops without a binary form (the writer then falls back to JSON framing).
+// WireOp implements wire.Frame: the frame's op byte, or 0 for an unknown
+// op (which the writer refuses).
 func (f *frame) WireOp() byte { return opToByte[f.Op] }
 
-// AppendBinaryBody implements wire.BinaryFrame. Field order is fixed:
+// AppendBinaryBody implements wire.Frame. Field order is fixed:
 //
 //	uvarint ID, uvarint SubID, uvarint Seq — the per-subscriber prefix
 //	uvarint FromSeq, flags byte, topic, session, error, raw payload — the
@@ -76,9 +72,6 @@ func (f *frame) AppendBinaryBody(dst []byte) []byte {
 	if f.NoAck {
 		flags |= bfNoAck
 	}
-	if f.Binary {
-		flags |= bfBinary
-	}
 	if f.Fwd {
 		flags |= bfFwd
 	}
@@ -96,7 +89,7 @@ func appendFrameTail(dst []byte, fromSeq uint64, flags byte, topic, session, err
 	return append(dst, payload...)
 }
 
-// DecodeBinaryBody implements wire.BinaryFrame.
+// DecodeBinaryBody implements wire.Frame.
 func (f *frame) DecodeBinaryBody(op byte, body []byte) error {
 	if int(op) >= len(byteToOp) || byteToOp[op] == "" {
 		return fmt.Errorf("unknown binary op %d", op)
@@ -118,32 +111,30 @@ func (f *frame) DecodeBinaryBody(op byte, body []byte) error {
 	f.Retain = flags&bfRetain != 0
 	f.Acked = flags&bfAcked != 0
 	f.NoAck = flags&bfNoAck != 0
-	f.Binary = flags&bfBinary != 0
 	f.Fwd = flags&bfFwd != 0
 	return nil
 }
 
 // msgEnc memoizes the shared binary tail of one published message's msg
 // frames. The broker allocates one msgEnc per publish while at least one
-// binary connection is live (nil otherwise — sendMsg then encodes each
-// frame itself, keeping purely in-process fan-out at its pre-wire
-// allocation count); every Message copy
-// fanned out to subscriber rings, acked queues and retained storage shares
-// the pointer, so the tail is encoded at most once per publish no matter
-// how many binary connections deliver it. The buffer is immutable once
-// built and GC-managed: in-process consumers (historian, monitor) receive
-// the same Message values and must never observe a recycled buffer, so
-// there is deliberately no pooling or refcounting here — the single
-// amortized allocation per publish is the cost of that safety (DESIGN.md
-// §12 covers the ownership rules).
+// wire connection is live (nil otherwise — sendMsg then encodes each frame
+// itself, keeping purely in-process fan-out at its pre-wire allocation
+// count); every Message copy fanned out to subscriber rings, acked queues
+// and retained storage shares the pointer, so the tail is encoded at most
+// once per publish no matter how many connections deliver it. The buffer
+// is immutable once built and GC-managed: in-process consumers (historian,
+// monitor) receive the same Message values and must never observe a
+// recycled buffer, so there is deliberately no pooling or refcounting here
+// — the single amortized allocation per publish is the cost of that safety
+// (DESIGN.md §12 covers the ownership rules).
 type msgEnc struct {
 	once sync.Once
 	tail []byte
 }
 
 // binaryTail returns the message's shared encoded tail, building it on
-// first use. Encoding is lazy so purely in-process fan-out (no binary
-// subscriber connections) never pays for it. Safe for concurrent use from
+// first use. Encoding is lazy so purely in-process fan-out (no subscriber
+// connections) never pays for it. Safe for concurrent use from
 // multiple connection pumps; callers must not mutate the result.
 func (m *Message) binaryTail() []byte {
 	e := m.enc
@@ -158,13 +149,13 @@ func (m *Message) binaryTail() []byte {
 	return e.tail
 }
 
-// sendMsg pushes one subscription message to a connection writer. On a
-// binary connection the shared tail is encoded once per publish and reused
-// across every subscriber; only the tiny (ID=0, SubID, Seq) varint prefix
-// is assembled per connection. Messages without an encoder (client-side
-// republish paths) and JSON connections take the regular frame path.
+// sendMsg pushes one subscription message to a connection writer. The
+// shared tail is encoded once per publish and reused across every
+// subscriber; only the tiny (ID=0, SubID, Seq) varint prefix is assembled
+// per connection. Messages without an encoder (published before the first
+// connection went live) take the regular frame path.
 func sendMsg(w *wire.Writer, subID int, m *Message) error {
-	if m.enc != nil && w.Binary() {
+	if m.enc != nil {
 		var pre [2*binary.MaxVarintLen64 + 1]byte
 		p := append(pre[:0], 0) // ID 0: pushes are not correlated
 		p = binary.AppendUvarint(p, uint64(subID))

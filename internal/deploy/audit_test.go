@@ -69,16 +69,12 @@ func TestChaosAuditZeroLoss(t *testing.T) {
 				// The broker partition severs this connection; redial until
 				// it heals. PublishSeq retries with the same sequence are
 				// deduped broker-side, so a retry can never double-publish.
-				// ForceJSON pins this publisher to the legacy framing while
-				// the rest of the cluster negotiates binary — the zero-loss
-				// audit covers the mixed-version deployment, not just the
-				// all-new one.
 				if bc == nil || bc.Err() != nil {
 					if bc != nil {
 						bc.Close()
 					}
 					bc = nil
-					c2, err := broker.DialClientWith(cluster.BrokerAddr(), broker.ClientOptions{ForceJSON: true})
+					c2, err := broker.DialClient(cluster.BrokerAddr())
 					if err != nil {
 						time.Sleep(5 * time.Millisecond)
 						continue

@@ -728,11 +728,6 @@ type ShardBrokerStats struct {
 	Subscriptions int
 	Redelivered   uint64
 	Refused       uint64
-	// BinaryConns/JSONConns split the shard's lifetime connection count by
-	// negotiated framing — during a rolling upgrade the JSON share shows
-	// how many legacy peers are still attached.
-	BinaryConns uint64
-	JSONConns   uint64
 }
 
 // BrokerShardStats returns per-shard broker counters sorted by shard
@@ -744,28 +739,10 @@ func (c *Cluster) BrokerShardStats() []ShardBrokerStats {
 		s := ShardBrokerStats{NodeStats: n.NodeStats()}
 		s.Published, s.Delivered, s.Dropped, s.Subscriptions = n.Broker.Stats()
 		s.Redelivered, s.Refused = n.Broker.AckStats()
-		s.BinaryConns, s.JSONConns = n.Broker.WireStats()
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
-}
-
-// BrokerWireStats returns the broker tier's lifetime connection counts by
-// negotiated framing, summed across every node of a federated cluster.
-func (c *Cluster) BrokerWireStats() (binaryConns, jsonConns uint64) {
-	c.mu.Lock()
-	b := c.broker
-	c.mu.Unlock()
-	if b != nil {
-		return b.WireStats()
-	}
-	for _, n := range c.brokerNodes() {
-		bc, jc := n.Broker.WireStats()
-		binaryConns += bc
-		jsonConns += jc
-	}
-	return binaryConns, jsonConns
 }
 
 // StartQueryServer starts the historian HTTP query API on addr (":0" for

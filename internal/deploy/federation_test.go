@@ -237,11 +237,7 @@ func TestFederatedChaosAuditZeroLoss(t *testing.T) {
 						time.Sleep(5 * time.Millisecond)
 						continue
 					}
-					// A JSON-pinned publisher in an otherwise binary
-					// federation: ingress decode, cross-shard forward and
-					// bridge replication must stay exactly-once across the
-					// framing boundary.
-					c2, err := broker.DialClientWith(addr, broker.ClientOptions{ForceJSON: true})
+					c2, err := broker.DialClient(addr)
 					if err != nil {
 						time.Sleep(5 * time.Millisecond)
 						continue

@@ -1,7 +1,6 @@
 package historian
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,32 +53,18 @@ func (o DurableOptions) fs() wal.FS {
 	return wal.OS
 }
 
-// walRecord is the WAL payload of one stored batch. New records are
-// written in the binary format (walcodec.go); the JSON tags remain so logs
-// written before the binary codec still replay.
+// walRecord is the WAL payload of one stored batch, in the binary format
+// of walcodec.go.
 type walRecord struct {
-	T       time.Time   `json:"t"`
-	Session string      `json:"session,omitempty"`
-	Seq     uint64      `json:"seq,omitempty"`
-	Samples []walSample `json:"samples"`
+	T       time.Time
+	Session string
+	Seq     uint64
+	Samples []walSample
 }
 
 type walSample struct {
-	Series  string `json:"s"`
-	Payload []byte `json:"p"`
-}
-
-// decodeAnyWALRecord dispatches on the first payload byte: binary records
-// carry the version tag, legacy JSON records open with '{'.
-func decodeAnyWALRecord(payload []byte) (walRecord, error) {
-	if len(payload) > 0 && payload[0] == walBinaryVersion {
-		return decodeWALRecord(payload)
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("decode record: %w", err)
-	}
-	return rec, nil
+	Series  string
+	Payload []byte
 }
 
 // Open opens (or creates) a durable store in dir, recovering exact
@@ -116,7 +101,7 @@ func Open(dir string, opts DurableOptions) (*Store, error) {
 		if lsn <= snapLSN {
 			return nil // leftover of a crash mid-compaction; snapshot covers it
 		}
-		rec, err := decodeAnyWALRecord(payload)
+		rec, err := decodeWALRecord(payload)
 		if err != nil {
 			return err
 		}

@@ -244,19 +244,3 @@ func TestSnapshotFutureVersionRejected(t *testing.T) {
 		t.Fatalf("Open on a future snapshot = %v, want newer-version error", err)
 	}
 }
-
-// TestSnapshotV1Compat: a version-1 snapshot (pre-sessions format) still
-// restores.
-func TestSnapshotV1Compat(t *testing.T) {
-	v1 := `{"version":1,"maxPerSeries":100,"series":{"a":[{"time":"2026-08-06T00:00:00Z","payload":"MQ=="}]}}`
-	s, err := RestoreStore(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Count("a"); got != 1 {
-		t.Errorf("v1 restore: %d points, want 1", got)
-	}
-	if got := s.SessionSeq("any"); got != 0 {
-		t.Errorf("v1 restore invented session state: %d", got)
-	}
-}

@@ -13,7 +13,7 @@ import (
 // used to checkpoint and restore historians across restarts (a stand-in
 // for the durable databases of the paper's architecture).
 //
-// Version history:
+// Version history (RestoreStore reads the current version only):
 //
 //	1: Series + MaxPerSeries.
 //	2: adds Sessions (per-consumer-session high-water sequence numbers) and
@@ -121,9 +121,7 @@ func snapRollups(rs *rollupSet) []RingSnap {
 // The persisted rings already include every retained point's contribution
 // (rollups are maintained at ingest), so wholesale replacement — not a
 // merge with the rings rebuilt by re-appending — reproduces the pre-snapshot
-// state exactly, dropped-point contributions included. Snapshots from
-// versions without Rollups leave the rebuilt rings in place: those restore
-// with the old retained-points-only aggregates.
+// state exactly, dropped-point contributions included.
 func restoreRollups(rs *rollupSet, rings []RingSnap) {
 	for _, snap := range rings {
 		if len(snap.Buckets) == 0 {
@@ -144,19 +142,19 @@ func restoreRollups(rs *rollupSet, rings []RingSnap) {
 }
 
 // RestoreStore reconstructs a store from a snapshot stream. Points are
-// re-appended in time order per series, so retention bounds apply. Every
-// format version up to the current one restores; a snapshot written by a
-// newer version is rejected rather than silently misread.
+// re-appended in time order per series, so retention bounds apply. Only
+// the current format version restores; a snapshot written by a newer
+// version, or by an older one, is rejected rather than silently misread.
 func RestoreStore(r io.Reader) (*Store, error) {
 	var snap Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("historian: read snapshot: %w", err)
 	}
 	if snap.Version > snapshotVersion {
-		return nil, fmt.Errorf("historian: snapshot version %d was written by a newer version (this build reads up to %d); refusing to misread it", snap.Version, snapshotVersion)
+		return nil, fmt.Errorf("historian: snapshot version %d was written by a newer version (this build reads %d); refusing to misread it", snap.Version, snapshotVersion)
 	}
-	if snap.Version < 1 {
-		return nil, fmt.Errorf("historian: invalid snapshot version %d", snap.Version)
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("historian: snapshot version %d is not supported (this build reads %d)", snap.Version, snapshotVersion)
 	}
 	store := NewStore(snap.MaxPerSeries)
 	names := make([]string, 0, len(snap.Series))

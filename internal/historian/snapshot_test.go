@@ -124,31 +124,26 @@ func TestSnapshotPreservesRollupsPastRetention(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacySnapshotWithoutRollups checks that a version-2 snapshot
-// (no Rollups field) still restores, with aggregates rebuilt from the
-// retained points only.
-func TestRestoreLegacySnapshotWithoutRollups(t *testing.T) {
+// Snapshots of versions 1 and 2 (no session state, no rollups) are refused
+// rather than restored with aggregates rebuilt from retained points only.
+func TestRestoreRefusesV1Snapshot(t *testing.T) { testRestoreRefusesVersion(t, 1) }
+
+func TestRestoreRefusesV2Snapshot(t *testing.T) { testRestoreRefusesVersion(t, 2) }
+
+func testRestoreRefusesVersion(t *testing.T, version int) {
 	s := NewStore(5)
 	for i := 0; i < 50; i++ {
 		s.Append("a", t0.Add(time.Duration(i)*time.Second), []byte(fmt.Sprintf("%d", i)))
 	}
 	snap := s.Snapshot()
-	snap.Version = 2
+	snap.Version = version
 	snap.Rollups = nil
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := restored.AggregateRange("a", t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Count != 5 || agg.Max != 49 || agg.Min != 45 {
-		t.Fatalf("legacy restore aggregate = %+v, want the 5 retained points [45,49]", agg)
+	if _, err := RestoreStore(&buf); err == nil || !strings.Contains(err.Error(), "not supported") {
+		t.Errorf("version-%d snapshot: err = %v, want refusal", version, err)
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 // instant only, not the wall-clock location.
 func unixNano(n int64) time.Time { return time.Unix(0, n).UTC() }
 
-// Binary WAL record format. The legacy format JSON-encoded every batch
-// (~1.1KB/record once base64 payloads and field names added up); this
-// codec packs the same walRecord into a version-tagged binary layout with
-// a per-record series dictionary and float payload packing:
+// Binary WAL record format. It packs a walRecord into a version-tagged
+// binary layout with a per-record series dictionary and float payload
+// packing (a JSON encoding of the same batch is ~1.1KB/record once base64
+// payloads and field names add up):
 //
-//	0x01                          version tag (legacy JSON starts with '{')
+//	0x01                          version tag
 //	uvarint                       zigzag(batch time, unix nanos)
 //	uvarint + bytes               session name
 //	uvarint                       session seq
@@ -96,9 +96,13 @@ func appendWALRecord(dst []byte, t int64, session string, seq uint64, samples []
 	return dst
 }
 
-// decodeWALRecord parses a binary record (first byte walBinaryVersion).
+// decodeWALRecord parses a binary record. A record that does not open with
+// walBinaryVersion is refused: no other format is read.
 func decodeWALRecord(p []byte) (walRecord, error) {
 	var rec walRecord
+	if len(p) == 0 || p[0] != walBinaryVersion {
+		return rec, fmt.Errorf("historian: wal record: not a version-%d record", walBinaryVersion)
+	}
 	r := walReader{buf: p, off: 1}
 	tz := r.uvarint()
 	rec.T = unixNano(unzigzag(tz))

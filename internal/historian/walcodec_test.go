@@ -43,7 +43,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if enc[0] != walBinaryVersion {
 			t.Fatalf("%s: first byte 0x%02x, want version tag", c.name, enc[0])
 		}
-		rec, err := decodeAnyWALRecord(enc)
+		rec, err := decodeWALRecord(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -67,14 +67,14 @@ func TestWALRecordTruncatedAndCorrupt(t *testing.T) {
 		{Series: "b", Payload: []byte("raw bytes")},
 	})
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := decodeAnyWALRecord(enc[:cut]); err == nil {
+		if _, err := decodeWALRecord(enc[:cut]); err == nil {
 			t.Fatalf("cut at %d/%d decoded without error", cut, len(enc))
 		}
 	}
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)-10] ^= 0xFF // flip inside the payload area
 	// Corruption may still parse (payload bytes are opaque) but must not panic.
-	decodeAnyWALRecord(bad)
+	decodeWALRecord(bad)
 }
 
 // TestWALBinarySmallerThanJSON pins the compression claim at the record
@@ -100,55 +100,23 @@ func TestWALBinarySmallerThanJSON(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONWALReplays proves logs written before the binary codec
-// still recover: records are hand-written in the old JSON format.
-func TestLegacyJSONWALReplays(t *testing.T) {
+// TestLegacyJSONWALRefused: a log holding a JSON-encoded record (the
+// format before the binary codec) makes Open fail instead of guessing.
+func TestLegacyJSONWALRefused(t *testing.T) {
 	dir := t.TempDir()
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{}, func(uint64, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 10; i++ {
-		rec := walRecord{T: ts.Add(time.Duration(i) * time.Second), Session: "s", Seq: uint64(i + 1),
-			Samples: []walSample{{Series: "m", Payload: []byte(fmt.Sprintf("%d.5", i))}}}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := log.Append(payload); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := log.Append([]byte(`{"t":"2026-08-09T12:00:00Z","session":"s","seq":1,"samples":[{"s":"m","p":"MS41"}]}`)); err != nil {
+		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	st, err := Open(dir, DurableOptions{})
-	if err != nil {
-		t.Fatalf("open over legacy JSON log: %v", err)
-	}
-	defer st.Close()
-	if got := st.Count("m"); got != 10 {
-		t.Fatalf("replayed %d points from JSON records, want 10", got)
-	}
-	if got := st.SessionSeq("s"); got != 10 {
-		t.Fatalf("session seq %d, want 10", got)
-	}
-	// New appends to the recovered store write binary records alongside.
-	if err := st.AppendAcked("s", 11, ts.Add(time.Minute), []Sample{{Series: "m", Payload: []byte("99.5")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, DurableOptions{})
-	if err != nil {
-		t.Fatalf("reopen over mixed JSON+binary log: %v", err)
-	}
-	defer st2.Close()
-	if got := st2.Count("m"); got != 11 {
-		t.Fatalf("mixed-format replay got %d points, want 11", got)
+	if st, err := Open(dir, DurableOptions{}); err == nil {
+		st.Close()
+		t.Fatal("Open replayed a JSON WAL record")
 	}
 }
 
@@ -216,4 +184,30 @@ func TestCompressedWALRecoveryEquivalence(t *testing.T) {
 			t.Fatalf("series %s: recovered aggregate %+v/%v, want %+v/%v", series, aggA, errA, aggB, errB)
 		}
 	}
+}
+
+// FuzzWALRecord: decoding arbitrary bytes as a WAL record never panics,
+// and whatever appendWALRecord writes decodes back to the same batch.
+func FuzzWALRecord(f *testing.F) {
+	f.Add([]byte{walBinaryVersion}, int64(0), "s", uint64(1), "cell/m1/x", "a", []byte("12.25"), []byte("raw"))
+	f.Add(appendWALRecord(nil, 42, "", 0, []Sample{{Series: "a", Payload: []byte("1e3")}}), int64(-1), "", uint64(0), "", "", []byte{}, []byte("-0.5"))
+	f.Add([]byte(`{"t":"2026-08-09T12:00:00Z","samples":[]}`), int64(1<<62), "sess", uint64(1<<63), "x", "x", []byte("NaN"), []byte("0"))
+	f.Fuzz(func(t *testing.T, data []byte, ts int64, session string, seq uint64, s1, s2 string, p1, p2 []byte) {
+		_, _ = decodeWALRecord(data)
+
+		samples := []Sample{{Series: s1, Payload: p1}, {Series: s2, Payload: p2}, {Series: s1, Payload: p2}}
+		rec, err := decodeWALRecord(appendWALRecord(nil, ts, session, seq, samples))
+		if err != nil {
+			t.Fatalf("encoded record rejected: %v", err)
+		}
+		if rec.T.UnixNano() != ts || rec.Session != session || rec.Seq != seq || len(rec.Samples) != len(samples) {
+			t.Fatalf("header (%d, %q, %d, %d samples), want (%d, %q, %d, %d)",
+				rec.T.UnixNano(), rec.Session, rec.Seq, len(rec.Samples), ts, session, seq, len(samples))
+		}
+		for i, sm := range rec.Samples {
+			if sm.Series != samples[i].Series || !bytes.Equal(sm.Payload, samples[i].Payload) {
+				t.Fatalf("sample %d: (%q, %q), want (%q, %q)", i, sm.Series, sm.Payload, samples[i].Series, samples[i].Payload)
+			}
+		}
+	})
 }

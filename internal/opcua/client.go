@@ -16,9 +16,8 @@ import (
 // requests over one TCP connection and dispatches subscription
 // notifications to per-subscription channels.
 type Client struct {
-	conn      net.Conn
-	w         *wire.Writer
-	forceJSON bool
+	conn net.Conn
+	w    *wire.Writer
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -55,24 +54,9 @@ func Dial(addr string) (*Client, error) {
 	return DialTimeout(addr, 5*time.Second)
 }
 
-// DialTimeout connects with an explicit dial and request timeout.
+// DialTimeout connects with an explicit dial and request timeout; zero or
+// less means 5 seconds.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return DialWith(addr, DialOptions{Timeout: timeout})
-}
-
-// DialOptions configures an OPC UA client connection.
-type DialOptions struct {
-	// Timeout bounds dialing and each request round trip; zero means 5s.
-	Timeout time.Duration
-	// ForceJSON pins the connection to the legacy JSON framing: the client
-	// ignores the server's binary advert. Exists to stand in for a
-	// pre-binary peer in mixed-version tests.
-	ForceJSON bool
-}
-
-// DialWith connects with explicit options.
-func DialWith(addr string, opts DialOptions) (*Client, error) {
-	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
@@ -83,7 +67,6 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	c := &Client{
 		conn:        conn,
 		w:           wire.NewWriter(conn),
-		forceJSON:   opts.ForceJSON,
 		pending:     map[uint64]chan *Message{},
 		pendingSubs: map[uint64]*clientMonitor{},
 		subs:        map[int]*clientMonitor{},
@@ -206,16 +189,6 @@ func (c *Client) readLoop() {
 				}
 			}
 			c.mu.Unlock()
-			continue
-		}
-		if m.Op == OpHello && m.ID == 0 {
-			// The server's binary-capability advert: answer with a binary
-			// hello (the server switches its writer when it arrives) unless
-			// this client is pinned to JSON.
-			if m.Binary && !c.forceJSON && !c.w.Binary() {
-				c.w.SetBinary(true)
-				_ = c.w.WriteFrame(&Message{Op: OpHello, Binary: true})
-			}
 			continue
 		}
 		c.mu.Lock()

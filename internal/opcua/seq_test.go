@@ -1,7 +1,6 @@
 package opcua
 
 import (
-	"bufio"
 	"bytes"
 	"net"
 	"testing"
@@ -121,17 +120,22 @@ func serveSubscribeThenNotify(t *testing.T, firstSeq uint64) (addr string) {
 			return
 		}
 		defer conn.Close()
-		r := bufio.NewReader(conn)
+		r := wire.NewReader(conn)
 		for {
 			var req Message
-			if err := wire.ReadFrame(r, &req); err != nil {
+			if err := r.ReadFrame(&req); err != nil {
 				return
 			}
+			// Stage both frames, then send them in one conn.Write.
 			var out bytes.Buffer
-			_ = wire.WriteFrame(&out, &Message{ID: req.ID, Op: req.Op, OK: true, SubID: 7})
+			w := wire.NewWriter(&out)
+			_ = w.WriteFrame(&Message{ID: req.ID, Op: req.Op, OK: true, SubID: 7})
 			if req.Op == OpSubscribe {
 				v := V(42)
-				_ = wire.WriteFrame(&out, &Message{Op: OpNotify, NodeID: req.NodeID, Value: &v, SubID: 7, Seq: firstSeq, OK: true})
+				_ = w.WriteFrame(&Message{Op: OpNotify, NodeID: req.NodeID, Value: &v, SubID: 7, Seq: firstSeq, OK: true})
+			}
+			if err := w.Flush(); err != nil {
+				return
 			}
 			if _, err := conn.Write(out.Bytes()); err != nil {
 				return

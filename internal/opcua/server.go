@@ -28,11 +28,6 @@ type Server struct {
 	// connections.
 	ListenWrapper func(net.Listener) net.Listener
 
-	// ForceJSON pins every connection to the legacy JSON framing (no
-	// binary advert, no writer switch) — a pre-binary server stand-in for
-	// mixed-version tests. Set before Listen.
-	ForceJSON bool
-
 	ln     net.Listener
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -161,24 +156,10 @@ func (s *Server) handle(conn net.Conn) {
 		subWG.Wait()
 	}()
 
-	// Advertise the binary framing; pre-binary clients discard the ID-0
-	// frame, binary-capable ones answer with a binary hello and the
-	// peerBinary check below switches this connection's writer.
-	if !s.ForceJSON {
-		_ = send(&Message{Op: OpHello, OK: true, Binary: true})
-	}
-
 	for {
 		req := new(Message)
 		if err := r.ReadFrame(req); err != nil {
 			return
-		}
-		if !w.Binary() && r.PeerBinary() && !s.ForceJSON {
-			w.SetBinary(true)
-		}
-		if req.Op == OpHello && req.ID == 0 {
-			// The client's capability ack; nothing to answer.
-			continue
 		}
 		resp := &Message{ID: req.ID, Op: req.Op, OK: true}
 		switch req.Op {

@@ -1,7 +1,7 @@
 // Package opcua implements a simulated OPC Unified Architecture stack: a
 // hierarchical address space of objects, variables and methods, plus a
-// TCP server and client speaking a compact length-prefixed JSON protocol
-// with read/write/call/browse/subscribe services.
+// TCP server and client speaking a compact binary protocol (internal/wire
+// framing) with read/write/call/browse/subscribe services.
 //
 // It stands in for the real OPC UA servers that front each machine in the
 // paper's factory: the configuration generator emits server configs whose

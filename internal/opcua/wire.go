@@ -1,11 +1,11 @@
 package opcua
 
-// The wire protocol is the shared framing of internal/wire: legacy JSON
-// frames (4-byte big-endian length prefix) plus the compact binary frames
-// negotiated per connection (wirecodec.go), with the pooled encode/read
-// buffers and the frame-size bound owned there. Requests carry an
-// operation and a correlation id; the server answers with the same id.
-// Subscription notifications are pushed with id 0 and op "notify".
+// The wire protocol is the shared framing of internal/wire (this package's
+// body encoding is in wirecodec.go), with the pooled buffers and the
+// frame-size bound owned there. Requests carry an operation and a
+// correlation id; the server answers with the same id. Subscription
+// notifications are pushed with id 0 and op "notify". A session opens
+// with a hello request, answered with the server's endpoint name.
 
 // Op names of the protocol.
 const (
@@ -21,23 +21,18 @@ const (
 
 // Message is both request and response envelope.
 type Message struct {
-	ID     uint64    `json:"id"`
-	Op     string    `json:"op"`
-	NodeID NodeID    `json:"nodeId,omitempty"`
-	Value  *Variant  `json:"value,omitempty"`
-	Args   []Variant `json:"args,omitempty"`
+	ID     uint64
+	Op     string
+	NodeID NodeID
+	Value  *Variant
+	Args   []Variant
 	// Response fields.
-	OK      bool      `json:"ok,omitempty"`
-	Error   string    `json:"error,omitempty"`
-	Results []Variant `json:"results,omitempty"`
-	Node    *NodeInfo `json:"node,omitempty"`
-	SubID   int       `json:"subId,omitempty"`
-	Seq     uint64    `json:"seq,omitempty"`
+	OK      bool
+	Error   string
+	Results []Variant
+	Node    *NodeInfo
+	SubID   int
+	Seq     uint64
 	// Hello payload.
-	Endpoint string `json:"endpoint,omitempty"`
-	// Binary advertises (server → client, ID 0) or acknowledges (client →
-	// server) the compact binary framing of internal/wire; pre-binary
-	// peers ignore the field and the ID-0 advert frame entirely, so
-	// negotiation is transparent (see wirecodec.go).
-	Binary bool `json:"binary,omitempty"`
+	Endpoint string
 }

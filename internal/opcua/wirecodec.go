@@ -8,9 +8,8 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
-// Binary op bytes for the OPC UA protocol (op 0 is reserved by
-// internal/wire). The op tables are per-protocol: these bytes are unrelated
-// to the broker's.
+// Op bytes of the OPC UA protocol (op 0 is reserved by internal/wire). The
+// op tables are per-protocol: these bytes are unrelated to the broker's.
 const (
 	mopHello byte = iota + 1
 	mopRead
@@ -43,18 +42,17 @@ var opToByte = func() map[string]byte {
 	return m
 }()
 
-// Binary body flag bits.
+// Body flag bits. Bit 3 (a retired capability flag) stays unassigned.
 const (
 	mfOK byte = 1 << iota
 	mfValue
 	mfNode
-	mfBinary
 )
 
-// WireOp implements wire.BinaryFrame.
+// WireOp implements wire.Frame.
 func (m *Message) WireOp() byte { return opToByte[m.Op] }
 
-// AppendBinaryBody implements wire.BinaryFrame. Variants encode natively
+// AppendBinaryBody implements wire.Frame. Variants encode natively
 // (their Value is already raw JSON bytes — no base64 detour); the rarely
 // shipped NodeInfo (browse responses only) is embedded as a JSON blob
 // rather than given its own schema.
@@ -68,9 +66,6 @@ func (m *Message) AppendBinaryBody(dst []byte) []byte {
 	}
 	if m.Node != nil {
 		flags |= mfNode
-	}
-	if m.Binary {
-		flags |= mfBinary
 	}
 	dst = binary.AppendUvarint(dst, m.ID)
 	dst = binary.AppendUvarint(dst, uint64(m.SubID))
@@ -102,11 +97,15 @@ func appendVariant(dst []byte, v Variant) []byte {
 	return wire.AppendBytes(dst, v.Value)
 }
 
-// maxVariants bounds Args/Results counts while decoding, so a corrupt
-// frame cannot ask for a huge allocation before the length checks bite.
+// maxVariants bounds Args/Results counts while decoding, so even a frame
+// whose body could hold more cannot ask for an outsized allocation.
 const maxVariants = 1 << 16
 
-// DecodeBinaryBody implements wire.BinaryFrame.
+// minVariantSize is the smallest encoding of a Variant: an empty type and
+// an empty value, one length byte each.
+const minVariantSize = 2
+
+// DecodeBinaryBody implements wire.Frame.
 func (m *Message) DecodeBinaryBody(op byte, body []byte) error {
 	if int(op) >= len(byteToOp) || byteToOp[op] == "" {
 		return fmt.Errorf("unknown binary op %d", op)
@@ -121,14 +120,18 @@ func (m *Message) DecodeBinaryBody(op byte, body []byte) error {
 	m.Error = d.String()
 	m.Endpoint = d.String()
 	m.OK = flags&mfOK != 0
-	m.Binary = flags&mfBinary != 0
 	if flags&mfValue != 0 {
 		var v Variant
 		decodeVariant(&d, &v)
 		m.Value = &v
 	}
-	m.Args = decodeVariants(&d)
-	m.Results = decodeVariants(&d)
+	var err error
+	if m.Args, err = decodeVariants(&d); err != nil {
+		return err
+	}
+	if m.Results, err = decodeVariants(&d); err != nil {
+		return err
+	}
 	if flags&mfNode != 0 {
 		blob := d.Bytes()
 		if d.Err() == nil && len(blob) > 0 {
@@ -146,14 +149,19 @@ func decodeVariant(d *wire.Dec, v *Variant) {
 	v.Value = d.Bytes()
 }
 
-func decodeVariants(d *wire.Dec) []Variant {
-	n := d.Uvarint()
-	if n == 0 || n > maxVariants || d.Err() != nil {
-		return nil
+// decodeVariants decodes a counted Variant sequence. The count is bounded
+// by what the rest of the body can hold before anything is allocated.
+func decodeVariants(d *wire.Dec) ([]Variant, error) {
+	n := d.Count(minVariantSize)
+	if n > maxVariants {
+		return nil, fmt.Errorf("%d variants exceed the limit of %d", n, maxVariants)
+	}
+	if n == 0 {
+		return nil, nil
 	}
 	vs := make([]Variant, n)
 	for i := range vs {
 		decodeVariant(d, &vs[i])
 	}
-	return vs
+	return vs, nil
 }

@@ -1,0 +1,214 @@
+package opcua
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/smartfactory/sysml2conf/internal/wire"
+)
+
+// TestOpcuaBinaryBrowse: browse responses carry the NodeInfo blob — the one
+// structured field the codec embeds as JSON — across the wire intact.
+func TestOpcuaBinaryBrowse(t *testing.T) {
+	space := NewAddressSpace()
+	obj := NewNodeID(1, "EMCO")
+	if _, err := space.AddObject(space.Root(), obj, "EMCO", nil); err != nil {
+		t.Fatal(err)
+	}
+	v := NewNodeID(1, "EMCO", "actualX")
+	if _, err := space.AddVariable(obj, v, "actualX", "Double", V(1.5), map[string]string{"category": "AxesPositions"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer("browse-server", space)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info, err := c.Browse(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Children) != 1 || info.Children[0] != v {
+		t.Errorf("browse children = %v", info.Children)
+	}
+	leaf, err := c.Browse(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.Metadata["category"] != "AxesPositions" {
+		t.Errorf("browse metadata = %v", leaf.Metadata)
+	}
+}
+
+// TestServerRefusesNonFrame: bytes that do not open with the frame magic —
+// here a length-prefixed JSON frame — get no answer; the server closes the
+// connection.
+func TestServerRefusesNonFrame(t *testing.T) {
+	srv, _ := newTestServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 2, '{', '}'}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after a non-frame (read % x)", got)
+	}
+	if len(got) != 0 {
+		t.Errorf("server answered a non-frame with % x", got)
+	}
+}
+
+// callBody is a call request body up to (not including) its args count.
+func callBody() []byte {
+	return (&Message{ID: 1, Op: OpCall}).AppendBinaryBody(nil)[:7]
+}
+
+// TestDecodeVariantsRefusesCountAboveLimit: a variant count above
+// maxVariants fails the decode — whether the body carries the variants or
+// not — instead of decoding as an empty argument list.
+func TestDecodeVariantsRefusesCountAboveLimit(t *testing.T) {
+	empty := binary.AppendUvarint(callBody(), maxVariants+1)
+	empty = append(empty, 0) // results count
+	var m Message
+	if err := m.DecodeBinaryBody(mopCall, empty); err == nil {
+		t.Errorf("call claiming %d args and carrying none decoded: %d args", maxVariants+1, len(m.Args))
+	}
+	carried := binary.AppendUvarint(callBody(), maxVariants+1)
+	carried = append(carried, make([]byte, minVariantSize*(maxVariants+1))...)
+	carried = append(carried, 0)
+	if err := m.DecodeBinaryBody(mopCall, carried); err == nil {
+		t.Errorf("call carrying %d args decoded past the limit", maxVariants+1)
+	}
+}
+
+// TestDecodeVariantsBoundsCountByBody: a count the body cannot hold fails
+// before anything is sized from it — a 10-byte body claiming 65 536 args
+// must not allocate 65 536 Variants on its way to "truncated".
+func TestDecodeVariantsBoundsCountByBody(t *testing.T) {
+	body := binary.AppendUvarint(callBody(), maxVariants)
+	if len(body) != 10 {
+		t.Fatalf("body is %d bytes, want 10", len(body))
+	}
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var m Message
+		err := m.DecodeBinaryBody(mopCall, body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("truncated call body decoded")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4096 {
+		t.Errorf("decoding a 10-byte body allocated %d bytes", least)
+	}
+}
+
+// fuzzSeedMessages covers every op and every optional field.
+func fuzzSeedMessages() []*Message {
+	v := V(12.5)
+	return []*Message{
+		{ID: 1, Op: OpHello},
+		{ID: 1, Op: OpHello, OK: true, Endpoint: "srv"},
+		{ID: 2, Op: OpRead, NodeID: "ns=1;s=M.x", OK: true, Value: &v},
+		{ID: 3, Op: OpCall, NodeID: "ns=1;s=M.go", Args: []Variant{V("a"), V(1)}},
+		{ID: 3, Op: OpCall, OK: true, Results: []Variant{V(true)}},
+		{ID: 4, Op: OpBrowse, OK: true, Node: &NodeInfo{ID: "ns=1;s=M", Class: "Object", Metadata: map[string]string{"k": "v"}, Children: []NodeID{"ns=1;s=M.x"}}},
+		{ID: 5, Op: OpSubscribe, OK: true, SubID: 9},
+		{Op: OpNotify, NodeID: "ns=1;s=M.x", Value: &v, SubID: 9, Seq: 4, OK: true},
+		{ID: 6, Op: OpWrite, OK: false, Error: "no such node"},
+	}
+}
+
+// FuzzOpcuaFrameDecode throws corrupt, truncated and oversized streams at
+// the frame reader and the OPC UA message codec: never a panic, a stream
+// that does not open with the magic is refused, and no decoded message
+// holds more variants than its bytes could carry.
+func FuzzOpcuaFrameDecode(f *testing.F) {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	for _, m := range fuzzSeedMessages() {
+		_ = w.WriteFrame(m)
+	}
+	_ = w.Flush()
+	stream := buf.Bytes()
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])                           // truncated tail
+	f.Add([]byte{wire.Magic, 99, mopRead, 0, 0})            // bad version
+	f.Add([]byte{wire.Magic, wire.BinaryVersion, 42, 0, 0}) // unknown op
+	f.Add([]byte{0, 0, 0, 2, '{', '}'})                     // legacy JSON frame: must be refused
+	f.Add(append([]byte{wire.Magic, wire.BinaryVersion, mopCall, 0, 10}, binary.AppendUvarint(callBody(), maxVariants)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := wire.NewReader(bytes.NewReader(data))
+		for i := 0; i < 64; i++ {
+			var m Message
+			err := r.ReadFrame(&m)
+			if i == 0 && len(data) > 0 && data[0] != wire.Magic && err == nil {
+				t.Fatalf("stream opening with %#x decoded as %+v", data[0], m)
+			}
+			if err != nil {
+				return
+			}
+			if n := cap(m.Args) + cap(m.Results); n*minVariantSize > len(data) {
+				t.Fatalf("%d variants decoded from a %d-byte stream", n, len(data))
+			}
+			_ = m.AppendBinaryBody(nil)
+		}
+	})
+}
+
+// FuzzOpcuaBodyRoundTrip: any body the codec accepts re-encodes to a body
+// that decodes to the same Message.
+func FuzzOpcuaBodyRoundTrip(f *testing.F) {
+	for _, m := range fuzzSeedMessages() {
+		f.Add(m.WireOp(), m.AppendBinaryBody(nil))
+	}
+	f.Add(mopCall, []byte{})
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
+		var m Message
+		if err := m.DecodeBinaryBody(op, body); err != nil {
+			return
+		}
+		re := m.AppendBinaryBody(nil)
+		var m2 Message
+		if err := m2.DecodeBinaryBody(op, re); err != nil {
+			t.Fatalf("re-encoded body rejected: %v\nbody: % x\nre:   % x", err, body, re)
+		}
+		if !sameMessage(&m, &m2) {
+			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", m, m2)
+		}
+	})
+}
+
+// sameMessage compares two decoded messages; the NodeInfo blob is compared
+// by its JSON form, where an empty map or list and a missing one agree.
+func sameMessage(a, b *Message) bool {
+	na, _ := json.Marshal(a.Node)
+	nb, _ := json.Marshal(b.Node)
+	ca, cb := *a, *b
+	ca.Node, cb.Node = nil, nil
+	return bytes.Equal(na, nb) && reflect.DeepEqual(ca, cb)
+}

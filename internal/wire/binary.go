@@ -1,20 +1,16 @@
-// Binary framing: the compact wire encoding negotiated per connection
-// alongside the legacy JSON frames. A binary frame is
+// Frame grammar. Every frame on a wire stream is
 //
 //	magic(0xB7) version(1) op(1) hflags(1)
 //	[hflags&hdrAck: uvarint ackSubID, uvarint ackSeq]
 //	uvarint bodyLen, body
 //
-// and a JSON frame is a 4-byte big-endian length followed by a JSON body.
-// MaxFrame (4 MiB) is far below 1<<24, so a JSON frame's first byte is
-// always 0x00 — the magic byte 0xB7 cleanly discriminates the two framings
-// per frame on the same stream. That property is what makes negotiation
-// transparent: either side may switch to binary frames at any point and a
-// Reader keeps decoding both, so no handshake round trip gates traffic.
+// The version byte is the evolution hook: a Reader refuses any version it
+// does not know, and a stream whose next byte is not the magic is refused
+// as "not a frame" rather than guessed at.
 //
 // Op 0 is reserved for ack-only frames (an empty body carrying just the
 // piggyback-ack header); protocol packages number their ops from 1.
-// DESIGN.md §12 documents the grammar, the op tables and the handshake.
+// DESIGN.md §12 documents the grammar and the op tables.
 package wire
 
 import (
@@ -26,9 +22,9 @@ import (
 )
 
 const (
-	// Magic is the first byte of every binary frame.
+	// Magic is the first byte of every frame.
 	Magic byte = 0xB7
-	// BinaryVersion is the framing version carried in every binary header.
+	// BinaryVersion is the framing version carried in every frame header.
 	BinaryVersion byte = 1
 	// hdrAck marks a header carrying a piggybacked cumulative ack.
 	hdrAck byte = 1 << 0
@@ -36,19 +32,16 @@ const (
 	opNone byte = 0
 )
 
-// BinaryFrame is implemented by protocol envelope types (broker frames,
-// OPC UA messages) that have a compact binary encoding alongside their JSON
-// form. WireOp returns the frame's op byte, or 0 when the frame has no
-// binary form (the Writer then falls back to a JSON frame, which a Reader
-// on the other side decodes transparently).
-type BinaryFrame interface {
+// Frame is implemented by protocol envelope types (broker frames, OPC UA
+// messages). WireOp returns the frame's op byte; 0 is reserved, so a frame
+// that reports it cannot be written.
+type Frame interface {
 	WireOp() byte
 	AppendBinaryBody(dst []byte) []byte
 	DecodeBinaryBody(op byte, body []byte) error
 }
 
-// Reader decodes a stream that may interleave JSON and binary frames,
-// dispatching on the first byte of each frame.
+// Reader decodes a stream of frames.
 type Reader struct {
 	br *bufio.Reader
 
@@ -56,45 +49,34 @@ type Reader struct {
 	// riding a data frame's header and ack-only frames). It is called on
 	// the goroutine driving ReadFrame, before the frame body is decoded.
 	OnAck func(subID int, seq uint64)
-
-	peerBinary bool
 }
 
-// NewReader wraps r (typically a net.Conn) for mixed-framing reads.
+// NewReader wraps r (typically a net.Conn) for frame reads.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r)}
 }
 
-// PeerBinary reports whether the peer has sent at least one binary frame —
-// the signal that it negotiated the binary protocol and this side may
-// switch its writer to binary too. Only valid from the goroutine calling
-// ReadFrame.
-func (r *Reader) PeerBinary() bool { return r.peerBinary }
-
-// ReadFrame reads one frame — JSON or binary — and decodes it into v.
-// Ack-only binary frames are consumed internally (reported via OnAck) and
-// never surface. Binary frames require v to implement BinaryFrame.
-func (r *Reader) ReadFrame(v any) error {
+// ReadFrame reads one frame and decodes it into f. Ack-only frames are
+// consumed internally (reported via OnAck) and never surface.
+func (r *Reader) ReadFrame(f Frame) error {
 	for {
 		first, err := r.br.Peek(1)
 		if err != nil {
 			return err
 		}
 		if first[0] != Magic {
-			// A JSON frame: its 4-byte length prefix is bounded by MaxFrame,
-			// so the first byte is always 0x00 and never the magic.
-			return ReadFrame(r.br, v)
+			return fmt.Errorf("wire: not a frame (first byte %#x, want magic %#x)", first[0], Magic)
 		}
 		var hdr [4]byte
 		if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 			return err
 		}
 		if hdr[1] != BinaryVersion {
-			return fmt.Errorf("wire: unsupported binary frame version %d", hdr[1])
+			return fmt.Errorf("wire: unsupported frame version %d", hdr[1])
 		}
 		op, hflags := hdr[2], hdr[3]
 		if hflags&^hdrAck != 0 {
-			return fmt.Errorf("wire: unknown binary header flags %#x", hflags)
+			return fmt.Errorf("wire: unknown frame header flags %#x", hflags)
 		}
 		if hflags&hdrAck != 0 {
 			sub, err := binary.ReadUvarint(r.br)
@@ -116,7 +98,6 @@ func (r *Reader) ReadFrame(v any) error {
 		if n > MaxFrame {
 			return fmt.Errorf("wire: oversized frame (%d bytes)", n)
 		}
-		r.peerBinary = true
 		if op == opNone {
 			// Ack-only frame; a nonzero body is skipped for forward compat.
 			if n > 0 {
@@ -126,17 +107,13 @@ func (r *Reader) ReadFrame(v any) error {
 			}
 			continue
 		}
-		bf, ok := v.(BinaryFrame)
-		if !ok {
-			return fmt.Errorf("wire: %T cannot decode binary frames", v)
-		}
 		bp := getBuf(int(n))
 		buf := (*bp)[:n]
 		if _, err := io.ReadFull(r.br, buf); err != nil {
 			putBuf(bp)
 			return err
 		}
-		err = bf.DecodeBinaryBody(op, buf)
+		err = f.DecodeBinaryBody(op, buf)
 		putBuf(bp)
 		if err != nil {
 			return fmt.Errorf("wire: decode frame: %w", err)
@@ -185,6 +162,22 @@ func (d *Dec) Uvarint() uint64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// Count decodes the element count of a sequence whose elements each take
+// at least minSize (≥ 1) bytes of the body. A count the rest of the body
+// cannot hold fails the cursor before anything is sized from it, so a
+// corrupt count never turns into a large allocation.
+func (d *Dec) Count(minSize int) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(len(d.b)/minSize) {
+		d.err = errTruncated
+		return 0
+	}
+	return int(n)
 }
 
 // Byte decodes one raw byte.

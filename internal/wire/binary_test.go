@@ -10,18 +10,18 @@ import (
 	"testing"
 )
 
-// binMsg is a minimal BinaryFrame for exercising the framing layer without
+// binMsg is a minimal Frame for exercising the framing layer without
 // pulling a protocol package into the tests.
 type binMsg struct {
-	Op      string `json:"op"`
-	Topic   string `json:"topic,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
+	Op      string
+	Topic   string
+	Payload []byte
 }
 
 const binMsgOp byte = 7
 
 func (m *binMsg) WireOp() byte {
-	if m.Op == "json-only" {
+	if m.Op == "no-op" {
 		return 0
 	}
 	return binMsgOp
@@ -47,7 +47,6 @@ func (m *binMsg) DecodeBinaryBody(op byte, body []byte) error {
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetBinary(true)
 	in := binMsg{Op: "pub", Topic: "factory/wc02/emco/actualX", Payload: []byte{0x00, 0xB7, 0xFF, 0x01}}
 	if err := w.WriteFrame(&in); err != nil {
 		t.Fatal(err)
@@ -66,43 +65,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if out.Op != in.Op || out.Topic != in.Topic || !bytes.Equal(out.Payload, in.Payload) {
 		t.Errorf("round trip mangled message: %+v", out)
 	}
-	if !r.PeerBinary() {
-		t.Error("PeerBinary must report true after a binary frame")
-	}
-}
-
-// TestBinaryJSONInterleave: one stream may switch framings mid-flight (the
-// negotiation window) and a Reader must decode both, in order.
-func TestBinaryJSONInterleave(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	frames := []binMsg{
-		{Op: "pub", Topic: "t/json1"},
-		{Op: "pub", Topic: "t/bin1", Payload: []byte("raw")},
-		{Op: "json-only", Topic: "t/json2"}, // no binary form: JSON fallback
-		{Op: "pub", Topic: "t/bin2"},
-	}
-	for i, f := range frames {
-		if i == 1 {
-			w.SetBinary(true)
-		}
-		if err := w.WriteFrame(&f); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(&buf)
-	for i, want := range frames {
-		var got binMsg
-		if err := r.ReadFrame(&got); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Op != want.Op || got.Topic != want.Topic {
-			t.Errorf("frame %d: got %+v want %+v", i, got, want)
-		}
-	}
 }
 
 // TestWriteFrameParts: the encode-once path must produce a frame
@@ -111,7 +73,6 @@ func TestWriteFrameParts(t *testing.T) {
 	whole := binMsg{Op: "pub", Topic: "t/x", Payload: []byte("payload")}
 	var a, b bytes.Buffer
 	wa := NewWriter(&a)
-	wa.SetBinary(true)
 	if err := wa.WriteFrame(&whole); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +80,6 @@ func TestWriteFrameParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	wb := NewWriter(&b)
-	wb.SetBinary(true)
 	prefix := AppendString(nil, whole.Op)
 	tail := append(AppendString(nil, whole.Topic), whole.Payload...)
 	if err := wb.WriteFrameParts(binMsgOp, prefix, tail); err != nil {
@@ -138,12 +98,11 @@ func TestWriteFrameParts(t *testing.T) {
 func TestPiggybackAck(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetBinary(true)
-	if ok, err := w.QueueAck(3, 41); !ok || err != nil {
-		t.Fatalf("QueueAck: ok=%v err=%v", ok, err)
+	if err := w.QueueAck(3, 41); err != nil {
+		t.Fatal(err)
 	}
-	if ok, err := w.QueueAck(3, 42); !ok || err != nil { // coalesces, max wins
-		t.Fatalf("QueueAck: ok=%v err=%v", ok, err)
+	if err := w.QueueAck(3, 42); err != nil { // coalesces, max wins
+		t.Fatal(err)
 	}
 	if err := w.WriteFrame(&binMsg{Op: "pub", Topic: "t/x"}); err != nil {
 		t.Fatal(err)
@@ -175,13 +134,12 @@ func TestPiggybackAck(t *testing.T) {
 func TestAckOnlyFrames(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetBinary(true)
 	for seq := uint64(1); seq <= 5; seq++ {
-		if _, err := w.QueueAck(1, seq); err != nil {
+		if err := w.QueueAck(1, seq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.QueueAck(2, 7); err != nil {
+	if err := w.QueueAck(2, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -213,19 +171,9 @@ func TestAckOnlyFrames(t *testing.T) {
 	}
 }
 
-// TestQueueAckJSONMode: before negotiation QueueAck must decline so callers
-// fall back to a legacy ack frame.
-func TestQueueAckJSONMode(t *testing.T) {
-	w := NewWriter(&bytes.Buffer{})
-	if ok, err := w.QueueAck(1, 1); ok || err != nil {
-		t.Fatalf("QueueAck on JSON writer: ok=%v err=%v, want false,nil", ok, err)
-	}
-}
-
 func TestBinaryTruncated(t *testing.T) {
 	var full bytes.Buffer
 	w := NewWriter(&full)
-	w.SetBinary(true)
 	if err := w.WriteFrame(&binMsg{Op: "pub", Topic: "t/x", Payload: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
@@ -278,22 +226,35 @@ func TestBinaryOversized(t *testing.T) {
 	}
 }
 
-// TestBinaryNonBinaryTarget: a binary frame arriving for a decode target
-// that cannot handle it must error rather than panic.
+// TestBinaryNonBinaryTarget: a frame reporting the reserved op 0 has no
+// encoding; the writer refuses it instead of staging anything.
 func TestBinaryNonBinaryTarget(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetBinary(true)
-	if err := w.WriteFrame(&binMsg{Op: "pub"}); err != nil {
-		t.Fatal(err)
+	if err := w.WriteFrame(&binMsg{Op: "no-op"}); err == nil || !strings.Contains(err.Error(), "no op") {
+		t.Errorf("op-0 frame: err = %v", err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
-	var plain testMsg
-	if err := r.ReadFrame(&plain); err == nil {
-		t.Error("decoding a binary frame into a JSON-only type must fail")
+	if buf.Len() != 0 {
+		t.Errorf("op-0 frame left %d bytes on the wire", buf.Len())
+	}
+}
+
+// TestDecCount: a count is trusted only as far as the rest of the body can
+// hold that many elements of the stated minimum size.
+func TestDecCount(t *testing.T) {
+	d := NewDec([]byte{3, 'a', 'b', 'c', 'd', 'e', 'f'})
+	if n := d.Count(2); n != 3 || d.Err() != nil {
+		t.Errorf("Count(2) over 6 bytes claiming 3 = %d, %v", n, d.Err())
+	}
+	d = NewDec([]byte{4, 'a', 'b', 'c', 'd', 'e', 'f'})
+	if n := d.Count(2); n != 0 || d.Err() == nil {
+		t.Errorf("Count(2) over 6 bytes claiming 4 = %d, %v; want a failed cursor", n, d.Err())
+	}
+	if d.String() != "" {
+		t.Error("accessor after a failed Count returned data")
 	}
 }
 
@@ -335,12 +296,10 @@ func TestBufSizeClasses(t *testing.T) {
 	putBuf(big)
 }
 
-// TestWriterBinaryConcurrent: binary staging, acks and JSON fallbacks from
-// many goroutines must produce a stream that decodes completely.
+// TestWriterBinaryConcurrent: frame staging and acks from many goroutines must produce a stream that decodes completely.
 func TestWriterBinaryConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&lockedWriter{w: &buf})
-	w.SetBinary(true)
 	const producers, each = 8, 100
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -352,7 +311,7 @@ func TestWriterBinaryConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := w.QueueAck(p, uint64(i+1)); err != nil {
+				if err := w.QueueAck(p, uint64(i+1)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,45 +1,17 @@
 // Package wire implements the framing shared by the broker and OPC UA
-// transports. Two framings coexist on the same stream: the legacy
-// length-prefixed JSON frames (4-byte big-endian length + JSON body) and
-// the compact binary frames of binary.go, negotiated per connection with
-// transparent fallback — a Reader decodes both, dispatching on the first
-// byte of each frame. The package owns the hot-path mechanics both
-// transports used to duplicate — size-classed pooled encode/read buffers,
-// a single Write per frame (header and body in one syscall on unbuffered
-// writers) — and a flush-coalescing Writer for connection fan-out paths
-// that batch-coalesces piggybacked acks.
+// transports: compact binary frames (binary.go) that open with a magic
+// byte and a version byte, carry a one-byte op chosen by the protocol
+// package, and may piggyback cumulative acks in their header. The package
+// owns the hot-path mechanics both transports used to duplicate —
+// size-classed pooled read/scratch buffers and a flush-coalescing Writer
+// for connection fan-out paths that batch-coalesces piggybacked acks.
 package wire
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
+import "sync"
 
 // MaxFrame bounds a single message (4 MiB) to protect against corrupt
 // length prefixes.
 const MaxFrame = 4 << 20
-
-// headerLen is the size of the length prefix.
-const headerLen = 4
-
-// encBuf is a pooled encode buffer: the JSON encoder writes the body
-// directly after the reserved header, so a frame is encoded into one
-// contiguous slice without an intermediate json.Marshal copy.
-type encBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	b := &encBuf{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
 
 // maxPooledBuf caps the capacity of buffers returned to the pools so one
 // jumbo frame does not pin megabytes for the connection's lifetime. It is
@@ -47,12 +19,6 @@ var encPool = sync.Pool{New: func() any {
 // replays, browse trees) reuse pooled buffers instead of allocating fresh
 // on every encode/read.
 const maxPooledBuf = 1 << 20
-
-func putEncBuf(b *encBuf) {
-	if b.buf.Cap() <= maxPooledBuf {
-		encPool.Put(b)
-	}
-}
 
 // bufClasses are the read/scratch buffer size classes. getBuf picks the
 // smallest class that fits; putBuf files a buffer under the largest class
@@ -98,62 +64,4 @@ func putBuf(bp *[]byte) {
 			return
 		}
 	}
-}
-
-// appendFrame encodes v as one framed message into b and returns the
-// complete header+body slice (valid until b is reused).
-func appendFrame(b *encBuf, v any) ([]byte, error) {
-	b.buf.Reset()
-	b.buf.Write([]byte{0, 0, 0, 0})
-	if err := b.enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: encode frame: %w", err)
-	}
-	// Encoder terminates the body with '\n'; the frame is length-delimited,
-	// so drop it.
-	out := b.buf.Bytes()
-	n := len(out) - headerLen - 1
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame too large (%d bytes)", n)
-	}
-	binary.BigEndian.PutUint32(out[:headerLen], uint32(n))
-	return out[:headerLen+n], nil
-}
-
-// WriteFrame writes one framed message with a single w.Write call. Callers
-// that need concurrency or batching should prefer Writer.
-func WriteFrame(w io.Writer, v any) error {
-	b := encPool.Get().(*encBuf)
-	frame, err := appendFrame(b, v)
-	if err != nil {
-		putEncBuf(b)
-		return err
-	}
-	_, err = w.Write(frame)
-	putEncBuf(b)
-	return err
-}
-
-// ReadFrame reads one framed JSON message and unmarshals it into v. The
-// body buffer is pooled (size-classed): json.Unmarshal copies everything it
-// keeps (strings, []byte, RawMessage), so v holds no reference to it
-// afterwards. For streams that may carry binary frames, use Reader.
-func ReadFrame(r *bufio.Reader, v any) error {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxFrame {
-		return fmt.Errorf("wire: oversized frame (%d bytes)", n)
-	}
-	bp := getBuf(n)
-	buf := (*bp)[:n]
-	_, err := io.ReadFull(r, buf)
-	if err == nil {
-		if uerr := json.Unmarshal(buf, v); uerr != nil {
-			err = fmt.Errorf("wire: decode frame: %w", uerr)
-		}
-	}
-	putBuf(bp)
-	return err
 }

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,25 +10,25 @@ import (
 	"testing"
 )
 
-type testMsg struct {
-	Op      string `json:"op"`
-	Topic   string `json:"topic,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
-}
-
+// TestFrameRoundTrip pins the frame layout: magic, version, op, flags, then
+// the uvarint body length, which must carry the exact body length.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := testMsg{Op: "pub", Topic: "factory/wc02/emco/actualX", Payload: []byte(`12.25`)}
-	if err := WriteFrame(&buf, &in); err != nil {
+	w := NewWriter(&buf)
+	in := binMsg{Op: "pub", Topic: "factory/wc02/emco/actualX", Payload: []byte(`12.25`)}
+	if err := w.WriteFrame(&in); err != nil {
 		t.Fatal(err)
 	}
-	// Header must carry the exact body length.
-	n := binary.BigEndian.Uint32(buf.Bytes()[:4])
-	if int(n) != buf.Len()-4 {
-		t.Fatalf("header length %d, body length %d", n, buf.Len()-4)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	var out testMsg
-	if err := ReadFrame(bufio.NewReader(&buf), &out); err != nil {
+	body := in.AppendBinaryBody(nil)
+	want := append([]byte{Magic, BinaryVersion, binMsgOp, 0, byte(len(body))}, body...)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame bytes\n  got  % x\n  want % x", buf.Bytes(), want)
+	}
+	var out binMsg
+	if err := NewReader(&buf).ReadFrame(&out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != in.Op || out.Topic != in.Topic || string(out.Payload) != string(in.Payload) {
@@ -42,7 +40,11 @@ func TestFrameRoundTrip(t *testing.T) {
 // unbuffered writers issue one syscall per frame.
 func TestFrameSingleWrite(t *testing.T) {
 	cw := &countingWriter{}
-	if err := WriteFrame(cw, &testMsg{Op: "pub", Topic: "a/b"}); err != nil {
+	w := NewWriter(cw)
+	if err := w.WriteFrame(&binMsg{Op: "pub", Topic: "a/b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if cw.calls != 1 {
@@ -61,33 +63,31 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 func TestFrameTooLarge(t *testing.T) {
-	big := testMsg{Op: "pub", Payload: make([]byte, MaxFrame)}
-	if err := WriteFrame(io.Discard, &big); err == nil || !strings.Contains(err.Error(), "too large") {
+	big := binMsg{Op: "pub", Payload: make([]byte, MaxFrame)}
+	if err := NewWriter(io.Discard).WriteFrame(&big); err == nil || !strings.Contains(err.Error(), "too large") {
 		t.Errorf("oversized frame error = %v", err)
 	}
 }
 
+// TestReadFrameOversizedHeader: a piggybacked ack whose varint runs past 64
+// bits is refused, not wrapped around.
 func TestReadFrameOversizedHeader(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	buf.Write(hdr[:])
-	var out testMsg
-	if err := ReadFrame(bufio.NewReader(&buf), &out); err == nil || !strings.Contains(err.Error(), "oversized") {
-		t.Errorf("oversized header error = %v", err)
+	hdr := []byte{Magic, BinaryVersion, binMsgOp, hdrAck}
+	hdr = append(hdr, bytes.Repeat([]byte{0x80}, 10)...)
+	hdr = append(hdr, 0x02)
+	var out binMsg
+	if err := NewReader(bytes.NewReader(hdr)).ReadFrame(&out); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("overflowing header varint error = %v", err)
 	}
 }
 
+// TestReadFrameBadJSON: a length-prefixed JSON frame — or any stream whose
+// next byte is not the magic — is refused, not decoded.
 func TestReadFrameBadJSON(t *testing.T) {
-	var buf bytes.Buffer
-	body := []byte("{not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	var out testMsg
-	if err := ReadFrame(bufio.NewReader(&buf), &out); err == nil || !strings.Contains(err.Error(), "decode") {
-		t.Errorf("bad JSON error = %v", err)
+	var out binMsg
+	r := NewReader(bytes.NewReader([]byte{0, 0, 0, 2, '{', '}'}))
+	if err := r.ReadFrame(&out); err == nil || !strings.Contains(err.Error(), "not a frame") {
+		t.Errorf("JSON frame error = %v", err)
 	}
 }
 
@@ -95,20 +95,24 @@ func TestReadFrameBadJSON(t *testing.T) {
 // pooled read buffer — decoding a second frame must not mutate the first.
 func TestReadFramePooledBufferIsolation(t *testing.T) {
 	var buf bytes.Buffer
-	first := testMsg{Op: "pub", Topic: "a/b", Payload: []byte("payload-one")}
-	second := testMsg{Op: "pub", Topic: "c/d", Payload: []byte("payload-TWO")}
-	if err := WriteFrame(&buf, &first); err != nil {
+	w := NewWriter(&buf)
+	first := binMsg{Op: "pub", Topic: "a/b", Payload: []byte("payload-one")}
+	second := binMsg{Op: "pub", Topic: "c/d", Payload: []byte("payload-TWO")}
+	if err := w.WriteFrame(&first); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, &second); err != nil {
+	if err := w.WriteFrame(&second); err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(&buf)
-	var got1, got2 testMsg
-	if err := ReadFrame(r, &got1); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadFrame(r, &got2); err != nil {
+	r := NewReader(&buf)
+	var got1, got2 binMsg
+	if err := r.ReadFrame(&got1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ReadFrame(&got2); err != nil {
 		t.Fatal(err)
 	}
 	if string(got1.Payload) != "payload-one" || got1.Topic != "a/b" {
@@ -125,7 +129,7 @@ func TestWriterCoalesces(t *testing.T) {
 
 	// First frame becomes the flusher and blocks in Write.
 	errCh := make(chan error, 1)
-	go func() { errCh <- w.WriteFrame(&testMsg{Op: "pub", Topic: "t/0"}) }()
+	go func() { errCh <- w.WriteFrame(&binMsg{Op: "pub", Topic: "t/0"}) }()
 	slow.started.L.Lock()
 	for slow.inWrite == 0 {
 		slow.started.Wait()
@@ -135,7 +139,7 @@ func TestWriterCoalesces(t *testing.T) {
 	// These stage while the first Write is blocked.
 	const queued = 50
 	for i := 1; i <= queued; i++ {
-		if err := w.WriteFrame(&testMsg{Op: "pub", Topic: fmt.Sprintf("t/%d", i)}); err != nil {
+		if err := w.WriteFrame(&binMsg{Op: "pub", Topic: fmt.Sprintf("t/%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,13 +172,14 @@ type slowWriter struct {
 func (s *slowWriter) stats() (calls, frames int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data := s.buf.Bytes()
-	for len(data) >= 4 {
-		n := int(binary.BigEndian.Uint32(data[:4]))
-		data = data[4+n:]
+	r := NewReader(bytes.NewReader(s.buf.Bytes()))
+	for {
+		var m binMsg
+		if r.ReadFrame(&m) != nil {
+			return s.calls, frames
+		}
 		frames++
 	}
-	return s.calls, frames
 }
 
 func (s *slowWriter) Write(p []byte) (int, error) {
@@ -200,11 +205,11 @@ func TestWriterStickyError(t *testing.T) {
 	if err := w.Err(); err != nil {
 		t.Fatalf("fresh writer reports error: %v", err)
 	}
-	_ = w.WriteFrame(&testMsg{Op: "pub"})
+	_ = w.WriteFrame(&binMsg{Op: "pub"})
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush must surface the write failure")
 	}
-	if err := w.WriteFrame(&testMsg{Op: "pub"}); err == nil {
+	if err := w.WriteFrame(&binMsg{Op: "pub"}); err == nil {
 		t.Fatal("error must be sticky")
 	}
 	if err := w.Err(); err == nil {
@@ -229,7 +234,7 @@ func TestWriterConcurrent(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := w.WriteFrame(&testMsg{Op: "pub", Topic: fmt.Sprintf("p%d/%d", p, i)}); err != nil {
+				if err := w.WriteFrame(&binMsg{Op: "pub", Topic: fmt.Sprintf("p%d/%d", p, i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -240,11 +245,11 @@ func TestWriterConcurrent(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(bytes.NewReader(cw.Buffer.Bytes()))
+	r := NewReader(bytes.NewReader(cw.Buffer.Bytes()))
 	frames := 0
 	for {
-		var m testMsg
-		if err := ReadFrame(r, &m); err != nil {
+		var m binMsg
+		if err := r.ReadFrame(&m); err != nil {
 			if err == io.EOF {
 				break
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // Writer is a concurrency-safe framed writer with flush coalescing: frames
@@ -17,9 +16,7 @@ import (
 // latency without adding more than a scheduler hop of latency when the
 // connection is idle.
 //
-// A Writer starts in JSON mode; SetBinary(true) switches it to the compact
-// binary framing once the peer is known to decode it. In binary mode,
-// cumulative acks staged with QueueAck coalesce (max seq per subscription)
+// Cumulative acks staged with QueueAck coalesce (max seq per subscription)
 // and ride the next data frame's header as a piggyback, or flush as tiny
 // ack-only frames when no data frame is due — acked sessions stop paying a
 // full frame per window advance.
@@ -35,9 +32,7 @@ type Writer struct {
 	spare    []byte
 	flushing bool
 	err      error
-
-	binary atomic.Bool
-	acks   map[int]uint64 // staged cumulative acks: subID → max seq
+	acks     map[int]uint64 // staged cumulative acks: subID → max seq
 }
 
 // maxPending is the soft cap on staged bytes: producers block (waiting on
@@ -52,62 +47,33 @@ func NewWriter(w io.Writer) *Writer {
 	return cw
 }
 
-// SetBinary switches the writer's framing. The switch is one-way in
-// practice (JSON → binary after negotiation) and safe at any time: the
-// peer's Reader dispatches per frame, so in-flight JSON frames and
-// subsequent binary frames interleave correctly.
-func (w *Writer) SetBinary(on bool) { w.binary.Store(on) }
-
-// Binary reports whether the writer emits binary frames.
-func (w *Writer) Binary() bool { return w.binary.Load() }
-
-// WriteFrame encodes v as one framed message and queues it for writing.
-// In binary mode, a v implementing BinaryFrame with a nonzero op is
-// encoded as a binary frame; anything else falls back to a JSON frame.
-// It returns once the frame is staged and a flusher is responsible for it;
-// a sticky write error from a previous batch fails the call.
-func (w *Writer) WriteFrame(v any) error {
-	if w.binary.Load() {
-		if bf, ok := v.(BinaryFrame); ok {
-			if op := bf.WireOp(); op != opNone {
-				return w.writeBinary(op, bf)
-			}
-		}
+// WriteFrame encodes f as one frame and queues it for writing. It returns
+// once the frame is staged and a flusher is responsible for it; a sticky
+// write error from a previous batch fails the call. A frame reporting the
+// reserved op 0 is refused.
+func (w *Writer) WriteFrame(f Frame) error {
+	op := f.WireOp()
+	if op == opNone {
+		return fmt.Errorf("wire: %T has no op", f)
 	}
-	b := encPool.Get().(*encBuf)
-	frame, err := appendFrame(b, v)
-	if err != nil {
-		putEncBuf(b)
-		return err
-	}
-	err = w.stage(func() {
-		w.pending = append(w.pending, frame...)
-	})
-	putEncBuf(b)
-	return err
-}
-
-// writeBinary encodes bf's body outside the lock, then stages one binary
-// frame.
-func (w *Writer) writeBinary(op byte, bf BinaryFrame) error {
 	bp := getBuf(512)
-	body := bf.AppendBinaryBody((*bp)[:0])
+	body := f.AppendBinaryBody((*bp)[:0])
 	*bp = body
 	if len(body) > MaxFrame {
 		putBuf(bp)
 		return fmt.Errorf("wire: frame too large (%d bytes)", len(body))
 	}
 	err := w.stage(func() {
-		w.appendBinaryLocked(op, body)
+		w.appendFrameLocked(op, body)
 	})
 	putBuf(bp)
 	return err
 }
 
-// WriteFrameParts stages one binary frame assembled from segments — the
+// WriteFrameParts stages one frame assembled from segments — the
 // encode-once fan-out path: the shared segment of a published message is
 // encoded once and every subscriber connection appends only its tiny
-// per-subscriber prefix around it. The writer must be in binary mode.
+// per-subscriber prefix around it.
 func (w *Writer) WriteFrameParts(op byte, segs ...[]byte) error {
 	n := 0
 	for _, s := range segs {
@@ -117,23 +83,19 @@ func (w *Writer) WriteFrameParts(op byte, segs ...[]byte) error {
 		return fmt.Errorf("wire: frame too large (%d bytes)", n)
 	}
 	return w.stage(func() {
-		w.appendBinaryLocked(op, segs...)
+		w.appendFrameLocked(op, segs...)
 	})
 }
 
 // QueueAck stages a cumulative ack for subID, coalescing with any ack
 // already staged for it (max seq wins — acks are cumulative). The ack
-// piggybacks on the next staged binary frame's header or flushes as an
-// ack-only frame. It reports false when the connection has not negotiated
-// binary framing, in which case the caller sends a legacy ack frame.
-func (w *Writer) QueueAck(subID int, seq uint64) (bool, error) {
-	if !w.binary.Load() {
-		return false, nil
-	}
+// piggybacks on the next staged frame's header or flushes as an ack-only
+// frame.
+func (w *Writer) QueueAck(subID int, seq uint64) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
-		w.mu.Unlock()
-		return true, w.err
+		return w.err
 	}
 	if w.acks == nil {
 		w.acks = map[int]uint64{}
@@ -145,8 +107,7 @@ func (w *Writer) QueueAck(subID int, seq uint64) (bool, error) {
 		w.flushing = true
 		go w.flusher()
 	}
-	w.mu.Unlock()
-	return true, nil
+	return nil
 }
 
 // stage runs enc (which appends one complete frame to w.pending) under the
@@ -187,10 +148,9 @@ func (w *Writer) flusher() {
 	w.mu.Unlock()
 }
 
-// appendBinaryLocked appends one framed binary message to pending,
-// piggybacking one staged cumulative ack in the header when available.
-// Callers hold w.mu.
-func (w *Writer) appendBinaryLocked(op byte, segs ...[]byte) {
+// appendFrameLocked appends one frame to pending, piggybacking one staged
+// cumulative ack in the header when available. Callers hold w.mu.
+func (w *Writer) appendFrameLocked(op byte, segs ...[]byte) {
 	var hflags byte
 	var ackSub int
 	var ackSeq uint64
