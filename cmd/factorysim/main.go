@@ -414,15 +414,12 @@ func reportCampaign(cluster *deploy.Cluster, bundle *codegen.Bundle, ex *ops.Exe
 func startAudit(cluster *deploy.Cluster, bundle *codegen.Bundle, count int) (string, chan error) {
 	sc := bundle.Intermediate.Storage[0]
 	topic := strings.TrimSuffix(sc.Topics[0], "#") + "audit/counter"
-	ingress := -1
+	ingress := 0
 	if pl := bundle.Intermediate.Placement; pl != nil {
 		ingress = (sc.Shard + 1) % pl.Shards
 		fmt.Printf("audit: ingress shard %d, owner shard %d\n", ingress, sc.Shard)
 	}
 	dial := func() (*broker.Client, error) {
-		if ingress < 0 {
-			return broker.DialClient(cluster.BrokerAddr())
-		}
 		addr, err := cluster.BrokerShardAddr(ingress)
 		if err != nil {
 			return nil, err

@@ -64,7 +64,9 @@ type Pod struct {
 	CrashLoop   bool   // in CrashLoopBackOff (repeated restart failures)
 }
 
-// Cluster is the simulated cluster.
+// Cluster is the simulated cluster. Every broker pod runs a broker.Node:
+// a plant generated with shards runs one per shard, and a one-broker plant
+// runs its broker as shard 0 of 1, which owns every topic.
 type Cluster struct {
 	mu    sync.Mutex
 	nodes []*Node
@@ -85,8 +87,10 @@ type Cluster struct {
 
 	// FaultInjector, when set before Apply, wraps the broker and OPC UA
 	// server listeners so chaos rules and partitions apply to them. The
-	// injector's component names are "broker", "opcua:<server>" and (for
-	// durable historians) "disk:<historian>".
+	// injector's component names are the broker Deployment's name without
+	// its "message-" prefix ("broker" on a one-broker plant, "broker-s<i>"
+	// per shard of a federated one), "opcua:<server>" and (for durable
+	// historians) "disk:<historian>".
 	FaultInjector *faultinject.Injector
 
 	// DataDir, when set before Apply, makes historian pods durable: each
@@ -96,11 +100,8 @@ type Cluster struct {
 	// restarts via historianStores.
 	DataDir string
 
-	broker     *broker.Broker
-	brokerAddr string
-	// Federated plants run one broker.Node per shard instead of the
-	// singleton above: brokers is keyed by deployment name
-	// ("message-broker-s<i>"), brokerAddrs by shard index (the map nodes
+	// brokers is keyed by deployment name ("message-broker",
+	// "message-broker-s<i>"), brokerAddrs by shard index (the map nodes
 	// and components resolve each other through, refreshed on restart).
 	brokers     map[string]*broker.Node
 	brokerAddrs map[int]string
@@ -304,32 +305,19 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 
 	switch component {
 	case "message-broker":
-		// A broker.json ConfigMap marks a federated broker node; the
-		// singleton broker deployment has no ConfigMap at all.
+		// A broker.json ConfigMap places the node in a federation; a
+		// one-broker plant's Deployment has none and is shard 0 of 1.
+		bc := codegen.BrokerShardConfig{Shards: 1}
 		if _, ok := configMaps[o.Namespace()+"/"+o.Name()+"-config"]; ok {
 			raw, err := cfg("broker.json")
 			if err != nil {
 				return err
 			}
-			var bc codegen.BrokerShardConfig
 			if err := json.Unmarshal(raw, &bc); err != nil {
 				return fmt.Errorf("deploy: bad broker.json for %s: %w", o.Name(), err)
 			}
-			return c.startBrokerNode(o.Name(), bc)
 		}
-		b := broker.New()
-		if inj := c.FaultInjector; inj != nil {
-			b.ListenWrapper = func(ln net.Listener) net.Listener {
-				return inj.Wrap("broker", ln)
-			}
-		}
-		if err := b.Serve("127.0.0.1:0"); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.broker = b
-		c.brokerAddr = b.Addr()
-		c.mu.Unlock()
+		return c.startBrokerNode(o.Name(), bc)
 
 	case "opcua-server":
 		raw, err := cfg("server.json")
@@ -380,7 +368,7 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 		if err := json.Unmarshal(raw, &cc); err != nil {
 			return fmt.Errorf("deploy: bad client.json for %s: %w", o.Name(), err)
 		}
-		brokerAddr, err := c.brokerAddrFor(cc.Shard)
+		brokerAddr, err := c.BrokerShardAddr(cc.Shard)
 		if err != nil {
 			return fmt.Errorf("deploy: client %s started before the broker: %w", cc.Name, err)
 		}
@@ -401,7 +389,7 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 		if err := json.Unmarshal(raw, &sc); err != nil {
 			return fmt.Errorf("deploy: bad storage.json for %s: %w", o.Name(), err)
 		}
-		brokerAddr, err := c.brokerAddrFor(sc.Shard)
+		brokerAddr, err := c.BrokerShardAddr(sc.Shard)
 		if err != nil {
 			return fmt.Errorf("deploy: historian %s started before the broker: %w", sc.Name, err)
 		}
@@ -432,7 +420,12 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 			return nil
 		}
 		if store == nil {
+			// Recorded before the service starts: a start that fails after
+			// acking samples into the store must not throw them away.
 			store = historian.NewStore(sc.Retention)
+			c.mu.Lock()
+			c.historianStores[sc.Name] = store
+			c.mu.Unlock()
 		}
 		svc, err := historian.NewAckedService(brokerAddr, sc.Name, sc.Topics, store)
 		if err != nil {
@@ -440,7 +433,6 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 		}
 		c.mu.Lock()
 		c.historians[sc.Name] = svc
-		c.historianStores[sc.Name] = store
 		qs := c.queryServer
 		c.mu.Unlock()
 		if qs != nil {
@@ -456,7 +448,7 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 		if err := json.Unmarshal(raw, &mc); err != nil {
 			return fmt.Errorf("deploy: bad monitor.json for %s: %w", o.Name(), err)
 		}
-		brokerAddr, err := c.brokerAddrFor(mc.Shard)
+		brokerAddr, err := c.BrokerShardAddr(mc.Shard)
 		if err != nil {
 			return fmt.Errorf("deploy: monitor %s started before the broker: %w", mc.Name, err)
 		}
@@ -474,11 +466,11 @@ func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[
 	return nil
 }
 
-// startBrokerNode starts one federated broker shard: a broker.Node that
-// forwards non-owned publishes to owner shards and pulls remote-owned
-// subscriptions over acked bridge links. Addresses resolve through the
-// cluster's live brokerAddrs map, so a restarted peer's new port is
-// found on the next (re)dial.
+// startBrokerNode starts one broker shard: a broker.Node that forwards
+// non-owned publishes to owner shards and pulls remote-owned subscriptions
+// over acked bridge links (a one-shard node owns every topic and does
+// neither). Addresses resolve through the cluster's live brokerAddrs map,
+// so a restarted peer's new port is found on the next (re)dial.
 func (c *Cluster) startBrokerNode(name string, bc codegen.BrokerShardConfig) error {
 	opts := broker.NodeOptions{
 		Workcells: bc.Workcells,
@@ -491,7 +483,7 @@ func (c *Cluster) startBrokerNode(name string, bc codegen.BrokerShardConfig) err
 	}
 	n := broker.NewNode(bc.Shard, bc.Shards, opts)
 	if inj := c.FaultInjector; inj != nil {
-		injName := fmt.Sprintf("broker-s%d", bc.Shard)
+		injName := strings.TrimPrefix(name, "message-")
 		n.Broker.ListenWrapper = func(ln net.Listener) net.Listener {
 			return inj.Wrap(injName, ln)
 		}
@@ -507,28 +499,8 @@ func (c *Cluster) startBrokerNode(name string, bc codegen.BrokerShardConfig) err
 	return nil
 }
 
-// brokerAddrFor resolves the broker address a component dials: its
-// shard's node in a federated cluster, the singleton broker otherwise.
-func (c *Cluster) brokerAddrFor(shard int) (string, error) {
-	c.mu.Lock()
-	federated := len(c.brokers) > 0
-	addr := c.brokerAddrs[shard]
-	legacy := c.brokerAddr
-	c.mu.Unlock()
-	if federated {
-		if addr == "" {
-			return "", fmt.Errorf("broker shard %d is not running", shard)
-		}
-		return addr, nil
-	}
-	if legacy == "" {
-		return "", fmt.Errorf("no broker is running")
-	}
-	return legacy, nil
-}
-
-// BrokerShardAddr returns the live address of one broker shard of a
-// federated cluster ("" plus an error while that node is down).
+// BrokerShardAddr returns the live address of one broker shard ("" plus
+// an error while that node is down). A one-broker plant's broker is shard 0.
 func (c *Cluster) BrokerShardAddr(shard int) (string, error) {
 	c.mu.Lock()
 	addr := c.brokerAddrs[shard]
@@ -546,19 +518,14 @@ func (c *Cluster) stopComponent(component, name string) {
 	switch component {
 	case "message-broker":
 		c.mu.Lock()
-		if n := c.brokers[name]; n != nil {
+		n := c.brokers[name]
+		if n != nil {
 			delete(c.brokers, name)
 			delete(c.brokerAddrs, n.Shard())
-			c.mu.Unlock()
-			n.Close()
-			return
 		}
-		b := c.broker
-		c.broker = nil
-		c.brokerAddr = ""
 		c.mu.Unlock()
-		if b != nil {
-			b.Close()
+		if n != nil {
+			n.Close()
 		}
 	case "opcua-server":
 		c.mu.Lock()
@@ -637,17 +604,14 @@ func (c *Cluster) AllRunning() bool {
 	return true
 }
 
-// BrokerAddr returns the running broker's address ("" if absent). On a
-// federated cluster it returns the lowest-numbered live shard — any node
-// accepts publishes and forwards them to their owners, so this keeps
-// single-broker callers (the factorysim orchestrator, older tests)
-// working unchanged.
+// BrokerAddr returns the lowest-numbered live broker shard's address (""
+// if none is up): a one-broker plant's only broker, and on a federated
+// plant a node that accepts publishes and forwards them to their owners,
+// so callers that need just some broker (the factorysim orchestrator)
+// need not know the shard count.
 func (c *Cluster) BrokerAddr() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.brokerAddr != "" {
-		return c.brokerAddr
-	}
 	best := -1
 	for shard := range c.brokerAddrs {
 		if best < 0 || shard < best {
@@ -660,8 +624,7 @@ func (c *Cluster) BrokerAddr() string {
 	return c.brokerAddrs[best]
 }
 
-// brokerNodes snapshots the live federated nodes (empty on single-broker
-// clusters).
+// brokerNodes snapshots the live broker nodes.
 func (c *Cluster) brokerNodes() []*broker.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -672,17 +635,11 @@ func (c *Cluster) brokerNodes() []*broker.Node {
 	return out
 }
 
-// BrokerStats returns the broker tier's lifetime counters (all zero if no
-// broker pod is up), summed across every node of a federated cluster.
-// dropped counts messages shed by subscriber ring buffers — the loss
-// signal chaos soaks and the factorysim monitor report.
+// BrokerStats returns the broker tier's lifetime counters summed across
+// every live node (all zero if no broker pod is up). dropped counts
+// messages shed by subscriber ring buffers — the loss signal chaos soaks
+// and the factorysim monitor report.
 func (c *Cluster) BrokerStats() (published, delivered, dropped uint64, subscriptions int) {
-	c.mu.Lock()
-	b := c.broker
-	c.mu.Unlock()
-	if b != nil {
-		return b.Stats()
-	}
 	for _, n := range c.brokerNodes() {
 		p, d, dr, s := n.Broker.Stats()
 		published += p
@@ -694,17 +651,11 @@ func (c *Cluster) BrokerStats() (published, delivered, dropped uint64, subscript
 }
 
 // BrokerAckStats returns the broker tier's acked-delivery counters,
-// summed across every node of a federated cluster: redelivered is
-// retries of unacked messages (benign — consumers dedup), refused is
-// messages rejected because a session's backlog was full (real loss; a
-// healthy deployment keeps this at zero).
+// summed across every live node: redelivered is retries of unacked
+// messages (benign — consumers dedup), refused is messages rejected
+// because a session's backlog was full (real loss; a healthy deployment
+// keeps this at zero).
 func (c *Cluster) BrokerAckStats() (redelivered, refused uint64) {
-	c.mu.Lock()
-	b := c.broker
-	c.mu.Unlock()
-	if b != nil {
-		return b.AckStats()
-	}
 	for _, n := range c.brokerNodes() {
 		rd, rf := n.Broker.AckStats()
 		redelivered += rd
@@ -713,7 +664,7 @@ func (c *Cluster) BrokerAckStats() (redelivered, refused uint64) {
 	return redelivered, refused
 }
 
-// ShardBrokerStats is one federated broker node's breakdown: the core
+// ShardBrokerStats is one broker node's breakdown: the core
 // pub/sub and acked-delivery counters plus the federation traffic
 // counters (forwards out, bridged messages in, deduped redeliveries,
 // link reconnects) and the pipelined-window gauges (forward in-flight
@@ -730,8 +681,8 @@ type ShardBrokerStats struct {
 	Refused       uint64
 }
 
-// BrokerShardStats returns per-shard broker counters sorted by shard
-// (empty on single-broker clusters).
+// BrokerShardStats returns per-shard broker counters of every live node,
+// sorted by shard; a one-broker plant reports its broker as shard 0.
 func (c *Cluster) BrokerShardStats() []ShardBrokerStats {
 	nodes := c.brokerNodes()
 	out := make([]ShardBrokerStats, 0, len(nodes))
@@ -876,7 +827,6 @@ func (c *Cluster) Shutdown() {
 	servers := c.servers
 	historians := c.historians
 	monitors := c.monitors
-	b := c.broker
 	nodes := c.brokers
 	qs := c.queryServer
 	c.queryServer = nil
@@ -885,8 +835,6 @@ func (c *Cluster) Shutdown() {
 	c.servers = map[string]*stack.MachineServer{}
 	c.historians = map[string]*historian.Service{}
 	c.monitors = map[string]*stack.WorkcellMonitor{}
-	c.broker = nil
-	c.brokerAddr = ""
 	c.brokers = map[string]*broker.Node{}
 	c.brokerAddrs = map[int]string{}
 	c.mu.Unlock()
@@ -907,9 +855,6 @@ func (c *Cluster) Shutdown() {
 	}
 	for _, h := range historians {
 		h.Close()
-	}
-	if b != nil {
-		b.Close()
 	}
 	for _, n := range nodes {
 		n.Close()

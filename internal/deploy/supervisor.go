@@ -237,15 +237,11 @@ func (c *Cluster) componentHealth(component, name string) error {
 	case "message-broker":
 		c.mu.Lock()
 		n := c.brokers[name]
-		b := c.broker
 		c.mu.Unlock()
-		if n != nil {
-			return n.Broker.Health()
-		}
-		if b == nil {
+		if n == nil {
 			return fmt.Errorf("deploy: broker %s not running", name)
 		}
-		return b.Health()
+		return n.Broker.Health()
 	case "opcua-server":
 		c.mu.Lock()
 		s := c.servers[name]

@@ -106,7 +106,14 @@ func TestBrokerKillCascadesAndHeals(t *testing.T) {
 	}
 	defer cluster.Shutdown()
 
+	// A one-broker plant runs its broker as shard 0 of 1.
 	oldAddr := cluster.BrokerAddr()
+	if addr, err := cluster.BrokerShardAddr(0); err != nil || addr != oldAddr {
+		t.Fatalf("BrokerShardAddr(0) = %q, %v; want BrokerAddr() %q", addr, err, oldAddr)
+	}
+	if ss := cluster.BrokerShardStats(); len(ss) != 1 || ss[0].Shard != 0 {
+		t.Fatalf("BrokerShardStats() = %+v, want one entry for shard 0", ss)
+	}
 	if err := cluster.KillPod("message-broker"); err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +141,9 @@ func TestBrokerKillCascadesAndHeals(t *testing.T) {
 	if addr := cluster.BrokerAddr(); addr == "" || addr == oldAddr {
 		t.Errorf("broker addr after kill = %q (old %q)", addr, oldAddr)
 	}
+	if addr, err := cluster.BrokerShardAddr(0); err != nil || addr == oldAddr || addr != cluster.BrokerAddr() {
+		t.Errorf("shard 0 after kill = %q, %v; want the new broker address (old %q)", addr, err, oldAddr)
+	}
 
 	// Data flows end-to-end again through the new broker.
 	name := cluster.Historians()[0]
@@ -141,6 +151,11 @@ func TestBrokerKillCascadesAndHeals(t *testing.T) {
 	waitFor(t, 10*time.Second, "data flow through new broker", func() bool {
 		return historianPoints(cluster, name) > before
 	})
+	// Shard 0 of 1 owns every topic: nothing is forwarded or bridged.
+	ss := cluster.BrokerShardStats()
+	if len(ss) != 1 || ss[0].Forwarded != 0 || ss[0].BridgedIn != 0 || ss[0].Reconnects != 0 {
+		t.Errorf("one-broker plant federated traffic: %+v", ss)
+	}
 }
 
 func TestBrokerPartitionCrashLoopAndRecovery(t *testing.T) {

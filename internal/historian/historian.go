@@ -355,19 +355,6 @@ type Service struct {
 	Now func() time.Time
 }
 
-// NewService creates a historian service over its own broker connection.
-func NewService(brokerAddr string, topics []string, maxPerSeries int) (*Service, error) {
-	return NewServiceWithStore(brokerAddr, topics, NewStore(maxPerSeries))
-}
-
-// NewServiceWithStore creates a historian service that ingests into an
-// existing store over plain (drop-oldest) subscriptions. The pod supervisor
-// used this to restart a historian without losing the data it had already
-// accumulated; the loss-bounded variants below are preferred.
-func NewServiceWithStore(brokerAddr string, topics []string, store *Store) (*Service, error) {
-	return newService(brokerAddr, "", topics, store, false)
-}
-
 // NewAckedService creates a historian service that ingests over acked
 // at-least-once broker sessions named "historian/<name>/<topic>". Each
 // batch is acknowledged only after the store accepted it, and on restart
@@ -375,9 +362,6 @@ func NewServiceWithStore(brokerAddr string, topics []string, store *Store) (*Ser
 // with a store that survives the restart (a supervisor-held volatile store,
 // or a durable one) no sample is lost or double-counted.
 func NewAckedService(brokerAddr, name string, topics []string, store *Store) (*Service, error) {
-	if name == "" {
-		return nil, errors.New("historian: acked service requires a name")
-	}
 	return newService(brokerAddr, name, topics, store, false)
 }
 
@@ -386,9 +370,6 @@ func NewAckedService(brokerAddr, name string, topics []string, store *Store) (*S
 // redelivers until the batch is fsynced in the WAL, the WAL replays on
 // restart, and session sequence dedup makes the overlap idempotent.
 func NewDurableService(brokerAddr, name string, topics []string, dir string, opts DurableOptions) (*Service, error) {
-	if name == "" {
-		return nil, errors.New("historian: durable service requires a name")
-	}
 	store, err := Open(dir, opts)
 	if err != nil {
 		return nil, err
@@ -402,6 +383,9 @@ func NewDurableService(brokerAddr, name string, topics []string, dir string, opt
 }
 
 func newService(brokerAddr, name string, topics []string, store *Store, ownsStore bool) (*Service, error) {
+	if name == "" {
+		return nil, errors.New("historian: service requires a name")
+	}
 	client, err := broker.DialClient(brokerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("historian: %w", err)
@@ -411,21 +395,14 @@ func newService(brokerAddr, name string, topics []string, store *Store, ownsStor
 	}
 	svc := &Service{Store: store, client: client, ownsStore: ownsStore, Now: time.Now}
 	for _, topic := range topics {
-		if name == "" {
-			id, ch, err := client.Subscribe(topic)
-			if err != nil {
-				client.Close()
-				return nil, fmt.Errorf("historian: subscribe %q: %w", topic, err)
-			}
-			svc.subIDs = append(svc.subIDs, id)
-			svc.wg.Add(1)
-			go svc.pump(ch)
-			continue
-		}
 		session := "historian/" + name + "/" + topic
 		id, ch, err := client.SubscribeSession(topic, session, store.SessionSeq(session))
 		if err != nil {
+			// Closing the client closes every subscription channel; wait for
+			// the pumps already started to drain out, so none appends to the
+			// caller's store after this constructor has returned.
 			client.Close()
+			svc.wg.Wait()
 			return nil, fmt.Errorf("historian: subscribe %q session %q: %w", topic, session, err)
 		}
 		svc.subIDs = append(svc.subIDs, id)
@@ -436,32 +413,8 @@ func newService(brokerAddr, name string, topics []string, store *Store, ownsStor
 }
 
 // ingestBatch bounds how many queued messages one pump iteration drains
-// into a single AppendBatch call.
+// into a single AppendAcked call.
 const ingestBatch = 256
-
-func (s *Service) pump(ch <-chan broker.Message) {
-	defer s.wg.Done()
-	samples := make([]Sample, 0, ingestBatch)
-	for m := range ch {
-		samples = append(samples[:0], Sample{Series: m.Topic, Payload: m.Payload})
-	drain:
-		for len(samples) < ingestBatch {
-			select {
-			case m, ok := <-ch:
-				if !ok {
-					break drain
-				}
-				samples = append(samples, Sample{Series: m.Topic, Payload: m.Payload})
-			default:
-				break drain
-			}
-		}
-		if err := s.Store.AppendBatch(s.Now(), samples); err != nil {
-			s.fail(err)
-			return
-		}
-	}
-}
 
 // pumpAcked drains one acked session, storing then acknowledging each
 // batch. Ack-after-store is the loss bound: a crash between the two costs

@@ -1,7 +1,9 @@
 package historian
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,7 +142,7 @@ func TestServiceIngestsFromBroker(t *testing.T) {
 	}
 	defer b.Close()
 
-	svc, err := NewService(b.Addr(), []string{"factory/#"}, 0)
+	svc, err := NewAckedService(b.Addr(), "h", []string{"factory/#"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,55 @@ func TestServiceBadSubscription(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := NewService(b.Addr(), []string{"bad/#/filter"}, 0); err == nil {
+	if _, err := NewAckedService(b.Addr(), "h", []string{"bad/#/filter"}, nil); err == nil {
 		t.Error("want error for invalid filter")
+	}
+}
+
+// TestFailedServiceLeavesNoPump fails construction on the second topic
+// while the first topic's session is replaying a backlog. Once the
+// constructor has returned its error, the caller's store must not grow any
+// more and no pump may be left running.
+func TestFailedServiceLeavesNoPump(t *testing.T) {
+	b := broker.New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	// Open the session once, so the broker queues for it while detached.
+	svc, err := NewAckedService(b.Addr(), "h", []string{"factory/#"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+
+	buf := make([]byte, 1<<20)
+	pumpRunning := func() bool {
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("historian.(*Service).pumpAcked"))
+	}
+	payload := []byte("1.5")
+	for run := 0; run < 100; run++ {
+		for i := 0; i < 5000; i++ {
+			if err := b.Publish("factory/l1/wc01/m1/x", payload, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store := NewStore(0)
+		if _, err := NewAckedService(b.Addr(), "h", []string{"factory/#", "bad/#/filter"}, store); err == nil {
+			t.Fatal("want error for invalid filter")
+		}
+		appended := store.TotalAppended()
+		time.Sleep(time.Millisecond)
+		if got := store.TotalAppended(); got != appended {
+			t.Fatalf("run %d: store grew from %d to %d after the constructor failed", run, appended, got)
+		}
+		// A pump that has signalled its exit may still be unwinding its
+		// frame; give it a moment, but no more.
+		for deadline := time.Now().Add(time.Second); pumpRunning(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: a pump outlived the failed constructor", run)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/smartfactory/sysml2conf/internal/resilience"
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
@@ -79,26 +78,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		return nil, fmt.Errorf("opcua client: handshake with %s: %w", addr, err)
 	}
 	return c, nil
-}
-
-// DialRetry redials addr until a connection (including the protocol
-// handshake) succeeds, pacing attempts with the backoff policy. It returns
-// resilience.ErrStopped when stop closes first. This is the shared redial
-// primitive behind the stack's reconnect paths.
-func DialRetry(addr string, timeout time.Duration, stop <-chan struct{}, policy resilience.Backoff) (*Client, error) {
-	var client *Client
-	err := resilience.Retry(stop, policy, func() error {
-		c, err := DialTimeout(addr, timeout)
-		if err != nil {
-			return err
-		}
-		client = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return client, nil
 }
 
 // Err reports the connection's terminal state: nil while usable, otherwise

@@ -41,7 +41,6 @@ type BridgeClient struct {
 	published  uint64
 	calls      uint64
 	reconnects uint64
-	lostClosed uint64 // Lost() totals of connections already torn down
 }
 
 // ServicePayload is the JSON body exchanged on service request topics.
@@ -140,7 +139,6 @@ func (b *BridgeClient) invalidate(server string, broken *opcua.Client) {
 	b.mu.Lock()
 	if b.opcua[server] == broken {
 		delete(b.opcua, server)
-		b.lostClosed += broken.Lost()
 	}
 	b.mu.Unlock()
 	broken.Close()
@@ -422,19 +420,6 @@ func (b *BridgeClient) Stats() (published, calls uint64) {
 	return b.published, b.calls
 }
 
-// LostSamples totals the monitored-item notifications this bridge knows it
-// missed across all its OPC UA connections, past and present. Telemetry is
-// the lossy tier — this makes the loss a number instead of a mystery.
-func (b *BridgeClient) LostSamples() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	total := b.lostClosed
-	for _, c := range b.opcua {
-		total += c.Lost()
-	}
-	return total
-}
-
 // Stop disconnects everything.
 func (b *BridgeClient) Stop() {
 	select {
@@ -444,7 +429,6 @@ func (b *BridgeClient) Stop() {
 	}
 	b.mu.Lock()
 	for name, c := range b.opcua {
-		b.lostClosed += c.Lost()
 		c.Close()
 		delete(b.opcua, name)
 	}

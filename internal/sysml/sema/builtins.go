@@ -27,13 +27,3 @@ func newBuiltinScope() *Element {
 	}
 	return lib
 }
-
-// IsBuiltinType reports whether name is one of the implicit scalar types.
-func IsBuiltinType(name string) bool {
-	for _, n := range builtinTypeNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}

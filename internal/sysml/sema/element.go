@@ -7,7 +7,6 @@ package sema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/smartfactory/sysml2conf/internal/sysml/ast"
@@ -300,17 +299,6 @@ func (e *Element) TypeOrSelf() *Element {
 	return e.Type
 }
 
-// UsagesOfKind returns direct members of the given kind.
-func (e *Element) UsagesOfKind(k ElemKind) []*Element {
-	var out []*Element
-	for _, m := range e.Members {
-		if m.Kind == k {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Walk visits e and all transitive members depth-first.
 func (e *Element) Walk(fn func(*Element) bool) {
 	if e == nil || !fn(e) {
@@ -330,17 +318,4 @@ func (e *Element) String() string {
 		return fmt.Sprintf("<anonymous %s>", e.Kind)
 	}
 	return fmt.Sprintf("%s %s", e.Kind, e.Name)
-}
-
-// SortedMemberNames returns the names of direct members, sorted. Useful in
-// tests and diagnostics.
-func (e *Element) SortedMemberNames() []string {
-	var names []string
-	for _, m := range e.Members {
-		if m.Name != "" {
-			names = append(names, m.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
