@@ -64,10 +64,13 @@ plantbench-ab:
 # splitter against encoding/json, and the emulator's request dispatch) and
 # the YAML decoder every manifest is read back with (its one-pass unquote
 # against strconv.Unquote; the document decoder against panics and against
-# its own encoder). CI runs only the seed corpora (via `make check`); run
-# this for minutes or hours when touching internal/wire framing, a protocol
-# codec, the WAL record format, the machinesim wire protocol or
-# internal/yamlenc.
+# its own encoder), and the SysML front end every model enters through
+# (lex, parse and resolve against panics and unpositioned errors; parse,
+# print and parse against the printer). `make check` replays the seed
+# corpora and CI's fuzz-smoke job explores each target for 10 s; run this
+# for minutes or hours when touching internal/wire framing, a protocol
+# codec, the WAL record format, the machinesim wire protocol,
+# internal/yamlenc or internal/sysml.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
@@ -79,6 +82,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/machinesim/
 	$(GO) test -fuzz=FuzzUnquote -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/yamlenc/
 	$(GO) test -fuzz=FuzzUnmarshalDocs -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/yamlenc/
+	$(GO) test -fuzz=FuzzParseResolve -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/sysml/sema/
+	$(GO) test -fuzz=FuzzPrintRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/sysml/sema/
 
 # Durability soak: the seeded chaos suites under the race detector — the
 # zero-loss audit (historian crashes + broker partition, every sequence

@@ -107,7 +107,7 @@ func (k UsageKind) String() string {
 }
 
 // Direction is a feature's data-flow direction.
-type Direction int
+type Direction uint8
 
 const (
 	DirNone Direction = iota

@@ -221,9 +221,36 @@ func (l *Lexer) rewind(offset int) {
 	l.next()
 }
 
+// scanString scans a quoted literal. A literal without escapes is returned
+// as a substring of the source; only one with a backslash (or a malformed
+// UTF-8 byte, which decodes to U+FFFD) is rebuilt in a builder.
 func (l *Lexer) scanString(quote rune) (string, bool) {
-	var b strings.Builder
 	l.next() // consume opening quote
+	start := l.offset
+	for {
+		switch l.ch {
+		case eofRune, '\n':
+			return l.src[start:l.offset], false
+		case quote:
+			lit := l.src[start:l.offset]
+			l.next()
+			return lit, true
+		case '\\':
+			return l.scanEscapedString(quote, start)
+		case utf8.RuneError:
+			if l.rdOffset-l.offset == 1 {
+				return l.scanEscapedString(quote, start)
+			}
+		}
+		l.next()
+	}
+}
+
+// scanEscapedString continues scanString at the current rune, with the
+// literal's text since start copied into a builder that decodes escapes.
+func (l *Lexer) scanEscapedString(quote rune, start int) (string, bool) {
+	var b strings.Builder
+	b.WriteString(l.src[start:l.offset])
 	for {
 		switch l.ch {
 		case eofRune, '\n':
@@ -306,6 +333,8 @@ func (l *Lexer) scanOperator(pos token.Position) token.Token {
 		return mk(token.Star)
 	case '~':
 		return mk(token.Tilde)
+	case '-':
+		return mk(token.Minus)
 	case '.':
 		if l.ch == '.' {
 			l.next()

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/smartfactory/sysml2conf/internal/sysml/token"
 )
@@ -210,5 +211,44 @@ func TestIdentifierRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStringWithoutEscapeIsSourceSubstring: a literal with no escape is
+// a slice of the source, not a copy; escapes and malformed UTF-8 still
+// decode as before.
+func TestStringWithoutEscapeIsSourceSubstring(t *testing.T) {
+	src := `'10.0.0.1' "path/file" 'it\'s' "a\tb" 'x` + "\xff" + `y' 'open`
+	toks, errs := ScanAll("t", src)
+	if len(toks) != 6 || len(errs) != 1 {
+		t.Fatalf("toks = %v, errs = %v", toks, errs)
+	}
+	for i, at := range []int{1, 12} {
+		lit := toks[i].Lit
+		if unsafe.StringData(lit) != unsafe.StringData(src[at:]) {
+			t.Errorf("literal %q is a copy, want a substring of the source", lit)
+		}
+	}
+	want := []string{"10.0.0.1", "path/file", "it's", "a\tb", "x�y", "open"}
+	for i, w := range want {
+		if toks[i].Lit != w {
+			t.Errorf("literal %d = %q, want %q", i, toks[i].Lit, w)
+		}
+	}
+	if errs[0].Msg != "unterminated string literal" {
+		t.Errorf("error = %v", errs[0])
+	}
+}
+
+func TestMinusToken(t *testing.T) {
+	got := kinds(t, "= -1.5 -2 1e-3")
+	want := []token.Kind{token.Assign, token.Minus, token.Real, token.Minus, token.Int, token.Real}
+	if len(got) != len(want) {
+		t.Fatalf("kinds = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("kind %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

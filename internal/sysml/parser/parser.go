@@ -8,11 +8,13 @@ package parser
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/smartfactory/sysml2conf/internal/sysml/ast"
 	"github.com/smartfactory/sysml2conf/internal/sysml/lexer"
+	"github.com/smartfactory/sysml2conf/internal/sysml/slab"
 	"github.com/smartfactory/sysml2conf/internal/sysml/token"
 )
 
@@ -55,7 +57,42 @@ type Parser struct {
 
 	// maxErrors caps recorded errors to avoid cascading noise.
 	maxErrors int
+
+	slabs
+	// members is the stack the bodies being parsed collect their members
+	// on; each body copies its own run out once it is closed.
+	members []ast.Member
+	// parts is the scratch list a name is collected in before its parts
+	// are copied into the names slab.
+	parts []string
 }
+
+// slabs hold the nodes and slices of one ParseFile call, so that a model
+// costs a few hundred allocations, not one per node and name. They belong
+// to that call's AST alone: a node keeps its chunk alive, and nothing is
+// shared between calls. Every slice handed out of a slab is capped at its
+// length (slab.Append), so a consumer's append copies instead of
+// overwriting the neighbouring slice in the chunk.
+type slabs struct {
+	usages   []ast.Usage
+	defs     []ast.Definition
+	paths    []ast.FeaturePath
+	qnames   []ast.QualifiedName
+	typeRefs []ast.TypeRef
+	strLits  []ast.StringLit
+	binds    []ast.Bind
+	connects []ast.Connect
+
+	names     []string
+	pathLists []*ast.FeaturePath
+	nameLists []*ast.QualifiedName
+	bodies    []ast.Member
+}
+
+const (
+	nodeChunk  = 256  // nodes per full chunk of a node slab
+	sliceChunk = 1024 // elements per full chunk of a names or list slab
+)
 
 // ParseFile parses src into a File. The returned error, if non-nil, is an
 // ErrorList; a partial AST is still returned for tooling that wants it.
@@ -66,7 +103,7 @@ func ParseFile(filename, src string) (*ast.File, error) {
 		before := p.tok
 		m := p.parseMember()
 		if m != nil {
-			f.Members = append(f.Members, m)
+			p.members = append(p.members, m)
 		}
 		// Progress guard: a stray "}" (or any member that consumed
 		// nothing) must not stall the top-level loop.
@@ -75,8 +112,16 @@ func ParseFile(filename, src string) (*ast.File, error) {
 			p.advance()
 		}
 	}
-	for _, le := range p.lex.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	f.Members = p.body(0)
+	if lexErrs := p.lex.Errors(); len(lexErrs) > 0 {
+		// A lexical error usually causes the syntax errors after it:
+		// report all in source order, the lexer's first at equal offsets.
+		errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+		for _, le := range lexErrs {
+			errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
+		}
+		p.errs = append(errs, p.errs...)
+		sort.SliceStable(p.errs, func(i, j int) bool { return p.errs[i].Pos.Offset < p.errs[j].Pos.Offset })
 	}
 	if len(p.errs) > 0 {
 		return f, p.errs
@@ -207,54 +252,59 @@ func (p *Parser) identLike() (string, bool) {
 // Names and types
 
 func (p *Parser) parseQualifiedName() *ast.QualifiedName {
-	pos := p.tok.Pos
-	q := &ast.QualifiedName{Position: pos}
-	name, ok := p.identLike()
-	if !ok {
-		p.errorf(pos, "expected name, found %s", p.tok)
-		return q
-	}
-	q.Parts = append(q.Parts, name)
-	for p.tok.Kind == token.ColonColon {
-		// Stop before wildcard imports: "::*" is handled by the caller.
-		if p.peek.Kind == token.Star {
-			return q
-		}
-		p.advance()
-		name, ok := p.identLike()
-		if !ok {
-			p.errorf(p.tok.Pos, "expected name after '::', found %s", p.tok)
-			return q
-		}
-		q.Parts = append(q.Parts, name)
-	}
+	q := slab.New(&p.qnames, nodeChunk)
+	q.Position = p.tok.Pos
+	q.Parts = p.parseNameParts(true)
 	return q
 }
 
 func (p *Parser) parseFeaturePath() *ast.FeaturePath {
-	pos := p.tok.Pos
-	f := &ast.FeaturePath{Position: pos}
-	name, ok := p.identLike()
-	if !ok {
-		p.errorf(pos, "expected feature name, found %s", p.tok)
-		return f
-	}
-	f.Parts = append(f.Parts, name)
-	for p.tok.Kind == token.Dot || p.tok.Kind == token.ColonColon {
-		p.advance()
-		name, ok := p.identLike()
-		if !ok {
-			p.errorf(p.tok.Pos, "expected name in feature path, found %s", p.tok)
-			return f
-		}
-		f.Parts = append(f.Parts, name)
-	}
+	f := slab.New(&p.paths, nodeChunk)
+	f.Position = p.tok.Pos
+	f.Parts = p.parseNameParts(false)
 	return f
 }
 
+// parseNameParts parses the segments of a qualified name ("A::B", which
+// stops before an import's "::*") or of a feature path ("a.b", which also
+// steps through "::"), and returns them as one slice of the names slab.
+func (p *Parser) parseNameParts(qualified bool) []string {
+	parts := p.parts[:0]
+	name, ok := p.identLike()
+	if !ok {
+		if qualified {
+			p.errorf(p.tok.Pos, "expected name, found %s", p.tok)
+		} else {
+			p.errorf(p.tok.Pos, "expected feature name, found %s", p.tok)
+		}
+		return nil
+	}
+	parts = append(parts, name)
+	for p.tok.Kind == token.ColonColon || (!qualified && p.tok.Kind == token.Dot) {
+		if qualified && p.peek.Kind == token.Star {
+			break
+		}
+		p.advance()
+		name, ok := p.identLike()
+		if !ok {
+			if qualified {
+				p.errorf(p.tok.Pos, "expected name after '::', found %s", p.tok)
+			} else {
+				p.errorf(p.tok.Pos, "expected name in feature path, found %s", p.tok)
+			}
+			break
+		}
+		parts = append(parts, name)
+	}
+	p.parts = parts
+	return slab.Append(&p.names, sliceChunk, nil, parts...)
+}
+
 func (p *Parser) parseTypeRef() *ast.TypeRef {
-	conj := p.accept(token.Tilde)
-	return &ast.TypeRef{Conjugated: conj, Name: p.parseQualifiedName()}
+	t := slab.New(&p.typeRefs, nodeChunk)
+	t.Conjugated = p.accept(token.Tilde)
+	t.Name = p.parseQualifiedName()
+	return t
 }
 
 func (p *Parser) parseMultiplicity() *ast.Multiplicity {
@@ -297,23 +347,25 @@ func (p *Parser) parseExpr() ast.Expr {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case token.String:
-		v := p.tok.Lit
+		lit := slab.New(&p.strLits, nodeChunk)
+		lit.Value, lit.Position = p.tok.Lit, pos
 		p.advance()
-		return &ast.StringLit{Value: v, Position: pos}
-	case token.Int:
-		n, err := strconv.ParseInt(p.tok.Lit, 10, 64)
-		if err != nil {
-			p.errorf(pos, "invalid integer literal %q", p.tok.Lit)
+		return lit
+	case token.Int, token.Real:
+		return p.parseNumber(pos, "")
+	case token.Minus:
+		// The sign belongs to the number after it: "-1.5" is one literal,
+		// positioned at the "-". Anything else after a "-" is one error.
+		p.advance()
+		if p.tok.Kind == token.Int || p.tok.Kind == token.Real {
+			return p.parseNumber(pos, "-")
 		}
-		p.advance()
-		return &ast.IntLit{Value: n, Position: pos}
-	case token.Real:
-		x, err := strconv.ParseFloat(p.tok.Lit, 64)
-		if err != nil {
-			p.errorf(pos, "invalid real literal %q", p.tok.Lit)
+		p.errorf(p.tok.Pos, "expected number after '-', found %s", p.tok)
+		switch p.tok.Kind {
+		case token.String, token.Ident, token.KwTrue, token.KwFalse:
+			p.parseExpr()
 		}
-		p.advance()
-		return &ast.RealLit{Value: x, Position: pos}
+		return &ast.StringLit{Position: pos}
 	case token.KwTrue:
 		p.advance()
 		return &ast.BoolLit{Value: true, Position: pos}
@@ -323,14 +375,33 @@ func (p *Parser) parseExpr() ast.Expr {
 	case token.Ident:
 		return &ast.FeatureRef{Path: p.parseFeaturePath()}
 	default:
-		// Unary minus on numbers.
-		if p.tok.Kind == token.Illegal && p.tok.Lit == "-" {
-			p.advance()
-		}
 		p.errorf(pos, "expected expression, found %s", p.tok)
 		p.advance()
 		return &ast.StringLit{Position: pos}
 	}
+}
+
+// parseNumber parses the Int or Real token at p.tok as a literal at pos;
+// sign is "" or "-".
+func (p *Parser) parseNumber(pos token.Position, sign string) ast.Expr {
+	text := p.tok.Lit
+	if sign != "" {
+		text = sign + text
+	}
+	kind := p.tok.Kind
+	p.advance()
+	if kind == token.Int {
+		n, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			p.errorf(pos, "invalid integer literal %q", text)
+		}
+		return &ast.IntLit{Value: n, Position: pos}
+	}
+	x, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		p.errorf(pos, "invalid real literal %q", text)
+	}
+	return &ast.RealLit{Value: x, Position: pos}
 }
 
 // ---------------------------------------------------------------------------
@@ -390,19 +461,27 @@ func (p *Parser) parsePackage() ast.Member {
 }
 
 func (p *Parser) parseMembersUntilRBrace() []ast.Member {
-	var members []ast.Member
+	base := len(p.members)
 	for p.tok.Kind != token.RBrace && p.tok.Kind != token.EOF {
 		before := p.tok
 		m := p.parseMember()
 		if m != nil {
-			members = append(members, m)
+			p.members = append(p.members, m)
 		}
 		// Guard against non-progress.
 		if p.tok == before && m == nil {
 			p.advance()
 		}
 	}
-	return members
+	return p.body(base)
+}
+
+// body pops the members collected on the stack since base and returns
+// them as one slice of the bodies slab.
+func (p *Parser) body(base int) []ast.Member {
+	out := slab.Append(&p.bodies, sliceChunk, nil, p.members[base:]...)
+	p.members = p.members[:base]
+	return out
 }
 
 func (p *Parser) parseImport() ast.Member {
@@ -451,7 +530,8 @@ func (p *Parser) parseDoc() ast.Member {
 func (p *Parser) parseBind() ast.Member {
 	pos := p.tok.Pos
 	p.expect(token.KwBind)
-	b := &ast.Bind{Position: pos}
+	b := slab.New(&p.binds, nodeChunk)
+	b.Position = pos
 	b.Left = p.parseFeaturePath()
 	p.expect(token.Assign)
 	b.Right = p.parseFeaturePath()
@@ -462,7 +542,8 @@ func (p *Parser) parseBind() ast.Member {
 func (p *Parser) parseConnect(name string, typ *ast.TypeRef) ast.Member {
 	pos := p.tok.Pos
 	p.expect(token.KwConnect)
-	c := &ast.Connect{Name: name, Type: typ, Position: pos}
+	c := slab.New(&p.connects, nodeChunk)
+	c.Name, c.Type, c.Position = name, typ, pos
 	c.From = p.parseFeaturePath()
 	p.expect(token.KwTo)
 	c.To = p.parseFeaturePath()
@@ -489,8 +570,9 @@ func (p *Parser) parsePerform() ast.Member {
 func (p *Parser) parseAnonymousRedefinition() ast.Member {
 	pos := p.tok.Pos
 	p.expect(token.Redefines_)
-	u := &ast.Usage{Kind: ast.UseAttribute, Position: pos}
-	u.Redefines = append(u.Redefines, p.parseFeaturePath())
+	u := slab.New(&p.usages, nodeChunk)
+	u.Kind, u.Position = ast.UseAttribute, pos
+	u.Redefines = slab.Append(&p.pathLists, sliceChunk, nil, p.parseFeaturePath())
 	if p.accept(token.Assign) {
 		u.Value = p.parseExpr()
 	}
@@ -597,16 +679,16 @@ func (p *Parser) parseDefinitionTail(pos token.Position, kind ast.DefKind, abstr
 		p.sync()
 		return nil
 	}
-	d := &ast.Definition{Kind: kind, Abstract: abstract, Name: name, Position: pos}
-	for {
-		if p.accept(token.Specializes_) || p.accept(token.KwSpecializes) {
-			d.Specializes = append(d.Specializes, p.parseQualifiedName())
-			for p.accept(token.Comma) {
-				d.Specializes = append(d.Specializes, p.parseQualifiedName())
+	d := slab.New(&p.defs, nodeChunk)
+	d.Kind, d.Abstract, d.Name, d.Position = kind, abstract, name, pos
+	for p.accept(token.Specializes_) || p.accept(token.KwSpecializes) {
+		for {
+			q := p.parseQualifiedName()
+			d.Specializes = slab.Append(&p.nameLists, sliceChunk, d.Specializes, q)
+			if !p.accept(token.Comma) {
+				break
 			}
-			continue
 		}
-		break
 	}
 	switch {
 	case p.accept(token.Semi):
@@ -632,7 +714,8 @@ func (p *Parser) parseInterfaceUsage(pos token.Position) ast.Member {
 	if p.tok.Kind == token.KwConnect {
 		return p.parseConnect(name, typ)
 	}
-	u := &ast.Usage{Kind: ast.UseInterface, Name: name, Type: typ, Position: pos}
+	u := slab.New(&p.usages, nodeChunk)
+	u.Kind, u.Name, u.Type, u.Position = ast.UseInterface, name, typ, pos
 	if p.accept(token.LBrace) {
 		u.Members = p.parseMembersUntilRBrace()
 		p.expect(token.RBrace)
@@ -643,7 +726,8 @@ func (p *Parser) parseInterfaceUsage(pos token.Position) ast.Member {
 }
 
 func (p *Parser) parseUsageTail(pos token.Position, kind ast.UsageKind, dir ast.Direction, isRef, isAbstract bool) ast.Member {
-	u := &ast.Usage{Kind: kind, Direction: dir, Ref: isRef, Abstract: isAbstract, Position: pos}
+	u := slab.New(&p.usages, nodeChunk)
+	u.Kind, u.Direction, u.Ref, u.Abstract, u.Position = kind, dir, isRef, isAbstract, pos
 
 	// Name is optional for pure redefinitions (":>> x = v") but usual.
 	if p.tok.Kind == token.Ident || isNameableKeyword(p.tok.Kind) {
@@ -659,13 +743,16 @@ func (p *Parser) parseUsageTail(pos token.Position, kind ast.UsageKind, dir ast.
 			u.Multiplicity = p.parseMultiplicity()
 		case p.tok.Kind == token.Specializes_ || p.tok.Kind == token.KwSpecializes:
 			p.advance()
-			u.Specializes = append(u.Specializes, p.parseQualifiedName())
+			q := p.parseQualifiedName()
+			u.Specializes = slab.Append(&p.nameLists, sliceChunk, u.Specializes, q)
 		case p.tok.Kind == token.Redefines_ || p.tok.Kind == token.KwRedefines:
 			p.advance()
-			u.Redefines = append(u.Redefines, p.parseFeaturePath())
+			f := p.parseFeaturePath()
+			u.Redefines = slab.Append(&p.pathLists, sliceChunk, u.Redefines, f)
 		case p.tok.Kind == token.KwSubsets:
 			p.advance()
-			u.Subsets = append(u.Subsets, p.parseFeaturePath())
+			f := p.parseFeaturePath()
+			u.Subsets = slab.Append(&p.pathLists, sliceChunk, u.Subsets, f)
 		case p.tok.Kind == token.Assign:
 			p.advance()
 			u.Value = p.parseExpr()

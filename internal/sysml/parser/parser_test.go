@@ -464,3 +464,64 @@ part p {
 		t.Errorf("ref_v = %#v", vals["ref_v"])
 	}
 }
+
+func TestParseNegativeLiterals(t *testing.T) {
+	src := "part p {\n\tattribute x : Real = -1.5;\n\tattribute n : Integer = -42;\n\tattribute e : Real = -2e-3;\n}\n"
+	f := parseOK(t, src)
+	vals := map[string]ast.Expr{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if u, ok := n.(*ast.Usage); ok && u.Value != nil {
+			vals[u.Name] = u.Value
+		}
+		return true
+	})
+	if v, ok := vals["x"].(*ast.RealLit); !ok || v.Value != -1.5 {
+		t.Errorf("x = %#v, want RealLit -1.5", vals["x"])
+	} else if v.Position.Line != 2 || v.Position.Column != 23 {
+		t.Errorf("x literal at %v, want 2:23 (the '-')", v.Position)
+	}
+	if v, ok := vals["n"].(*ast.IntLit); !ok || v.Value != -42 {
+		t.Errorf("n = %#v, want IntLit -42", vals["n"])
+	}
+	if v, ok := vals["e"].(*ast.RealLit); !ok || v.Value != -2e-3 {
+		t.Errorf("e = %#v, want RealLit -0.002", vals["e"])
+	}
+}
+
+func TestParseMinusWithoutNumberIsOneError(t *testing.T) {
+	for _, src := range []string{
+		"part p { attribute x : Real = -y; }",
+		"part p { attribute x : Real = - ; }",
+		"part p { attribute x : String = -'s'; }",
+		"part p { attribute x : Boolean = -true; }",
+	} {
+		_, err := ParseFile("m.sysml", src)
+		list, ok := err.(ErrorList)
+		if !ok || len(list) != 1 {
+			t.Errorf("%q: got %v, want exactly one error", src, err)
+			continue
+		}
+		if !strings.Contains(list[0].Msg, "expected number after '-'") {
+			t.Errorf("%q: error %q", src, list[0].Msg)
+		}
+	}
+}
+
+// TestParseErrorsInSourceOrder: a lexical error is listed where it occurs,
+// before the syntax errors it causes further on.
+func TestParseErrorsInSourceOrder(t *testing.T) {
+	src := "part def D { attribute ip : String = '10.0.0.1; }\npart def E;\n"
+	_, err := ParseFile("m.sysml", src)
+	list, ok := err.(ErrorList)
+	if !ok || len(list) < 2 {
+		t.Fatalf("got %v, want a lexical error and the syntax errors after it", err)
+	}
+	if list[0].Msg != "unterminated string literal" || list[0].Pos.Line != 1 || list[0].Pos.Column != 38 {
+		t.Errorf("first error = %v, want the unterminated string at 1:38", list[0])
+	}
+	for i := 1; i < len(list); i++ {
+		if list[i].Pos.Offset < list[i-1].Pos.Offset {
+			t.Errorf("errors out of order: %v before %v", list[i-1], list[i])
+		}
+	}
+}

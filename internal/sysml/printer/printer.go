@@ -15,13 +15,25 @@ import (
 // Print renders the file with tab indentation.
 func Print(f *ast.File) string {
 	var p printer
-	for i, m := range f.Members {
-		if i > 0 {
+	first := true
+	for _, m := range f.Members {
+		if !prints(m) {
+			continue
+		}
+		if !first {
 			p.nl()
 		}
+		first = false
 		p.member(m)
 	}
 	return p.b.String()
+}
+
+// prints reports whether m renders as anything: a doc without text does
+// not, so a body holding only such docs prints as ";".
+func prints(m ast.Member) bool {
+	d, ok := m.(*ast.Doc)
+	return !ok || d.Text != ""
 }
 
 type printer struct {
@@ -63,7 +75,14 @@ func (p *printer) member(m ast.Member) {
 }
 
 func (p *printer) body(members []ast.Member) bool {
-	if len(members) == 0 {
+	empty := true
+	for _, m := range members {
+		if prints(m) {
+			empty = false
+			break
+		}
+	}
+	if empty {
 		return false
 	}
 	p.b.WriteString(" {\n")

@@ -183,3 +183,18 @@ func TestEmptyBodiesPrintAsSemis(t *testing.T) {
 		t.Errorf("empty body should collapse to ';': %s", out)
 	}
 }
+
+// TestNegativeLiteralsRoundTrip: the printer writes a negative number as
+// "-1.5", which must parse back to the same literal.
+func TestNegativeLiteralsRoundTrip(t *testing.T) {
+	src := "part p {\n\tattribute x : Real = -1.5;\n\tattribute n : Integer = -42;\n\tattribute z : Real = -0.0;\n}\n"
+	out1, out2 := roundTrip(t, src)
+	if out1 != out2 {
+		t.Errorf("not idempotent:\n--- first\n%s\n--- second\n%s", out1, out2)
+	}
+	for _, want := range []string{"= -1.5;", "= -42;", "= -0.0;"} {
+		if !strings.Contains(out1, want) {
+			t.Errorf("output lacks %q:\n%s", want, out1)
+		}
+	}
+}

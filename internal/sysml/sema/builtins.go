@@ -20,10 +20,11 @@ var builtinTypeNames = []string{
 
 // newBuiltinScope creates the implicit root library package holding the
 // builtin scalar definitions.
-func newBuiltinScope() *Element {
-	lib := &Element{Kind: KindPackage, Name: "ScalarValues"}
+func (r *resolver) newBuiltinScope() *Element {
+	lib := r.newElement(KindPackage, "ScalarValues", nil)
+	r.reserveMembers(lib, len(builtinTypeNames))
 	for _, n := range builtinTypeNames {
-		lib.addMember(&Element{Kind: KindBuiltin, Name: n})
+		lib.addMember(r.newElement(KindBuiltin, n, nil))
 	}
 	return lib
 }

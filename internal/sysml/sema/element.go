@@ -14,7 +14,7 @@ import (
 )
 
 // ElemKind classifies resolved elements.
-type ElemKind int
+type ElemKind uint8
 
 const (
 	KindPackage ElemKind = iota
@@ -71,24 +71,36 @@ func (k ElemKind) IsUsage() bool {
 	return false
 }
 
-// Element is a node of the resolved model graph.
+// Element is a node of the resolved model graph. Its layout is kept at
+// 256 bytes: a model has one per definition, usage and connector, and is
+// resolved on every generator run.
 type Element struct {
-	Kind  ElemKind
+	Kind ElemKind
+	// Direction and the flags share the word Kind starts.
+	Direction  ast.Direction
+	Abstract   bool
+	Conjugated bool // usage typed by "~T"
+	Ref        bool
+	// supersFrozen marks allSupers as final; hasImports says the resolver
+	// holds import records for this scope.
+	supersFrozen bool
+	hasImports   bool
+
 	Name  string
 	Owner *Element
 
-	// Members in declaration order and by name.
+	// Members in declaration order. byName indexes them only when there
+	// are more than scanLimit; Member scans shorter lists.
 	Members []*Element
 	byName  map[string]*Element
 
-	// Syntax provenance (nil for builtins).
-	Def   *ast.Definition
-	Usage *ast.Usage
-	Pkg   *ast.Package
+	// Node is the syntax the element was built from: an *ast.Package,
+	// *ast.Definition, *ast.Usage, *ast.Bind, *ast.Connect or *ast.Perform
+	// (nil for builtins and the root).
+	Node ast.Member
 
 	// Definitions.
-	Abstract bool
-	Supers   []*Element // resolved ":>" targets
+	Supers []*Element // resolved ":>" targets
 
 	// Usages.
 	Type *Element // resolved type definition (may be nil)
@@ -96,30 +108,25 @@ type Element struct {
 	// ref is a transparent alias, so feature paths may step through it
 	// into the referenced part's members.
 	RefTarget    *Element
-	Conjugated   bool // usage typed by "~T"
-	Direction    ast.Direction
-	Ref          bool
 	Multiplicity *ast.Multiplicity
 	Redefines    []*Element // resolved redefined features
 	Subsets      []*Element
 	Value        ast.Expr // declared value, if any
 
-	// Connectors.
-	BindLeft, BindRight        *Element
-	ConnectFrom, ConnectTo     *Element
-	PerformTarget              *Element
-	LeftPath, RightPath        *ast.FeaturePath
-	FromPath, ToPath, PerfPath *ast.FeaturePath
-
-	// Imports owned by this element (packages mostly).
-	imports []*importRec
+	// Connectors: the resolved ends of the paths in Node.
+	BindLeft, BindRight    *Element
+	ConnectFrom, ConnectTo *Element
+	PerformTarget          *Element
 
 	// allSupers memoizes the transitive specialization closure. It is
 	// frozen by the resolver once every ":>" target is linked (Supers
 	// never changes afterwards); until then AllSupers computes fresh.
-	allSupers    []*Element
-	supersFrozen bool
+	allSupers []*Element
 }
+
+// scanLimit is the member count up to which Member scans Members instead
+// of keeping a name index: most elements have a handful of members.
+const scanLimit = 8
 
 type importRec struct {
 	path      *ast.QualifiedName
@@ -129,21 +136,25 @@ type importRec struct {
 	private   bool
 }
 
-// Pos returns the element's source position (zero for builtins).
+// Pos returns the element's source position (zero for builtins). A
+// connector is positioned at its first path.
 func (e *Element) Pos() token.Position {
-	switch {
-	case e.Def != nil:
-		return e.Def.Position
-	case e.Usage != nil:
-		return e.Usage.Position
-	case e.Pkg != nil:
-		return e.Pkg.Position
-	case e.LeftPath != nil:
-		return e.LeftPath.Position
-	case e.FromPath != nil:
-		return e.FromPath.Position
-	case e.PerfPath != nil:
-		return e.PerfPath.Position
+	switch n := e.Node.(type) {
+	case nil:
+	case *ast.Bind:
+		if n.Left != nil {
+			return n.Left.Position
+		}
+	case *ast.Connect:
+		if n.From != nil {
+			return n.From.Position
+		}
+	case *ast.Perform:
+		if n.Target != nil {
+			return n.Target.Position
+		}
+	default:
+		return n.Pos()
 	}
 	return token.Position{}
 }
@@ -161,29 +172,34 @@ func (e *Element) QualifiedName() string {
 }
 
 // Member returns the directly declared member with the given name, or nil.
+// The first declaration of a duplicated name wins.
 func (e *Element) Member(name string) *Element {
-	if e == nil || e.byName == nil {
+	if e == nil || name == "" {
 		return nil
 	}
-	return e.byName[name]
+	if e.byName != nil {
+		return e.byName[name]
+	}
+	for _, m := range e.Members {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
 }
 
 // addMember registers m as a member of e. Duplicate names are reported by
 // the resolver; the first declaration wins in the name table.
 func (e *Element) addMember(m *Element) (dup bool) {
+	if m.Name != "" && e.Member(m.Name) != nil {
+		dup = true
+	}
 	m.Owner = e
 	e.Members = append(e.Members, m)
-	if m.Name == "" {
-		return false
+	if !dup && m.Name != "" && e.byName != nil {
+		e.byName[m.Name] = m
 	}
-	if e.byName == nil {
-		e.byName = make(map[string]*Element)
-	}
-	if _, exists := e.byName[m.Name]; exists {
-		return true
-	}
-	e.byName[m.Name] = m
-	return false
+	return dup
 }
 
 // AllSupers returns the transitive specialization closure in BFS order,
@@ -195,29 +211,35 @@ func (e *Element) AllSupers() []*Element {
 	if e.supersFrozen {
 		return e.allSupers
 	}
-	return e.computeAllSupers()
+	return e.appendAllSupers(nil)
 }
 
-// freezeSupers caches the closure; the resolver calls it on every element
-// after the header pass, when Supers is final.
-func (e *Element) freezeSupers() {
-	e.allSupers = e.computeAllSupers()
-	e.supersFrozen = true
+// appendAllSupers appends the closure to out and returns it. The appended
+// run is both the BFS queue and the visited set, so the walk allocates
+// only when out has to grow.
+func (e *Element) appendAllSupers(out []*Element) []*Element {
+	base := len(out)
+	out = appendUnvisited(out, base, e, e.Supers)
+	for i := base; i < len(out); i++ {
+		out = appendUnvisited(out, base, e, out[i].Supers)
+	}
+	return out
 }
 
-func (e *Element) computeAllSupers() []*Element {
-	var out []*Element
-	seen := map[*Element]bool{e: true}
-	queue := append([]*Element(nil), e.Supers...)
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if s == nil || seen[s] {
+// appendUnvisited appends each of supers that is neither nil, self nor
+// already in out[base:].
+func appendUnvisited(out []*Element, base int, self *Element, supers []*Element) []*Element {
+next:
+	for _, s := range supers {
+		if s == nil || s == self {
 			continue
 		}
-		seen[s] = true
+		for _, v := range out[base:] {
+			if v == s {
+				continue next
+			}
+		}
 		out = append(out, s)
-		queue = append(queue, s.Supers...)
 	}
 	return out
 }
@@ -243,7 +265,14 @@ func (e *Element) InheritedMember(name string) *Element {
 	if m := e.Member(name); m != nil {
 		return m
 	}
-	for _, s := range e.AllSupers() {
+	supers := e.allSupers
+	if !e.supersFrozen {
+		// Before the freeze (the resolver's header pass) the closure is
+		// walked per lookup; a stack buffer keeps that walk off the heap.
+		var buf [16]*Element
+		supers = e.appendAllSupers(buf[:0])
+	}
+	for _, s := range supers {
 		if m := s.Member(name); m != nil {
 			return m
 		}

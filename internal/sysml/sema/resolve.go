@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/smartfactory/sysml2conf/internal/sysml/ast"
+	"github.com/smartfactory/sysml2conf/internal/sysml/slab"
 	"github.com/smartfactory/sysml2conf/internal/sysml/token"
 )
 
@@ -46,20 +47,27 @@ func (m *Model) ElementsNamed(name string) []*Element {
 // The returned Model is usable even when err != nil (partial resolution);
 // err is the DiagnosticList filtered to errors.
 func Resolve(files ...*ast.File) (*Model, error) {
-	r := &resolver{model: &Model{Root: &Element{Kind: KindPackage}, files: files}}
-	r.model.Root.addMember(newBuiltinScope())
+	r := &resolver{model: &Model{files: files}}
+	root := r.newElement(KindPackage, "", nil)
+	r.model.Root = root
+	n := 1
+	for _, f := range files {
+		n += countElements(f.Members)
+	}
+	r.reserveMembers(root, n)
+	root.addMember(r.newBuiltinScope())
 	for _, f := range files {
 		for _, m := range f.Members {
 			if e := r.build(m); e != nil {
-				if r.model.Root.addMember(e) {
+				if root.addMember(e) {
 					r.errorf(e.Pos(), "duplicate top-level name %q", e.Name)
 				}
 			}
 		}
 	}
-	r.resolveAll(r.model.Root)
+	r.resolveAll(root)
 	r.checkCycles()
-	r.checkAll(r.model.Root)
+	r.checkAll(root)
 	if errs := r.model.Diags.Errors(); len(errs) > 0 {
 		return r.model, errs
 	}
@@ -77,6 +85,40 @@ func MustResolve(files ...*ast.File) *Model {
 
 type resolver struct {
 	model *Model
+
+	// imports holds the import records of each scope with hasImports set.
+	imports map[*Element][]importRec
+
+	// The slabs of this call (see package slab): elements, and the
+	// Members, Supers, Redefines, Subsets and closure slices. They belong
+	// to the returned Model.
+	elems []Element
+	lists []*Element
+}
+
+const (
+	elemChunk = 256  // elements per full chunk of the element slab
+	listChunk = 1024 // pointers per full chunk of the list slab
+)
+
+func (r *resolver) newElement(kind ElemKind, name string, node ast.Member) *Element {
+	e := slab.New(&r.elems, elemChunk)
+	e.Kind, e.Name, e.Node = kind, name, node
+	return e
+}
+
+// reserveMembers sizes e's member list, and its name index when Member
+// would otherwise scan more than scanLimit names, for n members.
+func (r *resolver) reserveMembers(e *Element, n int) {
+	e.Members = slab.Make(&r.lists, listChunk, n)[:0]
+	if n > scanLimit {
+		e.byName = make(map[string]*Element, n)
+	}
+}
+
+// appendList is append for the slab-backed lists of an element.
+func (r *resolver) appendList(list []*Element, x *Element) []*Element {
+	return slab.Append(&r.lists, listChunk, list, x)
 }
 
 func (r *resolver) errorf(pos token.Position, format string, args ...any) {
@@ -93,50 +135,60 @@ func (r *resolver) warnf(pos token.Position, format string, args ...any) {
 func (r *resolver) build(m ast.Member) *Element {
 	switch n := m.(type) {
 	case *ast.Package:
-		e := &Element{Kind: KindPackage, Name: n.Name, Pkg: n}
+		e := r.newElement(KindPackage, n.Name, n)
 		r.buildMembers(e, n.Members)
 		return e
 	case *ast.Definition:
-		e := &Element{Kind: defElemKind(n.Kind), Name: n.Name, Def: n, Abstract: n.Abstract}
+		e := r.newElement(defElemKind(n.Kind), n.Name, n)
+		e.Abstract = n.Abstract
 		r.buildMembers(e, n.Members)
 		return e
 	case *ast.Usage:
-		e := &Element{
-			Kind:         usageElemKind(n.Kind),
-			Name:         n.Name,
-			Usage:        n,
-			Direction:    n.Direction,
-			Ref:          n.Ref,
-			Abstract:     n.Abstract,
-			Multiplicity: n.Multiplicity,
-			Value:        n.Value,
-		}
+		e := r.newElement(usageElemKind(n.Kind), n.Name, n)
+		e.Direction = n.Direction
+		e.Ref = n.Ref
+		e.Abstract = n.Abstract
+		e.Multiplicity = n.Multiplicity
+		e.Value = n.Value
 		r.buildMembers(e, n.Members)
 		return e
 	case *ast.Bind:
-		return &Element{Kind: KindBind, LeftPath: n.Left, RightPath: n.Right}
+		return r.newElement(KindBind, "", n)
 	case *ast.Connect:
-		return &Element{Kind: KindConnect, Name: n.Name, FromPath: n.From, ToPath: n.To}
+		return r.newElement(KindConnect, n.Name, n)
 	case *ast.Perform:
-		e := &Element{Kind: KindPerform, PerfPath: n.Target}
+		e := r.newElement(KindPerform, "", n)
 		r.buildMembers(e, n.Members)
 		return e
-	case *ast.Import:
-		// Imports are registered on the owner by buildMembers.
-		return nil
-	case *ast.Doc, *ast.Comment:
-		return nil
-	default:
-		return nil
 	}
+	// Imports are registered on the owner by buildMembers; docs and
+	// comments build nothing.
+	return nil
+}
+
+// countElements returns how many of members build an element.
+func countElements(members []ast.Member) int {
+	n := 0
+	for _, m := range members {
+		switch m.(type) {
+		case *ast.Package, *ast.Definition, *ast.Usage, *ast.Bind, *ast.Connect, *ast.Perform:
+			n++
+		}
+	}
+	return n
 }
 
 func (r *resolver) buildMembers(owner *Element, members []ast.Member) {
+	r.reserveMembers(owner, countElements(members))
 	for _, m := range members {
 		if imp, ok := m.(*ast.Import); ok {
-			owner.imports = append(owner.imports, &importRec{
+			if r.imports == nil {
+				r.imports = map[*Element][]importRec{}
+			}
+			r.imports[owner] = append(r.imports[owner], importRec{
 				path: imp.Path, wildcard: imp.Wildcard, recursive: imp.Recursive, private: imp.Private,
 			})
+			owner.hasImports = true
 			continue
 		}
 		e := r.build(m)
@@ -239,7 +291,12 @@ func (r *resolver) lookupLexicalExcluding(from *Element, name string, exclude *E
 }
 
 func (r *resolver) lookupImports(scope *Element, name string) *Element {
-	for _, imp := range scope.imports {
+	if !scope.hasImports {
+		return nil
+	}
+	recs := r.imports[scope]
+	for i := range recs {
+		imp := &recs[i]
 		if imp.target == nil {
 			imp.target = r.resolveQualified(scope.Owner, imp.path)
 		}
@@ -341,8 +398,11 @@ func (r *resolver) resolveAll(e *Element) {
 	// Specializations are final now; freeze the per-element closure cache
 	// so the feature-path pass and later extraction queries stop re-walking
 	// specialization chains.
+	var closure []*Element // each closure is walked here, then copied out
 	e.Walk(func(x *Element) bool {
-		x.freezeSupers()
+		closure = x.appendAllSupers(closure[:0])
+		x.allSupers = slab.Append(&r.lists, listChunk, nil, closure...)
+		x.supersFrozen = true
 		return true
 	})
 	e.Walk(func(x *Element) bool {
@@ -352,9 +412,9 @@ func (r *resolver) resolveAll(e *Element) {
 }
 
 func (r *resolver) resolveHeader(e *Element) {
-	switch {
-	case e.Def != nil:
-		for _, sup := range e.Def.Specializes {
+	switch n := e.Node.(type) {
+	case *ast.Definition:
+		for _, sup := range n.Specializes {
 			t := r.resolveQualified(e.Owner, sup)
 			if t == nil {
 				r.errorf(sup.Position, "cannot resolve specialization target %q of %s", sup, e)
@@ -364,10 +424,10 @@ func (r *resolver) resolveHeader(e *Element) {
 				r.errorf(sup.Position, "%s specializes %s, which is not a definition", e, t)
 				continue
 			}
-			e.Supers = append(e.Supers, t)
+			e.Supers = r.appendList(e.Supers, t)
 		}
-	case e.Usage != nil:
-		if tr := e.Usage.Type; tr != nil {
+	case *ast.Usage:
+		if tr := n.Type; tr != nil {
 			t := r.resolveQualified(e.Owner, tr.Name)
 			if t == nil {
 				r.errorf(tr.Name.Position, "cannot resolve type %q of %s", tr.Name, e)
@@ -389,9 +449,9 @@ func (r *resolver) resolveHeader(e *Element) {
 				}
 			}
 		}
-		for _, sup := range e.Usage.Specializes {
+		for _, sup := range n.Specializes {
 			if t := r.resolveQualified(e.Owner, sup); t != nil {
-				e.Supers = append(e.Supers, t)
+				e.Supers = r.appendList(e.Supers, t)
 			} else {
 				r.errorf(sup.Position, "cannot resolve %q specialized by %s", sup, e)
 			}
@@ -400,48 +460,47 @@ func (r *resolver) resolveHeader(e *Element) {
 }
 
 func (r *resolver) resolveRefs(e *Element) {
-	switch e.Kind {
-	case KindBind:
-		e.BindLeft = r.resolveFeaturePath(e.Owner, e.LeftPath)
-		e.BindRight = r.resolveFeaturePath(e.Owner, e.RightPath)
+	switch n := e.Node.(type) {
+	case *ast.Bind:
+		e.BindLeft = r.resolveFeaturePath(e.Owner, n.Left)
+		e.BindRight = r.resolveFeaturePath(e.Owner, n.Right)
 		if e.BindLeft == nil {
-			r.errorf(e.LeftPath.Position, "cannot resolve bind endpoint %q", e.LeftPath)
+			r.errorf(n.Left.Position, "cannot resolve bind endpoint %q", n.Left)
 		}
 		if e.BindRight == nil {
-			r.errorf(e.RightPath.Position, "cannot resolve bind endpoint %q", e.RightPath)
+			r.errorf(n.Right.Position, "cannot resolve bind endpoint %q", n.Right)
 		}
-	case KindConnect:
-		e.ConnectFrom = r.resolveFeaturePath(e.Owner, e.FromPath)
-		e.ConnectTo = r.resolveFeaturePath(e.Owner, e.ToPath)
+	case *ast.Connect:
+		e.ConnectFrom = r.resolveFeaturePath(e.Owner, n.From)
+		e.ConnectTo = r.resolveFeaturePath(e.Owner, n.To)
 		if e.ConnectFrom == nil {
-			r.errorf(e.FromPath.Position, "cannot resolve connect endpoint %q", e.FromPath)
+			r.errorf(n.From.Position, "cannot resolve connect endpoint %q", n.From)
 		}
 		if e.ConnectTo == nil {
-			r.errorf(e.ToPath.Position, "cannot resolve connect endpoint %q", e.ToPath)
+			r.errorf(n.To.Position, "cannot resolve connect endpoint %q", n.To)
 		}
-	case KindPerform:
-		e.PerformTarget = r.resolveFeaturePath(e.Owner, e.PerfPath)
+	case *ast.Perform:
+		e.PerformTarget = r.resolveFeaturePath(e.Owner, n.Target)
 		if e.PerformTarget == nil {
-			r.errorf(e.PerfPath.Position, "cannot resolve perform target %q", e.PerfPath)
+			r.errorf(n.Target.Position, "cannot resolve perform target %q", n.Target)
 		}
-	}
-	if e.Usage != nil {
-		for _, rd := range e.Usage.Redefines {
+	case *ast.Usage:
+		for _, rd := range n.Redefines {
 			t := r.resolveRedefined(e, rd)
 			if t == nil {
 				r.errorf(rd.Position, "cannot resolve redefined feature %q", rd)
 				continue
 			}
-			e.Redefines = append(e.Redefines, t)
+			e.Redefines = r.appendList(e.Redefines, t)
 		}
-		for _, sb := range e.Usage.Subsets {
+		for _, sb := range n.Subsets {
 			if t := r.resolveFeaturePath(e.Owner, sb); t != nil {
-				e.Subsets = append(e.Subsets, t)
+				e.Subsets = r.appendList(e.Subsets, t)
 			} else {
 				r.errorf(sb.Position, "cannot resolve subsetted feature %q", sb)
 			}
 		}
-		if ref, ok := e.Usage.Value.(*ast.FeatureRef); ok {
+		if ref, ok := n.Value.(*ast.FeatureRef); ok {
 			if r.resolveFeaturePath(e.Owner, ref.Path) == nil {
 				r.errorf(ref.Path.Position, "cannot resolve value reference %q", ref.Path)
 			}
@@ -453,7 +512,7 @@ func (r *resolver) resolveRefs(e *Element) {
 // must be visible through the owner (an inherited or typed feature).
 func (r *resolver) resolveRedefined(e *Element, p *ast.FeaturePath) *Element {
 	owner := e.Owner
-	if owner == nil {
+	if owner == nil || len(p.Parts) == 0 {
 		return nil
 	}
 	// First segment through the owner's type/supers (the usual case:

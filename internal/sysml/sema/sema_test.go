@@ -240,7 +240,8 @@ func TestBindEndpointsResolve(t *testing.T) {
 	}
 	for _, b := range binds {
 		if b.BindLeft == nil || b.BindRight == nil {
-			t.Errorf("bind %s=%s did not resolve", b.LeftPath, b.RightPath)
+			n := b.Node.(*ast.Bind)
+			t.Errorf("bind %s=%s did not resolve", n.Left, n.Right)
 			continue
 		}
 		if b.BindLeft.Name != "value" {

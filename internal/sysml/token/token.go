@@ -45,6 +45,7 @@ const (
 	Assign       // =
 	Star         // *
 	Tilde        // ~
+	Minus        // - (only as the sign of a numeric literal)
 	Specializes_ // :>
 	Redefines_   // :>>
 	Conjugates_  // ~ used in type position (lexed as Tilde; kept for doc)
@@ -108,6 +109,7 @@ var kindNames = map[Kind]string{
 	Assign:        "=",
 	Star:          "*",
 	Tilde:         "~",
+	Minus:         "-",
 	Specializes_:  ":>",
 	Redefines_:    ":>>",
 	KwPackage:     "package",
