@@ -88,25 +88,30 @@ fuzz:
 # Durability soak: the seeded chaos suites under the race detector — the
 # zero-loss audit (historian crashes + broker partition, every sequence
 # exactly once), the convergence soak and the partition-overlapped
-# reconfigure. Longer than tier-1; run before touching the broker, the WAL
-# or the supervision layers.
+# reconfigure — then the WAL's concurrent-append and acked-means-synced
+# tests 200 times at 1, 2 and 4 CPUs. Longer than tier-1; run before
+# touching the broker, the WAL or the supervision layers.
 soak:
 	$(GO) test -race -count=1 -v \
 		-run 'TestChaosAuditZeroLoss|TestChaosSeededSoakConverges|TestReconfigureUnderPartitionConverges' \
 		./internal/deploy/
+	$(GO) test -race -count=200 -cpu 1,2,4 \
+		-run 'TestConcurrentAppends|TestAppendAcksOnlySyncedBytes' ./internal/wal/
 
 # Federation soak: the multi-broker plant under the race detector — the
 # cross-shard chaos audit (ingress node killed + bridge link partitioned,
 # every sample exactly once), the federated deploy end-to-end, and the
-# broker-level federation suite (forwarding dedup, bridge replay, link
-# flaps). Run before touching the placement ring, the bridge links or the
-# sharded deploy path.
+# broker-level federation and outbox suites (forwarding dedup, bridge
+# replay, link flaps, truncated-window replay, Flush across a replay,
+# replay past a closing broker or ingress node). Run
+# before touching the placement ring, the uplink outboxes, the bridge links
+# or the sharded deploy path.
 soak-federated:
 	$(GO) test -race -count=1 -v \
 		-run 'TestFederatedChaosAuditZeroLoss|TestFederatedDeployEndToEnd' \
 		./internal/deploy/
 	$(GO) test -race -count=1 \
-		-run 'TestFederation|TestNode' ./internal/broker/
+		-run 'TestFederation|TestNode|TestOutbox' ./internal/broker/
 	$(GO) test -race -count=1 ./internal/placement/
 
 # Query soak: the historian serving tier under the race detector — the
@@ -123,8 +128,9 @@ soak-query:
 # exact-completion chaos audit (machine kill mid-campaign + broker
 # partition + reconfigure under load, exactly N parts reconciled against
 # the historian), plus the executor suite (replanning, shortfall,
-# restart-without-double-dispatch). Run before touching the planner, the
-# executor or the ledger publisher.
+# restart-without-double-dispatch, Run returning only with the ledger
+# flushed). Run before touching the planner, the executor, the ledger or
+# the broker.Outbox its publisher submits to.
 soak-campaign:
 	$(GO) test -race -count=1 -v \
 		-run 'TestCampaignChaosAuditExactCompletion' \

@@ -5,7 +5,7 @@
 // `go test -run '^$' -bench 'BenchmarkWALAppend|BenchmarkHistorianRecovery' .`.
 //
 //	BenchmarkWALAppend           — segmented log append, with and without
-//	                               fsync (group commit amortises the sync)
+//	                               fsync (one fsync per append)
 //	BenchmarkHistorianRecovery   — Open() replaying snapshot + WAL back
 //	                               into a queryable store
 package sysml2conf
@@ -24,8 +24,9 @@ import (
 var walPayload = []byte(`{"t":"2026-08-06T12:00:00Z","samples":[{"s":"factory/line/wc02/emco/values/actualX","p":"12.25"}]}`)
 
 // BenchmarkWALAppend measures the raw log append path. The nosync variant
-// isolates CPU + buffer cost; the fsync variant pays real disk latency and
-// shows what group commit amortises under the parallel case.
+// isolates CPU + buffer cost; the fsync variants pay real disk latency, one
+// fsync per append, and the parallel case shows appenders queueing on the
+// log's lock.
 func BenchmarkWALAppend(b *testing.B) {
 	run := func(b *testing.B, opts wal.Options, parallel bool) {
 		l, err := wal.Open(b.TempDir(), opts, nil)
@@ -59,17 +60,6 @@ func BenchmarkWALAppend(b *testing.B) {
 	})
 	b.Run("fsync-parallel", func(b *testing.B) {
 		run(b, wal.Options{}, true)
-	})
-	// The widened commit window: the flusher yields until concurrent
-	// appenders quiesce, so everything racing toward the log rides one
-	// fsync instead of only the records that arrived while a previous
-	// fsync was in flight. Run at 32 appenders per core to model the
-	// broker's many publisher sessions — the batching win only exists
-	// when appends actually overlap, which GOMAXPROCS goroutines alone
-	// do not guarantee on small hosts.
-	b.Run("fsync-parallel-window", func(b *testing.B) {
-		b.SetParallelism(32)
-		run(b, wal.Options{CommitWindow: time.Millisecond}, true)
 	})
 }
 

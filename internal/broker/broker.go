@@ -85,6 +85,13 @@ func ValidateFilter(filter string) error {
 	return nil
 }
 
+// errClosed refuses work once a broker, a federation node or an outbox has
+// begun to shut down. A wire publish refused with it gets no answer: the
+// broker drops the connection instead, so the publisher sees a connection
+// loss and its outbox re-sends the publish to whatever broker replaces
+// this one, where an error reply would have failed it for good.
+var errClosed = errors.New("broker: closed")
+
 // numShards partitions the subscription index and retained state by the
 // topic's first segment; one extra shard (index numShards) holds filters
 // whose first level is a wildcard, since those can match any topic.
@@ -228,7 +235,7 @@ func (b *Broker) publish(topic string, payload []byte, retain, owned bool) error
 		return fmt.Errorf("broker: invalid publish topic %q", topic)
 	}
 	if b.closed.Load() {
-		return errors.New("broker: closed")
+		return errClosed
 	}
 	b.published.Add(1)
 
@@ -299,7 +306,7 @@ func (b *Broker) Subscribe(filter string) (int, <-chan Message, error) {
 	b.subMu.Lock()
 	if b.closed.Load() {
 		b.subMu.Unlock()
-		return 0, nil, errors.New("broker: closed")
+		return 0, nil, errClosed
 	}
 	b.nextSub++
 	s := newSubscription(b.nextSub, filter, b)
@@ -379,7 +386,7 @@ func (b *Broker) Stats() (published, delivered, dropped uint64, subscriptions in
 // closed and, once Serve has run, its listener must still be bound.
 func (b *Broker) Health() error {
 	if b.closed.Load() {
-		return errors.New("broker: closed")
+		return errClosed
 	}
 	b.connMu.Lock()
 	defer b.connMu.Unlock()
@@ -585,6 +592,8 @@ func (b *Broker) handleConn(conn net.Conn) {
 				id, noAck := f.ID, f.NoAck
 				fa(f.Topic, f.Payload, f.Retain, f.Session, f.Seq, func(dup bool, err error) {
 					switch {
+					case errors.Is(err, errClosed):
+						conn.Close() // see errClosed
 					case err != nil:
 						_ = send(&frame{ID: id, Op: opErr, Error: err.Error()})
 					case !noAck:
@@ -596,6 +605,8 @@ func (b *Broker) handleConn(conn net.Conn) {
 			// The decoded payload is a fresh buffer; ownership transfers.
 			dup, err := b.publishSeqOwned(f.Topic, f.Payload, f.Retain, f.Session, f.Seq)
 			switch {
+			case errors.Is(err, errClosed):
+				return // drops the connection; see errClosed
 			case err != nil:
 				_ = send(&frame{ID: f.ID, Op: opErr, Error: err.Error()})
 			case f.Fwd:

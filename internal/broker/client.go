@@ -58,9 +58,9 @@ type fwdWaiter struct {
 }
 
 // errFwdConnLost marks forward completions failed by connection loss rather
-// than by a broker response — the only class a federation uplink replays
-// (the broker either never saw the frame or its ack was lost; either way
-// the owner's publisher-dedup high-water mark makes a resend idempotent).
+// than by a broker response — the only class an Outbox replays (the broker
+// either never saw the frame or its ack was lost; either way the owner's
+// publisher-dedup high-water mark makes a resend idempotent).
 var errFwdConnLost = errors.New("connection lost before the forward was acknowledged")
 
 // DialClient connects to a broker at addr.
@@ -151,7 +151,7 @@ func (c *Client) readLoop() {
 	// Cumulative forward acknowledgements ride frame headers on subID 0
 	// (real subscriptions start at 1): ack seq k means every windowed
 	// forward with ID ≤ k was accepted without incident. Completions are
-	// invoked outside c.mu — uplink callbacks take their own locks.
+	// invoked outside c.mu — outbox callbacks take their own locks.
 	r.OnAck = func(subID int, seq uint64) {
 		if subID != 0 {
 			return
@@ -433,11 +433,11 @@ func (c *Client) PublishSeq(topic string, payload []byte, retain bool, session s
 // the broker's result, or with an error wrapping errFwdConnLost if the
 // connection dies first — on the client's read-loop goroutine, so it must
 // not block on this connection's traffic. Callers keep many of these in
-// flight over one connection; the federation uplink is the intended user
-// and bounds the window itself. Calls must not race each other: the
-// cumulative protocol needs wire order to match ID order, which the
-// registration-and-send under one lock below guarantees per call, and the
-// uplink's single sender goroutine guarantees across calls.
+// flight over one connection; Outbox is the intended user and bounds the
+// window itself. Calls must not race each other: the cumulative protocol
+// needs wire order to match ID order, which the registration-and-send under
+// one lock below guarantees per call, and the outbox's single sender
+// goroutine guarantees across calls.
 func (c *Client) PublishSeqAsync(topic string, payload []byte, retain bool, session string, seq uint64, done func(dup bool, err error)) error {
 	if topic == "" || strings.ContainsAny(topic, "+#") {
 		return fmt.Errorf("broker client: invalid publish topic %q", topic)

@@ -4,9 +4,9 @@
 // shard and the federation needs no consensus:
 //
 //   - Ingress forwarding: a publish arriving at a node that does not own
-//     the topic is staged into a windowed uplink to the owner (up to
+//     the topic is submitted to the uplink Outbox of its owner (up to
 //     fwdWindow in flight, results returned over the binary wire's
-//     cumulative-ack channel), carrying the origin publisher's
+//     cumulative-ack channel; outbox.go), carrying the origin publisher's
 //     (session, seq) verbatim. The owner's publisher-dedup high-water
 //     mark is the single dedup point, so a retry — or a whole window
 //     replayed after an uplink reconnect — is idempotent no matter which
@@ -61,8 +61,8 @@ type NodeOptions struct {
 	// (default 2s).
 	DialTimeout time.Duration
 
-	// ReconnectBackoff paces bridge-link redials (default 50ms initial /
-	// 2s cap).
+	// ReconnectBackoff paces uplink and bridge-link redials (default 50ms
+	// initial / 2s cap).
 	ReconnectBackoff resilience.Backoff
 
 	// RedeliveryBackoff is handed to the wrapped broker.
@@ -83,67 +83,15 @@ type Node struct {
 	opts   NodeOptions
 
 	mu      sync.Mutex
-	uplinks map[int]*uplink
+	uplinks map[int]*Outbox // by owner shard
 	links   map[int]*bridgeLink
 	closed  bool
 
-	forwarded       atomic.Uint64
-	forwardErrors   atomic.Uint64
-	forwardStalls   atomic.Uint64
-	forwardReplayed atomic.Uint64
-	forwardInFlight atomic.Int64
-	bridgedIn       atomic.Uint64
-	bridgeDups      atomic.Uint64
-	bridgeInFlight  atomic.Int64
-	reconnects      atomic.Uint64
-}
-
-// fwdWindow bounds in-flight forwards per uplink. It matches the acked
-// sessions' delivery window: deep enough to hide the link round trip at
-// federated publish rates, small enough that a dead owner parks at most
-// one window of payloads per uplink.
-const fwdWindow = 256
-
-// fwdEntry is one forward in an uplink's window: the publish, its
-// completion, and where it stands against the uplink's connections. conn,
-// sent and finished are guarded by the uplink's mutex.
-type fwdEntry struct {
-	topic   string
-	payload []byte
-	retain  bool
-	session string
-	seq     uint64
-	done    func(dup bool, err error)
-
-	conn     *Client // the connection it is staged on (written, awaiting the ack); nil while unstaged
-	sent     bool    // ever written to any connection (a restage is a replay)
-	finished bool    // completion delivered; the entry is dead
-}
-
-// uplink is the windowed pipelined forward path to one owner shard: a
-// bounded-window send queue drained by a single sender goroutine that owns
-// dialing, staging and replay. Publishers never wait for the owner's round
-// trip — they park in the window (or, via forwardAsync, not at all) and
-// completions stream back over the cumulative-ack channel. On connection
-// loss, sessioned forwards restage on the next connection: the owner's
-// publisher-dedup high-water mark makes the resend idempotent (the
-// TestFederationForwardDedup argument), while sessionless forwards fail to
-// the caller to preserve their at-most-once contract.
-type uplink struct {
-	n     *Node
-	shard int
-	name  string // "uplink:s<local>-s<owner>", the fault-injection target
-
-	slots    chan struct{} // counting semaphore: window admission
-	wake     chan struct{}
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-
-	mu     sync.Mutex
-	c      *Client
-	sendq  []*fwdEntry
-	closed bool
+	forwardErrors  atomic.Uint64 // forwards failed before reaching an outbox
+	bridgedIn      atomic.Uint64
+	bridgeDups     atomic.Uint64
+	bridgeInFlight atomic.Int64
+	reconnects     atomic.Uint64
 }
 
 // NewNode wraps a fresh Broker as shard shard of a shards-wide
@@ -164,7 +112,7 @@ func NewNode(shard, shards int, opts NodeOptions) *Node {
 		shards:  shards,
 		ring:    placement.NewRing(shards),
 		opts:    opts,
-		uplinks: map[int]*uplink{},
+		uplinks: map[int]*Outbox{},
 		links:   map[int]*bridgeLink{},
 	}
 	n.Broker.RedeliveryBackoff = opts.RedeliveryBackoff
@@ -201,8 +149,8 @@ func (n *Node) owns(topic string) bool { return n.OwnerOf(topic) == n.shard }
 
 // forwardPublish routes a publish for a remote-owned topic to its owner
 // and blocks for the result — the in-process publisher path (Broker.
-// Publish/PublishSeq called directly). It rides the same windowed uplink
-// as the wire ingress; the payload is copied because the window retains
+// Publish/PublishSeq called directly). It rides the same uplink outbox as
+// the wire ingress; the payload is copied because the window retains
 // entries past this call for replay, while in-process callers own their
 // buffers. Errors propagate to the publisher, whose idempotent retry
 // (same session and seq) is deduped by the owner.
@@ -227,274 +175,46 @@ func (n *Node) forwardPublish(topic string, payload []byte, retain bool, session
 	}
 }
 
-// forwardAsync stages a publish for a remote-owned topic into the owner
-// uplink's window and returns; done fires with the owner's result. The
+// forwardAsync submits a publish for a remote-owned topic to the owner's
+// uplink outbox and returns; done fires with the owner's result. The
 // payload must be owned by the forward (wire ingress hands over its decode
-// buffer; forwardPublish copies).
+// buffer; forwardPublish copies). A full window blocks the submitter — on
+// the wire path that is the publishing connection's read loop, so window
+// pressure backpressures the publisher like a slow synchronous owner would,
+// except it takes fwdWindow outstanding forwards to get there.
 func (n *Node) forwardAsync(topic string, payload []byte, retain bool, session string, seq uint64, done func(dup bool, err error)) {
 	owner := n.OwnerOf(topic)
-	u, err := n.uplinkFor(owner)
+	ob, err := n.outboxFor(owner)
 	if err != nil {
 		n.forwardErrors.Add(1)
 		done(false, fmt.Errorf("broker: forward to shard %d: %w", owner, err))
 		return
 	}
-	u.submit(&fwdEntry{topic: topic, payload: payload, retain: retain, session: session, seq: seq, done: done})
+	ob.Submit(topic, payload, retain, session, seq, done)
 }
 
-// uplinkFor returns (starting if needed) the windowed uplink to a shard.
-func (n *Node) uplinkFor(shard int) (*uplink, error) {
+// outboxFor returns (starting if needed) the uplink outbox forwarding to a
+// shard. It dials as "uplink:s<local>-s<owner>", the name a fault injector
+// targets.
+func (n *Node) outboxFor(shard int) (*Outbox, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return nil, errors.New("node closed")
+		return nil, errClosed
 	}
-	u := n.uplinks[shard]
-	if u == nil {
-		u = &uplink{
-			n:     n,
-			shard: shard,
-			name:  fmt.Sprintf("uplink:s%d-s%d", n.shard, shard),
-			slots: make(chan struct{}, fwdWindow),
-			wake:  make(chan struct{}, 1),
-			stop:  make(chan struct{}),
-			done:  make(chan struct{}),
-		}
-		n.uplinks[shard] = u
-		go u.run()
-	}
-	return u, nil
-}
-
-// submit admits a forward into the window and queues it for the sender.
-// A full window blocks the submitter — on the wire path that is the
-// publishing connection's read loop, so window pressure backpressures the
-// publisher exactly like a slow synchronous owner used to, except it takes
-// fwdWindow outstanding forwards (not one) to get there.
-func (u *uplink) submit(e *fwdEntry) {
-	select {
-	case u.slots <- struct{}{}:
-	default:
-		u.n.forwardStalls.Add(1)
-		select {
-		case u.slots <- struct{}{}:
-		case <-u.stop:
-			u.n.forwardErrors.Add(1)
-			e.done(false, errors.New("broker: node closed"))
-			return
-		}
-	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		<-u.slots
-		u.n.forwardErrors.Add(1)
-		e.done(false, errors.New("broker: node closed"))
-		return
-	}
-	u.sendq = append(u.sendq, e)
-	u.mu.Unlock()
-	u.n.forwardInFlight.Add(1)
-	select {
-	case u.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run is the uplink's sender: it owns the connection (dial, redial with
-// backoff, teardown) and is the only goroutine that stages queue entries,
-// which is what keeps wire order equal to queue order — the invariant the
-// cumulative-ack protocol needs.
-func (u *uplink) run() {
-	defer close(u.done)
-	defer u.drain()
-	for {
-		select {
-		case <-u.stop:
-			return
-		case <-u.wake:
-		}
-		for attempt := 0; ; {
-			u.mu.Lock()
-			c := u.c
-			u.mu.Unlock()
-			if c != nil && c.Err() != nil {
-				u.abandon(c)
-				c = nil
+	ob := n.uplinks[shard]
+	if ob == nil {
+		name := fmt.Sprintf("uplink:s%d-s%d", n.shard, shard)
+		ob = NewOutbox(fmt.Sprintf("broker: forward to shard %d", shard), func() (*Client, error) {
+			conn, err := n.dialLink(name, shard)
+			if err != nil {
+				return nil, err
 			}
-			u.mu.Lock()
-			var todo []*fwdEntry
-			for _, e := range u.sendq {
-				if e.conn == nil && !e.finished {
-					todo = append(todo, e)
-				}
-			}
-			u.mu.Unlock()
-			if len(todo) == 0 {
-				break
-			}
-			if c == nil {
-				nc, err := u.connect()
-				if err != nil {
-					// The owner is unreachable right now. Sessioned forwards
-					// wait for the next attempt; sessionless ones fail out —
-					// holding a fire-and-forget publish across an outage
-					// would widen its at-most-once contract.
-					u.failUnstagedSessionless(err)
-					attempt++
-					select {
-					case <-u.stop:
-						return
-					case <-time.After(u.n.opts.ReconnectBackoff.Delay(attempt)):
-					}
-					continue
-				}
-				u.mu.Lock()
-				u.c = nc
-				u.mu.Unlock()
-				c = nc
-				attempt = 0
-			}
-			u.stage(c, todo)
-		}
+			return NewClientConn(conn, n.opts.DialTimeout), nil
+		}, n.opts.ReconnectBackoff)
+		n.uplinks[shard] = ob
 	}
-}
-
-// abandon retires a dead connection: every sessioned forward staged on it
-// is un-staged in one step, so the restage that follows sees them all, in
-// queue order. Left to the dead client's read loop, which un-stages one
-// completion at a time, a restage in between would write the entries
-// already un-staged plus the never-staged tail and skip the still-staged
-// middle — which then arrives below the owner's (session, seq) high-water
-// mark and is dropped as a duplicate. Sessionless forwards stay with the
-// dead connection; its completions fail them (at-most-once).
-func (u *uplink) abandon(c *Client) {
-	u.mu.Lock()
-	u.c = nil
-	for _, e := range u.sendq {
-		if e.conn == c && e.session != "" {
-			e.conn = nil
-		}
-	}
-	u.mu.Unlock()
-	c.Close()
-}
-
-func (u *uplink) connect() (*Client, error) {
-	conn, err := u.n.dialLink(u.name, u.shard)
-	if err != nil {
-		return nil, err
-	}
-	return NewClientConn(conn, u.n.opts.DialTimeout), nil
-}
-
-// stage writes unstaged entries to the connection in queue order. Each
-// completion routes back through complete; a send error means the
-// connection died mid-stage, and the entry takes the same park-or-fail
-// path a conn-loss completion does.
-func (u *uplink) stage(c *Client, todo []*fwdEntry) {
-	for _, e := range todo {
-		u.mu.Lock()
-		if u.closed || u.c != c || e.finished || e.conn != nil {
-			u.mu.Unlock()
-			return
-		}
-		e.conn = c
-		if e.sent {
-			u.n.forwardReplayed.Add(1)
-		}
-		e.sent = true
-		u.mu.Unlock()
-		e := e
-		if err := c.PublishSeqAsync(e.topic, e.payload, e.retain, e.session, e.seq, func(dup bool, err error) {
-			u.complete(e, c, dup, err)
-		}); err != nil {
-			u.complete(e, c, false, err)
-			return
-		}
-	}
-}
-
-// complete resolves one window entry with the outcome connection c reports
-// (nil when no connection is involved). Conn-loss errors on sessioned
-// forwards park the entry for replay instead — the owner's (session, seq)
-// high-water mark dedups the restage, so replay is idempotent; a conn-loss
-// report from a connection the entry has already left (abandon moved it
-// on) is stale and changes nothing. Every other outcome releases the
-// window slot and fires the caller's completion.
-func (u *uplink) complete(e *fwdEntry, c *Client, dup bool, err error) {
-	u.mu.Lock()
-	if e.finished {
-		u.mu.Unlock()
-		return
-	}
-	if err != nil && e.session != "" && !u.closed && errors.Is(err, errFwdConnLost) {
-		if e.conn == c {
-			e.conn = nil
-		}
-		u.mu.Unlock()
-		select {
-		case u.wake <- struct{}{}:
-		default:
-		}
-		return
-	}
-	e.finished = true
-	for i, q := range u.sendq {
-		if q == e {
-			u.sendq = append(u.sendq[:i], u.sendq[i+1:]...)
-			break
-		}
-	}
-	u.mu.Unlock()
-	<-u.slots
-	u.n.forwardInFlight.Add(-1)
-	if err != nil {
-		u.n.forwardErrors.Add(1)
-		e.done(false, fmt.Errorf("broker: forward to shard %d: %w", u.shard, err))
-		return
-	}
-	u.n.forwarded.Add(1)
-	e.done(dup, nil)
-}
-
-// failUnstagedSessionless resolves queued sessionless entries with err
-// after a failed dial; sessioned entries stay parked for the next attempt.
-func (u *uplink) failUnstagedSessionless(err error) {
-	u.mu.Lock()
-	var doomed []*fwdEntry
-	for _, e := range u.sendq {
-		if e.conn == nil && !e.finished && e.session == "" {
-			doomed = append(doomed, e)
-		}
-	}
-	u.mu.Unlock()
-	for _, e := range doomed {
-		u.complete(e, nil, false, err)
-	}
-}
-
-// drain fails every remaining entry on shutdown. Closing the client first
-// flushes staged entries through their conn-loss completions; the closed
-// flag makes those terminal instead of parking for replay.
-func (u *uplink) drain() {
-	u.mu.Lock()
-	u.closed = true
-	c := u.c
-	u.c = nil
-	q := append([]*fwdEntry(nil), u.sendq...)
-	u.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	for _, e := range q {
-		u.complete(e, nil, false, errors.New("broker: node closed"))
-	}
-}
-
-func (u *uplink) stopAndWait() {
-	u.stopOnce.Do(func() { close(u.stop) })
-	<-u.done
+	return ob, nil
 }
 
 // dialLink resolves a shard's current address and dials it through the
@@ -614,18 +334,37 @@ func (n *Node) NodeStats() NodeStats {
 		}
 		return uint64(v)
 	}
+	var fwd OutboxStats
+	for _, ob := range n.outboxes() {
+		st := ob.Stats()
+		fwd.Acked += st.Acked
+		fwd.Failed += st.Failed
+		fwd.InFlight += st.InFlight
+		fwd.Stalls += st.Stalls
+		fwd.Replayed += st.Replayed
+	}
 	return NodeStats{
 		Shard:           n.shard,
-		Forwarded:       n.forwarded.Load(),
-		ForwardErrors:   n.forwardErrors.Load(),
-		ForwardInFlight: clamp(n.forwardInFlight.Load()),
-		ForwardStalls:   n.forwardStalls.Load(),
-		ForwardReplayed: n.forwardReplayed.Load(),
+		Forwarded:       fwd.Acked,
+		ForwardErrors:   n.forwardErrors.Load() + fwd.Failed,
+		ForwardInFlight: fwd.InFlight,
+		ForwardStalls:   fwd.Stalls,
+		ForwardReplayed: fwd.Replayed,
 		BridgedIn:       n.bridgedIn.Load(),
 		BridgeDups:      n.bridgeDups.Load(),
 		BridgeInFlight:  clamp(n.bridgeInFlight.Load()),
 		Reconnects:      n.reconnects.Load(),
 	}
+}
+
+func (n *Node) outboxes() []*Outbox {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	obs := make([]*Outbox, 0, len(n.uplinks))
+	for _, ob := range n.uplinks {
+		obs = append(obs, ob)
+	}
+	return obs
 }
 
 // Close tears the node down: bridge links stop, uplinks close, then the
@@ -641,16 +380,12 @@ func (n *Node) Close() error {
 	for _, l := range n.links {
 		links = append(links, l)
 	}
-	ups := make([]*uplink, 0, len(n.uplinks))
-	for _, u := range n.uplinks {
-		ups = append(ups, u)
-	}
 	n.mu.Unlock()
 	for _, l := range links {
 		l.stopAndWait()
 	}
-	for _, u := range ups {
-		u.stopAndWait()
+	for _, ob := range n.outboxes() {
+		ob.Close()
 	}
 	return n.Broker.Close()
 }

@@ -111,7 +111,7 @@ func (b *Broker) SubscribeOpts(filter string, opts SubOptions) (int, <-chan Mess
 	b.subMu.Lock()
 	if b.closed.Load() {
 		b.subMu.Unlock()
-		return 0, nil, errors.New("broker: closed")
+		return 0, nil, errClosed
 	}
 	if s := b.sessions[opts.Session]; s != nil {
 		b.subMu.Unlock()
@@ -164,7 +164,7 @@ func (b *Broker) reattach(s *subscription, filter string, opts SubOptions) (int,
 	a := s.ack
 	if s.closed {
 		s.mu.Unlock()
-		return 0, nil, errors.New("broker: closed")
+		return 0, nil, errClosed
 	}
 	if s.filter != filter {
 		s.mu.Unlock()

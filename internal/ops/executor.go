@@ -1,10 +1,10 @@
 package ops
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/smartfactory/sysml2conf/internal/broker"
@@ -181,8 +181,8 @@ func (q *stepQueue) close() {
 // machinesim connections, service failures retry with backoff, transport
 // failures mark the machine lost and rebind the step to a surviving
 // machine with the same capability, and completions append to the
-// idempotent ledger whose events a publisher goroutine flushes through
-// the broker on an acked (session, seq) stream.
+// idempotent ledger whose events a publisher goroutine submits, as one
+// (session, seq) stream, to a broker.Outbox.
 type Executor struct {
 	plan   *Plan
 	opts   ExecOptions
@@ -205,7 +205,6 @@ type Executor struct {
 	stopCh      chan struct{}
 	stopOnce    sync.Once
 	workersDone chan struct{}
-	quitPub     chan struct{}
 	pubDone     chan struct{}
 	pubWake     chan struct{}
 }
@@ -235,7 +234,6 @@ func NewExecutor(plan *Plan, opts ExecOptions) *Executor {
 		queue:        newStepQueue(),
 		stopCh:       make(chan struct{}),
 		workersDone:  make(chan struct{}),
-		quitPub:      make(chan struct{}),
 		pubDone:      make(chan struct{}),
 		pubWake:      make(chan struct{}, 1),
 	}
@@ -306,10 +304,12 @@ func (e *Executor) Run() (*Report, error) {
 		e.queue.close()
 	}
 
+	var ob *broker.Outbox
 	if e.opts.BrokerAddr != nil {
-		go e.publisher()
-	} else {
-		close(e.pubDone)
+		ob = broker.NewOutbox("ops: ledger", func() (*broker.Client, error) {
+			return broker.DialClient(e.opts.BrokerAddr())
+		}, resilience.Backoff{Initial: 20 * time.Millisecond, Max: 500 * time.Millisecond, Factor: 2, Jitter: 0.2})
+		go e.publish(ob)
 	}
 
 	maintDone := make(chan struct{})
@@ -334,15 +334,8 @@ func (e *Executor) Run() (*Report, error) {
 	<-maintDone
 
 	var flushErr error
-	if e.opts.BrokerAddr != nil {
-		select {
-		case <-e.pubDone:
-		case <-time.After(e.opts.FlushTimeout):
-			flushErr = fmt.Errorf("ops: ledger flush incomplete after %v: %d of %d events acknowledged",
-				e.opts.FlushTimeout, e.ledger.Flushed(), e.ledger.LastSeq())
-		}
-		close(e.quitPub)
-		<-e.pubDone
+	if ob != nil {
+		flushErr = e.flushLedger(ob)
 	}
 
 	e.mu.Lock()
@@ -688,121 +681,70 @@ func (e *Executor) wakePublisher() {
 	}
 }
 
-// publisher flushes ledger entries through the broker as an acked
-// (session, seq) stream: sequences are assigned in completion order, so
-// the stream is monotonic and broker-side high-water-mark dedup makes
-// re-publishing after a reconnect (or a successor executor re-flushing a
-// restored ledger) idempotent. Publishes pipeline through a bounded
-// window of PublishSeqAsync calls.
-func (e *Executor) publisher() {
+// publish submits ledger entries to the outbox in seq order, from this one
+// goroutine, so the broker's (session, seq) high-water mark sees the
+// campaign's stream ascending; the outbox replays what a lost connection
+// left unacknowledged, and the mark makes that — and a successor executor
+// re-submitting a restored ledger — idempotent. It returns once the workers
+// are done and every entry is submitted.
+func (e *Executor) publish(ob *broker.Outbox) {
 	defer close(e.pubDone)
-	const window = 64
-	sem := make(chan struct{}, window)
-	var connBad atomic.Bool
-	var bc *broker.Client
-
-	drain := func() {
-		for i := 0; i < window; i++ {
-			sem <- struct{}{}
-		}
-		for i := 0; i < window; i++ {
-			<-sem
-		}
-	}
-	redial := func() bool {
-		if bc != nil {
-			bc.Close()
-			bc = nil
-		}
-		b := resilience.Backoff{Initial: 20 * time.Millisecond, Max: 500 * time.Millisecond, Factor: 2, Jitter: 0.2}
-		for attempt := 0; ; attempt++ {
-			select {
-			case <-e.quitPub:
-				return false
-			default:
-			}
-			c, err := broker.DialClient(e.opts.BrokerAddr())
-			if err == nil {
-				bc = c
-				return true
-			}
-			select {
-			case <-e.quitPub:
-				return false
-			case <-time.After(b.Delay(attempt)):
-			}
-		}
-	}
-	defer func() {
-		if bc != nil {
-			bc.Close()
-		}
-	}()
-
 	session := e.ledger.Session()
-	next := e.ledger.Flushed() + 1
-	workersIdle := func() bool {
-		select {
-		case <-e.workersDone:
-			return true
-		default:
-			return false
-		}
-	}
-	for {
-		select {
-		case <-e.quitPub:
-			return
-		default:
-		}
-		if bc == nil || connBad.Load() {
-			drain()
-			connBad.Store(false)
-			if !redial() {
-				return
-			}
-			next = e.ledger.Flushed() + 1
-			continue
-		}
-		// Idleness is read before the sequence: workers append and only then
-		// go idle, so once they are seen idle the sequence read after it is
-		// final. The other way round a worker can append between the two
-		// reads, and the publisher would leave with that entry unpublished.
-		idle := workersIdle()
-		last := e.ledger.LastSeq()
-		if next > last {
-			if idle && e.ledger.Flushed() == last {
-				return
-			}
-			select {
-			case <-e.pubWake:
-			case <-e.quitPub:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-			continue
-		}
-		entry, ok := e.ledger.Entry(next)
-		if !ok {
-			continue
-		}
-		sem <- struct{}{}
-		seq := entry.Seq
-		err := bc.PublishSeqAsync(entry.Topic, marshalEvent(e.plan.Campaign, entry), false, session, seq,
-			func(dup bool, err error) {
-				if err != nil {
-					connBad.Store(true)
-				} else {
+	for next := e.ledger.Flushed() + 1; ; {
+		// Idleness is read before the entry: workers append and only then go
+		// idle, so once they are seen idle a missing entry is never coming.
+		// The other way round a worker can append between the two reads, and
+		// the publisher would leave with that entry unsubmitted.
+		idle := e.workersIdle()
+		if entry, ok := e.ledger.Entry(next); ok {
+			seq := entry.Seq
+			ob.Submit(entry.Topic, marshalEvent(e.plan.Campaign, entry), false, session, seq, func(_ bool, err error) {
+				if err == nil {
 					e.ledger.SetFlushed(seq)
 				}
-				<-sem
-				e.wakePublisher()
 			})
-		if err != nil {
-			<-sem
-			connBad.Store(true)
+			next++
 			continue
 		}
-		next++
+		if idle {
+			return
+		}
+		select {
+		case <-e.pubWake:
+		case <-e.workersDone:
+		}
 	}
+}
+
+func (e *Executor) workersIdle() bool {
+	select {
+	case <-e.workersDone:
+		return true
+	default:
+		return false
+	}
+}
+
+// flushLedger gives the publisher and then the broker FlushTimeout in all
+// to submit and acknowledge every ledger entry, then closes the outbox,
+// which fails whatever is left and frees a publisher parked on a full
+// window.
+func (e *Executor) flushLedger(ob *broker.Outbox) error {
+	deadline := time.Now().Add(e.opts.FlushTimeout)
+	timer := time.NewTimer(e.opts.FlushTimeout)
+	defer timer.Stop()
+	var err error
+	select {
+	case <-e.pubDone:
+		err = ob.Flush(time.Until(deadline))
+	case <-timer.C:
+		err = errors.New("ops: ledger publisher still submitting")
+	}
+	ob.Close()
+	<-e.pubDone
+	if err != nil {
+		return fmt.Errorf("ops: ledger flush incomplete after %v: %d of %d events acknowledged: %w",
+			e.opts.FlushTimeout, e.ledger.Flushed(), e.ledger.LastSeq(), err)
+	}
+	return nil
 }

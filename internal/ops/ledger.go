@@ -31,14 +31,14 @@ type Ledger struct {
 	Campaign string
 
 	mu      sync.Mutex
-	entries []LedgerEntry // completion order; entry i has Seq i+1
-	byStep  map[string]*LedgerEntry
-	flushed uint64 // highest seq acknowledged by the broker
+	entries []LedgerEntry     // completion order; entry i has Seq i+1
+	byStep  map[string]uint64 // step ID → Seq of its entry
+	flushed uint64            // highest seq acknowledged by the broker
 }
 
 // NewLedger creates an empty ledger for a campaign.
 func NewLedger(campaign string) *Ledger {
-	return &Ledger{Campaign: campaign, byStep: map[string]*LedgerEntry{}}
+	return &Ledger{Campaign: campaign, byStep: map[string]uint64{}}
 }
 
 // Session is the broker publisher session the campaign's events ride —
@@ -51,8 +51,8 @@ func (l *Ledger) Session() string { return "campaign/" + l.Campaign }
 func (l *Ledger) Record(stepID string, part, op int, machine, topic string, attempts int) LedgerEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e, ok := l.byStep[stepID]; ok {
-		return *e
+	if seq, ok := l.byStep[stepID]; ok {
+		return l.entries[seq-1]
 	}
 	e := LedgerEntry{
 		StepID: stepID, Part: part, Op: op,
@@ -61,7 +61,7 @@ func (l *Ledger) Record(stepID string, part, op int, machine, topic string, atte
 		At: time.Now(),
 	}
 	l.entries = append(l.entries, e)
-	l.byStep[stepID] = &l.entries[len(l.entries)-1]
+	l.byStep[stepID] = e.Seq
 	return e
 }
 

@@ -1,16 +1,16 @@
 // Package wal implements the segmented write-ahead log behind the durable
 // historian: an append-only record log built on the checksummed record
-// framing of internal/wire, with group-commit fsync batching, torn-tail
-// truncation on open, and snapshot-triggered compaction.
+// framing of internal/wire, with torn-tail truncation on open and
+// snapshot-triggered compaction.
 //
 // Every record carries a monotonic LSN (log sequence number) that survives
 // compaction, so a state snapshot taken at LSN n plus a replay of all
 // records with LSN > n reconstructs the exact pre-crash state even when the
 // crash fell between "snapshot written" and "old segments deleted".
 //
-// Durability semantics: Append returns only after the record (and, thanks
-// to group commit, every record appended concurrently with it) has been
-// fsynced. A failed fsync poisons the log permanently — after fsync fails,
+// Durability semantics: Append writes and fsyncs its record under the log's
+// lock and returns only after the fsync of the segment that holds it. A
+// failed fsync poisons the log permanently — after fsync fails,
 // the kernel may have dropped the dirty pages, so the only honest recovery
 // is to reopen and replay from disk; callers surface the sticky error
 // through their health checks and let the supervisor restart them.
@@ -27,12 +27,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
@@ -91,16 +89,6 @@ type Options struct {
 	// the append path without paying disk latency. Never use it for data
 	// that must survive a crash.
 	NoSync bool
-	// CommitWindow widens group commit: before fsyncing, the flushing
-	// appender yields to in-flight appenders until the log quiesces (no
-	// new bytes staged across a yield) or the window elapses, so
-	// everything already racing toward the log shares one fsync instead
-	// of only the records that happen to arrive while a previous fsync
-	// is in flight. Gathering is yield-based, not timer-based: a lone
-	// appender pays roughly one scheduler yield, not the window, so the
-	// window is a bound on gathering under sustained load rather than
-	// added latency. Zero keeps the sync-immediately behaviour.
-	CommitWindow time.Duration
 }
 
 func (o Options) segmentBytes() int64 {
@@ -125,8 +113,7 @@ const lsnLen = 8
 
 // Log is a segmented append-only record log.
 type Log struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	dir  string
 	fs   FS
@@ -139,13 +126,6 @@ type Log struct {
 	sealed     []string // sealed segment paths, oldest first
 
 	nextLSN uint64
-
-	// Group commit: appenders stage writes, then whichever goroutine finds
-	// no fsync in flight syncs everything written so far; appenders whose
-	// bytes are covered by an in-flight or completed sync just wait.
-	written uint64
-	synced  uint64
-	syncing bool
 
 	err    error // sticky: first write/fsync failure poisons the log
 	closed bool
@@ -179,7 +159,6 @@ func Open(dir string, opts Options, replay func(lsn uint64, payload []byte) erro
 	sort.Ints(indexes)
 
 	l := &Log{dir: dir, fs: fs, opts: opts, nextLSN: 1}
-	l.cond = sync.NewCond(&l.mu)
 
 	for i, idx := range indexes {
 		path := l.segPath(idx)
@@ -276,9 +255,12 @@ func (l *Log) openSegmentLocked() error {
 }
 
 // Append writes one record and returns once it is durable (fsynced, unless
-// the log runs with NoSync). The returned LSN orders the record against
-// snapshots. Errors are sticky: after the first write or fsync failure every
-// Append fails, and the caller's recovery is to reopen the log.
+// the log runs with NoSync). The write, the fsync and any rotation happen
+// under the log's lock, so a segment is never closed while it is being
+// synced and no record is acknowledged before the file holding it is. The
+// returned LSN orders the record against snapshots. Errors are sticky: after
+// the first write or fsync failure every Append fails, and the caller's
+// recovery is to reopen the log.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -296,78 +278,20 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	if _, werr := l.active.Write(rec); werr != nil {
 		l.err = fmt.Errorf("wal: write %s: %w", l.activeName, werr)
-		l.cond.Broadcast()
 		return 0, l.err
 	}
 	l.nextLSN++
 	l.activeSize += int64(len(rec))
-	l.written += uint64(len(rec))
-	myPos := l.written
-
 	if !l.opts.NoSync {
-		if err := l.commitLocked(myPos); err != nil {
-			return 0, err
+		if serr := l.active.Sync(); serr != nil {
+			l.err = fmt.Errorf("wal: fsync %s: %w", l.activeName, serr)
+			return 0, l.err
 		}
 	}
-	if l.err == nil && l.activeSize >= l.opts.segmentBytes() {
+	if l.activeSize >= l.opts.segmentBytes() {
 		l.rotateLocked()
 	}
 	return lsn, nil
-}
-
-// commitLocked blocks until every byte up to pos is fsynced, joining or
-// becoming the group-commit flusher as needed. Callers hold l.mu.
-func (l *Log) commitLocked(pos uint64) error {
-	for {
-		if l.err != nil {
-			return l.err
-		}
-		if l.synced >= pos {
-			return nil
-		}
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		if w := l.opts.CommitWindow; w > 0 {
-			// Gather the batch: yield to appenders already racing toward
-			// the log until no new bytes get staged across a yield, or the
-			// window elapses under sustained load. Yielding instead of
-			// sleeping keeps a lone appender's added cost at roughly one
-			// scheduler pass — important on hosts whose minimum sleep is
-			// milliseconds. Rotation cannot move l.active meanwhile: it
-			// only runs after a commit returns, and every other appender
-			// is parked in this loop.
-			deadline := time.Now().Add(w)
-			for {
-				staged := l.written
-				l.mu.Unlock()
-				runtime.Gosched()
-				l.mu.Lock()
-				if l.err != nil {
-					l.syncing = false
-					l.cond.Broadcast()
-					return l.err
-				}
-				if l.written == staged || !time.Now().Before(deadline) {
-					break
-				}
-			}
-		}
-		target := l.written
-		f := l.active
-		l.mu.Unlock()
-		serr := f.Sync()
-		l.mu.Lock()
-		l.syncing = false
-		if serr != nil {
-			l.err = fmt.Errorf("wal: fsync %s: %w", l.activeName, serr)
-		} else if target > l.synced {
-			l.synced = target
-		}
-		l.cond.Broadcast()
-	}
 }
 
 // rotateLocked seals the active segment and opens the next one. A rotation
@@ -392,12 +316,6 @@ func (l *Log) Reset() error {
 	defer l.mu.Unlock()
 	if err := l.stateErrLocked(); err != nil {
 		return err
-	}
-	for l.syncing {
-		l.cond.Wait()
-		if l.err != nil {
-			return l.err
-		}
 	}
 	if err := l.active.Close(); err != nil {
 		l.err = fmt.Errorf("wal: close %s: %w", l.activeName, err)
@@ -457,9 +375,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	for l.syncing {
-		l.cond.Wait()
-	}
 	var err error
 	if l.err == nil && !l.opts.NoSync {
 		err = l.active.Sync()

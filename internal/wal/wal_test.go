@@ -1,15 +1,18 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
+
+	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
 func replayAll(t *testing.T, dir string, opts Options) (map[uint64]string, *Log) {
@@ -357,68 +360,137 @@ func TestLSNEncoding(t *testing.T) {
 	l.Close()
 }
 
-type countFile struct {
-	File
-	syncs *atomic.Int64
+// span is where one record's bytes went: file and byte range.
+type span struct {
+	file       string
+	start, end int64
 }
 
-func (f *countFile) Sync() error {
-	f.syncs.Add(1)
-	return f.File.Sync()
-}
-
-type countFS struct {
+// syncRecorder is a pass-through FS that records every Write (the file and
+// byte range of the record it carries, keyed by the record's LSN) and every
+// Sync (the file, and how many of its bytes were written when the Sync
+// began, credited once the Sync returns). A Close that lands while a Sync
+// of the same file is in flight is recorded as a fault.
+type syncRecorder struct {
 	FS
-	syncs atomic.Int64
+	mu      sync.Mutex
+	size    map[string]int64 // bytes written per file
+	records map[uint64]span  // LSN → where its record was written
+	synced  map[string]int64 // bytes of each file covered by a completed Sync
+	syncing map[string]int   // Syncs in flight per file
+	faults  []string
 }
 
-func (fs *countFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func newSyncRecorder() *syncRecorder {
+	return &syncRecorder{FS: OS, size: map[string]int64{}, records: map[uint64]span{},
+		synced: map[string]int64{}, syncing: map[string]int{}}
+}
+
+func (fs *syncRecorder) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	f, err := fs.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &countFile{File: f, syncs: &fs.syncs}, nil
+	return &recordedFile{File: f, fs: fs, name: name}, nil
 }
 
-// TestCommitWindowBatchesFsyncs: with a commit window, concurrent
-// appenders share fsyncs — far fewer syncs than appends — and every
-// record is still durable on replay.
-func TestCommitWindowBatchesFsyncs(t *testing.T) {
-	dir := t.TempDir()
-	fs := &countFS{FS: OS}
-	l, err := Open(dir, Options{FS: fs, CommitWindow: 2 * time.Millisecond}, nil)
+// durable reports whether the record carrying lsn was written and a
+// completed Sync of the file holding it covered its last byte.
+func (fs *syncRecorder) durable(lsn uint64) (span, bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	sp, ok := fs.records[lsn]
+	return sp, ok && fs.synced[sp.file] >= sp.end
+}
+
+type recordedFile struct {
+	File
+	fs   *syncRecorder
+	name string
+}
+
+func (f *recordedFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	fs := f.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	start := fs.size[f.name]
+	fs.size[f.name] += int64(n)
+	body, _, rerr := wire.ReadRecord(bufio.NewReader(bytes.NewReader(p[:n])))
+	if rerr != nil || len(body) < lsnLen {
+		fs.faults = append(fs.faults, fmt.Sprintf("write to %s is not one whole record: %v", f.name, rerr))
+		return n, err
+	}
+	fs.records[binary.BigEndian.Uint64(body)] = span{f.name, start, start + int64(n)}
+	return n, err
+}
+
+func (f *recordedFile) Sync() error {
+	fs := f.fs
+	fs.mu.Lock()
+	covers := fs.size[f.name]
+	fs.syncing[f.name]++
+	fs.mu.Unlock()
+	runtime.Gosched() // widen the window a concurrent rotation would need
+	err := f.File.Sync()
+	fs.mu.Lock()
+	fs.syncing[f.name]--
+	if err == nil && covers > fs.synced[f.name] {
+		fs.synced[f.name] = covers
+	}
+	fs.mu.Unlock()
+	return err
+}
+
+func (f *recordedFile) Close() error {
+	fs := f.fs
+	fs.mu.Lock()
+	if fs.syncing[f.name] > 0 {
+		fs.faults = append(fs.faults, fmt.Sprintf("%s closed during its fsync", f.name))
+	}
+	fs.mu.Unlock()
+	return f.File.Close()
+}
+
+// TestAppendAcksOnlySyncedBytes: with concurrent appenders rotating small
+// segments, every LSN Append returns was, by the time it returned, covered
+// by a completed Sync of the file that holds its record — no segment is
+// sealed with acknowledged bytes unsynced, and none is closed mid-fsync.
+func TestAppendAcksOnlySyncedBytes(t *testing.T) {
+	fs := newSyncRecorder()
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 4096, FS: fs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, perWriter = 16, 20
+	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				lsn, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				if err != nil {
 					t.Error(err)
 					return
+				}
+				if sp, ok := fs.durable(lsn); !ok {
+					t.Errorf("LSN %d acknowledged before a sync of %s covered bytes %d-%d",
+						lsn, filepath.Base(sp.file), sp.start, sp.end)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	syncs := fs.syncs.Load()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	const total = writers * perWriter
-	if syncs >= total/2 {
-		t.Errorf("%d fsyncs for %d appends; the commit window batched almost nothing", syncs, total)
+	if l.Segments() < 2 {
+		t.Fatal("test needs rotation")
 	}
-	if syncs == 0 {
-		t.Error("no fsyncs at all")
-	}
-	got, l2 := replayAll(t, dir, Options{})
-	defer l2.Close()
-	if len(got) != total {
-		t.Fatalf("replayed %d records, want %d", len(got), total)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, f := range fs.faults {
+		t.Error(f)
 	}
 }
