@@ -89,14 +89,22 @@ fuzz:
 # zero-loss audit (historian crashes + broker partition, every sequence
 # exactly once), the convergence soak and the partition-overlapped
 # reconfigure — then the WAL's concurrent-append and acked-means-synced
-# tests 200 times at 1, 2 and 4 CPUs. Longer than tier-1; run before
-# touching the broker, the WAL or the supervision layers.
+# tests 200 times at 1, 2 and 4 CPUs, then the OPC UA subscription tests
+# and the bridge's server-restart test 50 times: one subscription carries
+# a machine's items through one queue set, one wake channel and one puller
+# or bridge loop, and its races (an item registered with the ack, a change
+# right behind it, a shed while the consumer takes, a resubscribe after a
+# lost connection) show only now and then. Longer than tier-1; run before
+# touching the broker, the WAL, the OPC UA subscriptions, the bridge or
+# the supervision layers.
 soak:
 	$(GO) test -race -count=1 -v \
 		-run 'TestChaosAuditZeroLoss|TestChaosSeededSoakConverges|TestReconfigureUnderPartitionConverges' \
 		./internal/deploy/
 	$(GO) test -race -count=200 -cpu 1,2,4 \
 		-run 'TestConcurrentAppends|TestAppendAcksOnlySyncedBytes' ./internal/wal/
+	$(GO) test -race -count=50 -run 'TestSubscri|TestClientLost|TestBridgeSurvivesServerRestart' \
+		./internal/opcua/ ./internal/stack/
 
 # Federation soak: the multi-broker plant under the race detector — the
 # cross-shard chaos audit (ingress node killed + bridge link partitioned,

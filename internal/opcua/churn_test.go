@@ -103,7 +103,7 @@ func TestManySubscribersFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 32
-	items := make([]*MonitoredItem, n)
+	items := make([]*Monitor, n)
 	for i := range items {
 		item, err := space.Subscribe(id, 4)
 		if err != nil {

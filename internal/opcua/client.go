@@ -8,12 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/smartfactory/sysml2conf/internal/ring"
 	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
 // Client is a connection to an OPC UA server. It multiplexes concurrent
 // requests over one TCP connection and dispatches subscription
-// notifications to per-subscription channels.
+// notifications to the queues of their monitored items.
 type Client struct {
 	conn net.Conn
 	w    *wire.Writer
@@ -22,31 +23,49 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]chan *Message
 	// pendingSubs maps an in-flight subscribe request to its pre-built
-	// monitor. The read loop registers it in subs when the server's ack
-	// arrives, before it reads the next frame: the variable may change right
-	// behind the ack, and a notification read before the monitor is
-	// registered has nowhere to go — lost for good if the value then stays
-	// put. (broker.Client stages its subscriptions the same way.)
-	pendingSubs map[uint64]*clientMonitor
-	subs        map[int]*clientMonitor
+	// subscription. The read loop registers its items in items when the
+	// server's ack arrives, before it reads the next frame: a variable may
+	// change right behind the ack, and a notification read before its item
+	// is registered has nowhere to go — lost for good if the value then
+	// stays put. (broker.Client stages its subscriptions the same way.)
+	pendingSubs map[uint64]*Subscription
+	items       map[int]*clientItem // by monitored item ID
 	closed      bool
 	readErr     error
 	lost        atomic.Uint64
 
-	timeout time.Duration
-	done    chan struct{}
+	timeout    time.Duration
+	done       chan struct{}
+	forwarders sync.WaitGroup // Subscribe's goroutines; they end with their subscription
 }
 
-// clientMonitor tracks one subscription's delivery channel and the next
-// notification sequence number expected from the server, so shed samples
-// (server- or client-side) are counted instead of vanishing silently.
-type clientMonitor struct {
-	ch chan DataChange
-	// next starts at 1, a monitored item's first number by DataChange's
-	// contract, so what the server shed before the first notification this
-	// client got to see is a gap like any other.
+// Subscription is the client side of one subscribe request: a monitored
+// item per listed node, each with its own drop-oldest queue, filled by the
+// connection's read loop and emptied by one consumer (Ready, Take).
+// Everything in it is guarded by the client's mu, the lock the read loop
+// dispatches under.
+type Subscription struct {
+	c     *Client
+	id    int          // the first item's ID; set with the server's ack
+	items []clientItem // in list order; item i has ID id+i
+	readyList
+}
+
+// clientItem is one monitored item of a Subscription. Its queue holds at
+// most subscribeDepth changes, as the server's queue for the item does;
+// beyond it the oldest is shed and counted (Lost). next is the notification
+// number expected from the server; it starts at 1, a monitored item's first
+// number by DataChange's contract, so what the server shed before the
+// first notification this client got to see is a gap like any other.
+type clientItem struct {
+	itemQueue
+	sub  *Subscription
+	node NodeID // as listed: a notification names only its item
 	next uint64
 }
+
+// subscribeDepth bounds a client-side item queue, and Subscribe's channel.
+const subscribeDepth = 64
 
 // Dial connects to an OPC UA server at addr.
 func Dial(addr string) (*Client, error) {
@@ -67,8 +86,8 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		conn:        conn,
 		w:           wire.NewWriter(conn),
 		pending:     map[uint64]chan *Message{},
-		pendingSubs: map[uint64]*clientMonitor{},
-		subs:        map[int]*clientMonitor{},
+		pendingSubs: map[uint64]*Subscription{},
+		items:       map[int]*clientItem{},
 		timeout:     timeout,
 		done:        make(chan struct{}),
 	}
@@ -105,6 +124,7 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	err := c.conn.Close()
 	<-c.done
+	c.forwarders.Wait()
 	return err
 }
 
@@ -125,45 +145,30 @@ func (c *Client) readLoop() {
 				close(ch)
 				delete(c.pending, id)
 			}
-			for id, st := range c.subs {
-				close(st.ch)
-				delete(c.subs, id)
+			for id, it := range c.items {
+				it.sub.end()
+				delete(c.items, id)
 			}
 			clear(c.pendingSubs)
 			c.mu.Unlock()
 			return
 		}
 		if m.Op == OpNotify {
-			// The non-blocking send happens under the lock so Unsubscribe
-			// cannot close the channel mid-send.
 			c.mu.Lock()
-			if st := c.subs[m.SubID]; st != nil && m.Value != nil {
+			if it := c.items[m.SubID]; it != nil && m.Value != nil {
 				if m.Seq > 0 {
 					// A jump past the expected number means the server shed
 					// notifications under backpressure; count the gap.
-					if m.Seq > st.next {
-						c.lost.Add(m.Seq - st.next)
+					if m.Seq > it.next {
+						c.lost.Add(m.Seq - it.next)
 					}
-					st.next = m.Seq + 1
+					it.next = m.Seq + 1
 				}
-				dc := DataChange{SubID: m.SubID, NodeID: m.NodeID, Value: *m.Value, Seq: m.Seq}
-				select {
-				case st.ch <- dc:
-				default:
-					// Slow consumer: shed the oldest queued change, as the
-					// server does, and count it. What is kept then converges
-					// on the variable's latest value; shedding the newest
-					// would strand a stale one whenever the value stops
-					// changing. This loop is the channel's only sender, so
-					// the retry finds the room it made.
-					select {
-					case <-st.ch:
-					default:
-					}
-					select {
-					case st.ch <- dc:
-					default:
-					}
+				// A lagging consumer: shed the oldest queued change, as the
+				// server does, and count it. What is kept then converges on
+				// the variable's latest value; shedding the newest would
+				// strand a stale one whenever the value stops changing.
+				if it.sub.push(&it.itemQueue, DataChange{SubID: m.SubID, NodeID: it.node, Value: *m.Value, Seq: m.Seq}) {
 					c.lost.Add(1)
 				}
 			}
@@ -171,10 +176,13 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.mu.Lock()
-		if st, ok := c.pendingSubs[m.ID]; ok {
+		if sub, ok := c.pendingSubs[m.ID]; ok {
 			delete(c.pendingSubs, m.ID)
 			if m.Op == OpSubscribe && m.OK {
-				c.subs[m.SubID] = st
+				sub.id = m.SubID
+				for i := range sub.items {
+					c.items[m.SubID+i] = &sub.items[i]
+				}
 			}
 		}
 		ch := c.pending[m.ID]
@@ -191,7 +199,7 @@ func (c *Client) readLoop() {
 // roundTrip sends a request and waits for its response. A non-nil sub is
 // staged in pendingSubs for the read loop to register with the subscribe
 // ack (see the pendingSubs field).
-func (c *Client) roundTrip(req *Message, sub *clientMonitor) (*Message, error) {
+func (c *Client) roundTrip(req *Message, sub *Subscription) (*Message, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.readErr
@@ -235,7 +243,7 @@ func (c *Client) roundTrip(req *Message, sub *clientMonitor) (*Message, error) {
 		delete(c.pendingSubs, req.ID)
 		c.mu.Unlock()
 		// The response may have raced the timer, and the read loop may have
-		// registered a staged monitor with it: prefer it to a timeout, so
+		// registered a staged subscription with it: prefer it to a timeout, so
 		// the caller's view and the client's table cannot diverge.
 		select {
 		case resp, ok := <-ch:
@@ -305,17 +313,89 @@ func (c *Client) BrowseTree(id NodeID) ([]NodeInfo, error) {
 	return out, nil
 }
 
-// Subscribe registers a monitored item; value changes arrive on the
-// returned channel until Unsubscribe or connection loss.
+// SubscribeNodes registers one monitored item per listed variable in one
+// request. The server takes the list whole or not at all: a node that is
+// unknown or not a variable fails the call, named in the error, and nothing
+// is registered. Value changes queue in the returned Subscription until
+// Unsubscribe(sub.ID()) or connection loss.
+func (c *Client) SubscribeNodes(ids []NodeID) (*Subscription, error) {
+	sub := &Subscription{c: c, items: make([]clientItem, len(ids)), readyList: newReadyList()}
+	for i := range sub.items {
+		sub.items[i] = clientItem{itemQueue: itemQueue{queue: ring.Queue[DataChange]{Bound: subscribeDepth}}, sub: sub, node: ids[i], next: 1}
+	}
+	if _, err := c.roundTrip(&Message{Op: OpSubscribe, NodeIDs: ids}, sub); err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// ID is the subscription id, the argument to Unsubscribe. It is also the
+// first item's ID: DataChange.SubID numbers the items consecutively in the
+// order SubscribeNodes listed them.
+func (s *Subscription) ID() int { return s.id }
+
+// Index is the position, in the list given to SubscribeNodes, of the node a
+// change of this subscription came from.
+func (s *Subscription) Index(dc DataChange) int { return dc.SubID - s.id }
+
+// Ready receives when changes are queued, and is closed when the
+// subscription ends (Unsubscribe or connection loss); Take then hands out
+// what is left.
+func (s *Subscription) Ready() <-chan struct{} { return s.wake }
+
+// Take appends every queued change to dst, oldest first per item, and
+// reports whether the subscription is still open.
+func (s *Subscription) Take(dst []DataChange) ([]DataChange, bool) {
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	return s.take(dst), !s.closed
+}
+
+// Subscribe registers a monitored item on one variable: SubscribeNodes of
+// one node, whose changes are moved onto the returned channel until
+// Unsubscribe or connection loss. The channel holds 64 changes, as the
+// server's queue for the item does; beyond it the oldest is shed and
+// counted (Lost).
 func (c *Client) Subscribe(id NodeID) (int, <-chan DataChange, error) {
-	// 64 deep, as the server's queue for the item is; beyond it the read
-	// loop sheds the oldest and counts it (Lost).
-	st := &clientMonitor{ch: make(chan DataChange, 64), next: 1}
-	resp, err := c.roundTrip(&Message{Op: OpSubscribe, NodeID: id}, st)
+	sub, err := c.SubscribeNodes([]NodeID{id})
 	if err != nil {
 		return 0, nil, err
 	}
-	return resp.SubID, st.ch, nil
+	ch := make(chan DataChange, subscribeDepth)
+	c.forwarders.Add(1)
+	go func() {
+		defer c.forwarders.Done()
+		sub.forward(ch)
+	}()
+	return sub.ID(), ch, nil
+}
+
+// forward moves the subscription's changes onto ch, shedding ch's oldest
+// when its consumer lags, and closes ch when the subscription ends. It is
+// ch's only sender, so the retry after a shed finds the room it made.
+func (s *Subscription) forward(ch chan DataChange) {
+	defer close(ch)
+	var batch []DataChange
+	for open := true; open; {
+		<-s.wake
+		batch, open = s.Take(batch[:0])
+		for _, dc := range batch {
+			select {
+			case ch <- dc:
+				continue
+			default:
+			}
+			select {
+			case <-ch:
+			default:
+			}
+			select {
+			case ch <- dc:
+			default:
+			}
+			s.c.lost.Add(1)
+		}
+	}
 }
 
 // Lost reports how many monitored-item notifications this client knows it
@@ -324,13 +404,15 @@ func (c *Client) Subscribe(id NodeID) (int, <-chan DataChange, error) {
 // cost of the lossy telemetry tier; the counter makes the loss observable.
 func (c *Client) Lost() uint64 { return c.lost.Load() }
 
-// Unsubscribe cancels a monitored item.
+// Unsubscribe cancels a subscription, every item of it.
 func (c *Client) Unsubscribe(subID int) error {
 	_, err := c.roundTrip(&Message{Op: OpUnsubscribe, SubID: subID}, nil)
 	c.mu.Lock()
-	if st, ok := c.subs[subID]; ok {
-		delete(c.subs, subID)
-		close(st.ch)
+	if it, ok := c.items[subID]; ok && it.sub.id == subID {
+		for i := range it.sub.items {
+			delete(c.items, subID+i)
+		}
+		it.sub.end()
 	}
 	c.mu.Unlock()
 	return err

@@ -43,8 +43,8 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("WriteRaw(%s) stored %s %s, Write(V(decoded)) stored %s %s", raw, got.Type, got.Value, want.Type, want.Value)
 		}
-		dc, _ := handleItem.Next()
-		rc, _ := refItem.Next()
+		dc := next(t, handleItem)
+		rc := next(t, refItem)
 		if !dc.Value.Equal(rc.Value) || dc.Seq != rc.Seq {
 			t.Errorf("WriteRaw(%s) notified %s %s seq %d, Write notified %s %s seq %d",
 				raw, dc.Value.Type, dc.Value.Value, dc.Seq, rc.Value.Type, rc.Value.Value, rc.Seq)
@@ -54,14 +54,14 @@ func TestWriteRawMatchesWrite(t *testing.T) {
 	if err := viaHandle.WriteRaw([]byte(`"true"`)); err != nil {
 		t.Fatal(err)
 	}
-	if dc, queued, _ := handleItem.poll(); queued {
-		t.Errorf("unchanged value notified: %+v", dc)
+	if dcs := queued(handleItem); len(dcs) != 0 {
+		t.Errorf("unchanged value notified: %+v", dcs)
 	}
 	// The same bytes under another type are a change: "true" was a string.
 	if err := viaHandle.WriteRaw([]byte(`true`)); err != nil {
 		t.Fatal(err)
 	}
-	if dc, _ := handleItem.Next(); dc.Value.Type != "Boolean" {
+	if dc := next(t, handleItem); dc.Value.Type != "Boolean" {
 		t.Errorf("type change notified as %s", dc.Value.Type)
 	}
 
@@ -119,12 +119,14 @@ func TestKeptUpMonitoredItemAllocatesOnlyTheValue(t *testing.T) {
 	item, _ := s.Subscribe(n.ID, 64)
 	raws := [][]byte{[]byte(`1.5`), []byte(`2.5`)}
 	i := 0
+	var buf []DataChange
 	change := func() {
 		i++
 		if err := n.WriteRaw(raws[i%2]); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := item.Next(); !ok {
+		var ok bool
+		if buf, ok = item.Next(buf[:0]); !ok || len(buf) != 1 {
 			t.Fatal("no notification")
 		}
 	}
@@ -144,13 +146,17 @@ func TestUnsubscribeWakesABlockedNext(t *testing.T) {
 	got := make(chan []uint64, 1)
 	go func() {
 		var seqs []uint64
+		var buf []DataChange
 		for {
-			dc, ok := item.Next()
+			var ok bool
+			buf, ok = item.Next(buf[:0])
 			if !ok {
 				got <- seqs
 				return
 			}
-			seqs = append(seqs, dc.Seq)
+			for _, dc := range buf {
+				seqs = append(seqs, dc.Seq)
+			}
 		}
 	}()
 	for i := 1; i <= 3; i++ {
@@ -185,7 +191,7 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drain := func(m *MonitoredItem) (seqs []uint64) {
+	drain := func(m *Monitor) (seqs []uint64) {
 		for _, dc := range queued(m) {
 			seqs = append(seqs, dc.Seq)
 		}
@@ -204,7 +210,7 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 
 	// Dropping one of a's monitors leaves the other two lists as they were.
 	s.Unsubscribe(tight.ID())
-	if _, open := tight.Next(); open {
+	if _, open := tight.Next(nil); open {
 		t.Error("unsubscribed item still delivers")
 	}
 	_ = s.Write(a.ID, V(100))
@@ -220,13 +226,18 @@ func TestNotifyWalksOnlyTheNodesMonitors(t *testing.T) {
 	}
 }
 
-// queued takes everything the item holds right now.
-func queued(m *MonitoredItem) (out []DataChange) {
-	for {
-		dc, ok, _ := m.poll()
-		if !ok {
-			return out
-		}
-		out = append(out, dc)
+// queued takes everything the monitor holds right now.
+func queued(m *Monitor) []DataChange {
+	out, _ := m.take(nil)
+	return out
+}
+
+// next waits for the one change a one-node monitor is expected to hold.
+func next(t *testing.T, m *Monitor) DataChange {
+	t.Helper()
+	dcs, ok := m.Next(nil)
+	if !ok || len(dcs) != 1 {
+		t.Fatalf("Next = %v, %v; want one change", dcs, ok)
 	}
+	return dcs[0]
 }

@@ -197,26 +197,32 @@ func (s *Server) handle(conn net.Conn) {
 				resp.Node = &info
 			}
 		case OpSubscribe:
-			item, err := s.Space.Subscribe(req.NodeID, monitorDepth)
+			mon, err := s.Space.SubscribeNodes(req.NodeIDs, monitorDepth)
 			if err != nil {
 				resp.OK, resp.Error = false, err.Error()
 				break
 			}
-			subs[item.ID()] = struct{}{}
-			resp.SubID = item.ID()
+			subs[mon.ID()] = struct{}{}
+			resp.SubID = mon.ID()
 			subWG.Add(1)
 			go func() {
-				// The item's puller; Unsubscribe (here, or the teardown
-				// above) ends it.
+				// The subscription's one puller, for all of its items;
+				// Unsubscribe (here, or the teardown above) ends it.
 				defer subWG.Done()
+				var batch []DataChange
+				var note Message // WriteFrame encodes before it returns
 				for {
-					change, ok := item.Next()
-					if !ok {
+					var ok bool
+					if batch, ok = mon.Next(batch[:0]); !ok {
 						return
 					}
-					v := change.Value
-					if err := send(&Message{Op: OpNotify, NodeID: change.NodeID, Value: &v, SubID: change.SubID, Seq: change.Seq, OK: true}); err != nil {
-						return
+					for i := range batch {
+						dc := &batch[i]
+						// The item ID names the node: the client keeps the list.
+						note = Message{Op: OpNotify, Value: &dc.Value, SubID: dc.SubID, Seq: dc.Seq, OK: true}
+						if err := send(&note); err != nil {
+							return
+						}
 					}
 				}
 			}()

@@ -12,6 +12,7 @@ package opcua
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -122,7 +123,7 @@ type Node struct {
 	children   []NodeID
 	value      Variant
 	method     MethodFunc
-	monitors   []*MonitoredItem // this node's monitored items; guarded by space.subMu
+	monitors   []*monitoredItem // this node's monitored items; guarded by space.subMu
 }
 
 // NodeInfo is the wire-friendly description of a node.
@@ -141,56 +142,68 @@ type AddressSpace struct {
 	nodes map[NodeID]*Node
 	root  NodeID
 
-	// Every monitor is in two indexes kept in step under subMu: monitors
-	// (by subscription id, for Unsubscribe) and its node's own list (for
-	// notify, which therefore never looks at another node's monitors).
+	// Every monitored item is in two indexes kept in step under subMu: its
+	// Monitor in monitors (by subscription id, for Unsubscribe) and its
+	// node's own list (for notify, which therefore never looks at another
+	// node's items).
 	subMu    sync.Mutex
 	nextSub  int
-	monitors map[int]*MonitoredItem
+	monitors map[int]*Monitor
 }
 
-// MonitoredItem is one subscription to a variable's changes: a drop-oldest
-// queue that notify fills and one consumer empties with Next. The queue
-// (internal/ring) holds nothing until the variable first changes and grows
-// with the consumer's lag up to the depth given to Subscribe, so a plant's
-// thousand quiet or keeping-up variables cost a header each, not a
-// worst-case buffer each. Everything below id is guarded by the space's
+// Monitor is the server side of one subscribe request: a monitored item per
+// listed node, each with its own drop-oldest queue and its own Seq, and one
+// consumer for all of them. notify fills an item's queue and puts the item
+// on the monitor's ready list; Next empties every ready item. An item's
+// queue (internal/ring) holds nothing until its variable first changes and
+// grows with the consumer's lag up to the depth given at subscription, so a
+// plant's thousand quiet or keeping-up variables cost a header each, not a
+// worst-case buffer each. Everything below items is guarded by the space's
 // subMu — the lock notify already takes — growth included.
-type MonitoredItem struct {
-	id    int
-	node  *Node
+type Monitor struct {
 	space *AddressSpace
-
-	queue  ring.Queue[DataChange]
-	seq    uint64        // per-monitor notification counter (gap = dropped sample)
-	wake   chan struct{} // cap 1: "queue non-empty"; closed by Unsubscribe
-	closed bool
+	items []monitoredItem // in list order; IDs are consecutive
+	readyList
 }
 
-// ID is the subscription id: DataChange.SubID of every change the item
-// reports, and the argument to Unsubscribe.
-func (m *MonitoredItem) ID() int { return m.id }
+// monitoredItem is one node of a Monitor.
+type monitoredItem struct {
+	itemQueue
+	id   int
+	node *Node
+	mon  *Monitor
+	seq  uint64 // per-item notification counter (gap = dropped sample)
+}
 
-// Next returns the oldest queued change, waiting for one if there is none.
-// After Unsubscribe it hands out what was still queued and then reports
-// ok = false (a consumer blocked in it is woken to do so). One goroutine
-// at a time may call it.
-func (m *MonitoredItem) Next() (DataChange, bool) {
+// ID is the subscription id: the first item's, and the argument to
+// Unsubscribe. The items are numbered consecutively from it in list order,
+// and DataChange.SubID of every change an item reports is its number.
+func (m *Monitor) ID() int { return m.items[0].id }
+
+// Next appends to dst every queued change, oldest first per item, waiting
+// for one if there is none. After Unsubscribe it hands out what was still
+// queued and then reports ok = false (a consumer blocked in it is woken to
+// do so). One goroutine at a time may call it.
+func (m *Monitor) Next(dst []DataChange) ([]DataChange, bool) {
 	for {
-		dc, ok, closed := m.poll()
-		if ok || closed {
-			return dc, ok
+		n := len(dst)
+		var closed bool
+		dst, closed = m.take(dst)
+		if len(dst) > n {
+			return dst, true
+		}
+		if closed {
+			return dst, false
 		}
 		<-m.wake
 	}
 }
 
-// poll is Next without the wait.
-func (m *MonitoredItem) poll() (dc DataChange, ok, closed bool) {
+// take is Next without the wait.
+func (m *Monitor) take(dst []DataChange) (out []DataChange, closed bool) {
 	m.space.subMu.Lock()
 	defer m.space.subMu.Unlock()
-	dc, ok = m.queue.Pop()
-	return dc, ok, m.closed
+	return m.readyList.take(dst), m.closed
 }
 
 // DataChange is one monitored-item notification. Seq numbers every
@@ -209,7 +222,7 @@ func NewAddressSpace() *AddressSpace {
 	s := &AddressSpace{
 		nodes:    map[NodeID]*Node{},
 		root:     NodeID("ns=0;s=Objects"),
-		monitors: map[int]*MonitoredItem{},
+		monitors: map[int]*Monitor{},
 	}
 	s.nodes[s.root] = &Node{ID: s.root, BrowseName: "Objects", Class: ClassObject}
 	return s
@@ -389,33 +402,52 @@ func (s *AddressSpace) CountByClass() (objects, variables, methods int) {
 	return
 }
 
-// Subscribe registers a monitored item on a variable. Its changes queue in
-// the returned item, at most depth of them (the oldest is shed beyond that,
-// and the gap shows in DataChange.Seq), until Unsubscribe.
-func (s *AddressSpace) Subscribe(id NodeID, depth int) (*MonitoredItem, error) {
-	s.mu.RLock()
-	n, ok := s.nodes[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("opcua: node %s not found", id)
-	}
-	if n.Class != ClassVariable {
-		return nil, fmt.Errorf("opcua: cannot subscribe to %s node %s", n.Class, id)
+// Subscribe is SubscribeNodes of one node.
+func (s *AddressSpace) Subscribe(id NodeID, depth int) (*Monitor, error) {
+	return s.SubscribeNodes([]NodeID{id}, depth)
+}
+
+// SubscribeNodes registers one monitored item per listed variable, all
+// drained by the returned Monitor. Each item queues at most depth changes
+// (the oldest is shed beyond that, and the gap shows in DataChange.Seq)
+// until Unsubscribe. The list is taken whole or not at all: a node that is
+// unknown or not a variable fails the call, names the node and registers
+// nothing.
+func (s *AddressSpace) SubscribeNodes(ids []NodeID, depth int) (*Monitor, error) {
+	if len(ids) == 0 {
+		return nil, errors.New("opcua: subscribe to no nodes")
 	}
 	if depth <= 0 {
 		depth = 16
 	}
+	m := &Monitor{space: s, items: make([]monitoredItem, len(ids)), readyList: newReadyList()}
+	s.mu.RLock()
+	for i, id := range ids {
+		n, ok := s.nodes[id]
+		if !ok {
+			s.mu.RUnlock()
+			return nil, fmt.Errorf("opcua: node %s not found", id)
+		}
+		if n.Class != ClassVariable {
+			s.mu.RUnlock()
+			return nil, fmt.Errorf("opcua: cannot subscribe to %s node %s", n.Class, id)
+		}
+		m.items[i] = monitoredItem{itemQueue: itemQueue{queue: ring.Queue[DataChange]{Bound: depth}}, node: n, mon: m}
+	}
+	s.mu.RUnlock()
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	s.nextSub++
-	m := &MonitoredItem{id: s.nextSub, node: n, space: s,
-		queue: ring.Queue[DataChange]{Bound: depth}, wake: make(chan struct{}, 1)}
-	s.monitors[m.id] = m
-	n.monitors = append(n.monitors, m)
+	for i := range m.items {
+		it := &m.items[i]
+		s.nextSub++
+		it.id = s.nextSub
+		it.node.monitors = append(it.node.monitors, it)
+	}
+	s.monitors[m.ID()] = m
 	return m, nil
 }
 
-// Unsubscribe removes a monitored item and ends its stream: Next drains
+// Unsubscribe removes a Monitor's items and ends its stream: Next drains
 // what is queued, then reports the end.
 func (s *AddressSpace) Unsubscribe(subID int) {
 	s.subMu.Lock()
@@ -425,13 +457,15 @@ func (s *AddressSpace) Unsubscribe(subID int) {
 		return
 	}
 	delete(s.monitors, subID)
-	if i := slices.Index(m.node.monitors, m); i >= 0 {
-		m.node.monitors = slices.Delete(m.node.monitors, i, i+1)
+	for i := range m.items {
+		it := &m.items[i]
+		if j := slices.Index(it.node.monitors, it); j >= 0 {
+			it.node.monitors = slices.Delete(it.node.monitors, j, j+1)
+		}
 	}
-	// Off both indexes, so notify cannot reach the item again and nothing
+	// Off both indexes, so notify cannot reach the items again and nothing
 	// sends on wake after this close.
-	m.closed = true
-	close(m.wake)
+	m.end()
 }
 
 // notify delivers a changed value to the monitors of node n, and to no one
@@ -439,15 +473,11 @@ func (s *AddressSpace) Unsubscribe(subID int) {
 func (s *AddressSpace) notify(n *Node, v Variant) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	for _, m := range n.monitors {
+	for _, it := range n.monitors {
 		// Seq is consumed even when a notification is shed (a full queue
 		// drops its oldest), so a consumer tracking consecutive numbers sees
 		// the gap.
-		m.seq++
-		m.queue.Push(DataChange{SubID: m.id, NodeID: n.ID, Value: v, Seq: m.seq})
-		select {
-		case m.wake <- struct{}{}:
-		default: // a wake-up is already pending
-		}
+		it.seq++
+		it.mon.push(&it.itemQueue, DataChange{SubID: it.id, NodeID: n.ID, Value: v, Seq: it.seq})
 	}
 }

@@ -85,6 +85,20 @@ func (m *Message) AppendBinaryBody(dst []byte) []byte {
 	for _, v := range m.Results {
 		dst = appendVariant(dst, v)
 	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.NodeIDs)))
+	var prev NodeID
+	for _, id := range m.NodeIDs {
+		// Front coding: the length of the prefix shared with the previous
+		// ID, then the rest. A machine's IDs share "ns=1;s=<machine>/...",
+		// three quarters of their bytes on a generated plant.
+		k := 0
+		for k < len(id) && k < len(prev) && id[k] == prev[k] {
+			k++
+		}
+		dst = binary.AppendUvarint(dst, uint64(k))
+		dst = wire.AppendString(dst, string(id[k:]))
+		prev = id
+	}
 	if m.Node != nil {
 		blob, _ := json.Marshal(m.Node) // plain struct; cannot fail
 		dst = wire.AppendBytes(dst, blob)
@@ -97,9 +111,13 @@ func appendVariant(dst []byte, v Variant) []byte {
 	return wire.AppendBytes(dst, v.Value)
 }
 
-// maxVariants bounds Args/Results counts while decoding, so even a frame
-// whose body could hold more cannot ask for an outsized allocation.
-const maxVariants = 1 << 16
+// maxVariants bounds Args/Results counts while decoding, and maxNodeIDs a
+// subscribe list's, so even a frame whose body could hold more cannot ask
+// for an outsized allocation.
+const (
+	maxVariants = 1 << 16
+	maxNodeIDs  = 1 << 16
+)
 
 // minVariantSize is the smallest encoding of a Variant: an empty type and
 // an empty value, one length byte each.
@@ -130,6 +148,9 @@ func (m *Message) DecodeBinaryBody(op byte, body []byte) error {
 		return err
 	}
 	if m.Results, err = decodeVariants(&d); err != nil {
+		return err
+	}
+	if m.NodeIDs, err = decodeNodeIDs(&d); err != nil {
 		return err
 	}
 	if flags&mfNode != 0 {
@@ -164,4 +185,35 @@ func decodeVariants(d *wire.Dec) ([]Variant, error) {
 		decodeVariant(d, &vs[i])
 	}
 	return vs, nil
+}
+
+// decodeNodeIDs decodes a counted, front-coded node ID list, bounded like
+// decodeVariants: an ID takes at least its two length bytes. A shared
+// prefix longer than the previous ID fails the decode, and so does a list
+// that would expand past wire.MaxFrame bytes: front coding must not turn a
+// small frame into a quadratic allocation.
+func decodeNodeIDs(d *wire.Dec) ([]NodeID, error) {
+	n := d.Count(2)
+	if n > maxNodeIDs {
+		return nil, fmt.Errorf("%d node IDs exceed the limit of %d", n, maxNodeIDs)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	ids := make([]NodeID, n)
+	var prev NodeID
+	total := 0
+	for i := range ids {
+		k := d.Uvarint()
+		rest := d.String()
+		if k > uint64(len(prev)) {
+			return nil, fmt.Errorf("node ID %d shares %d bytes with a %d-byte ID", i, k, len(prev))
+		}
+		if total += int(k) + len(rest); total > wire.MaxFrame {
+			return nil, fmt.Errorf("node IDs expand past %d bytes", wire.MaxFrame)
+		}
+		ids[i] = prev[:k] + NodeID(rest)
+		prev = ids[i]
+	}
+	return ids, nil
 }

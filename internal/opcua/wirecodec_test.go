@@ -126,6 +126,77 @@ func TestDecodeVariantsBoundsCountByBody(t *testing.T) {
 	}
 }
 
+// subscribeBody is a subscribe request body up to its node list, whose count
+// claims n nodes and which carries none.
+func subscribeBody(n uint64) []byte {
+	body := (&Message{ID: 1, Op: OpSubscribe}).AppendBinaryBody(nil)[:7]
+	body = append(body, 0, 0) // no args, no results
+	return binary.AppendUvarint(body, n)
+}
+
+// TestDecodeNodeIDsBoundsCount: a subscribe list's count is bounded like a
+// variant count — by what the body can hold before anything is sized from
+// it, and by maxNodeIDs whatever the body holds.
+func TestDecodeNodeIDsBoundsCount(t *testing.T) {
+	body := subscribeBody(maxNodeIDs)
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var m Message
+		err := m.DecodeBinaryBody(mopSubscribe, body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("truncated subscribe body decoded")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4096 {
+		t.Errorf("decoding a %d-byte body allocated %d bytes", len(body), least)
+	}
+	// Two zero bytes are an ID that shares nothing and adds nothing.
+	carried := append(subscribeBody(maxNodeIDs+1), make([]byte, 2*(maxNodeIDs+1))...)
+	var m Message
+	if err := m.DecodeBinaryBody(mopSubscribe, carried); err == nil {
+		t.Errorf("subscribe carrying %d node IDs decoded past the limit", maxNodeIDs+1)
+	}
+}
+
+// TestNodeIDListFrontCoding: a subscribe list sends each ID as the length
+// of the prefix it shares with the previous one and the rest, decodes to
+// the list it was, and a prefix longer than the previous ID is refused.
+func TestNodeIDListFrontCoding(t *testing.T) {
+	list := &Message{ID: 2, Op: OpSubscribe, NodeIDs: []NodeID{"ns=1;s=M/a/x", "ns=1;s=M/a/y", "", "ns=1;s=M/b", "ns=1;s=M/b", "ns=1;s=M"}}
+	body := list.AppendBinaryBody(nil)
+	var m Message
+	if err := m.DecodeBinaryBody(mopSubscribe, body); err != nil || !sameMessage(&m, list) {
+		t.Errorf("list round trip: %+v, %v", m, err)
+	}
+	// The second ID is sent as "y" behind the 11 bytes it shares.
+	if !bytes.Contains(body, []byte{11, 1, 'y'}) {
+		t.Errorf("list body % x does not front-code its second ID", body)
+	}
+	bad := append(subscribeBody(2), 0, 1, 'a', 2, 1, 'b')
+	if err := m.DecodeBinaryBody(mopSubscribe, bad); err == nil {
+		t.Errorf("a 2-byte prefix of a 1-byte ID decoded: %v", m.NodeIDs)
+	}
+	growing := growingSubscribeBody(4000)
+	if err := m.DecodeBinaryBody(mopSubscribe, growing); err == nil {
+		t.Errorf("a %d-byte body expanded to %d node IDs", len(growing), len(m.NodeIDs))
+	}
+}
+
+// growingSubscribeBody is a subscribe body of n IDs, each the whole
+// previous one plus a byte: 4 000 of them take ~16 KB and would expand to
+// 8 MB.
+func growingSubscribeBody(n int) []byte {
+	body := subscribeBody(uint64(n))
+	for i := 0; i < n; i++ {
+		body = append(binary.AppendUvarint(body, uint64(i)), 1, 'x')
+	}
+	return body
+}
+
 // fuzzSeedMessages covers every op and every optional field.
 func fuzzSeedMessages() []*Message {
 	v := V(12.5)
@@ -136,7 +207,8 @@ func fuzzSeedMessages() []*Message {
 		{ID: 3, Op: OpCall, NodeID: "ns=1;s=M.go", Args: []Variant{V("a"), V(1)}},
 		{ID: 3, Op: OpCall, OK: true, Results: []Variant{V(true)}},
 		{ID: 4, Op: OpBrowse, OK: true, Node: &NodeInfo{ID: "ns=1;s=M", Class: "Object", Metadata: map[string]string{"k": "v"}, Children: []NodeID{"ns=1;s=M.x"}}},
-		{ID: 5, Op: OpSubscribe, OK: true, SubID: 9},
+		{ID: 5, Op: OpSubscribe, NodeIDs: []NodeID{"ns=1;s=M.x", "ns=1;s=M.y", "ns=1;s=M.z"}},
+		{ID: 5, Op: OpSubscribe, OK: true, SubID: 9}, // the list's items are 9, 10, 11
 		{Op: OpNotify, NodeID: "ns=1;s=M.x", Value: &v, SubID: 9, Seq: 4, OK: true},
 		{ID: 6, Op: OpWrite, OK: false, Error: "no such node"},
 	}
@@ -160,6 +232,7 @@ func FuzzOpcuaFrameDecode(f *testing.F) {
 	f.Add([]byte{wire.Magic, wire.BinaryVersion, 42, 0, 0}) // unknown op
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})                     // legacy JSON frame: must be refused
 	f.Add(append([]byte{wire.Magic, wire.BinaryVersion, mopCall, 0, 10}, binary.AppendUvarint(callBody(), maxVariants)...))
+	f.Add(append([]byte{wire.Magic, wire.BinaryVersion, mopSubscribe, 0, 12}, subscribeBody(maxNodeIDs)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(bytes.NewReader(data))
@@ -175,6 +248,16 @@ func FuzzOpcuaFrameDecode(f *testing.F) {
 			if n := cap(m.Args) + cap(m.Results); n*minVariantSize > len(data) {
 				t.Fatalf("%d variants decoded from a %d-byte stream", n, len(data))
 			}
+			if n := cap(m.NodeIDs); n > len(data) {
+				t.Fatalf("%d node IDs decoded from a %d-byte stream", n, len(data))
+			}
+			total := 0
+			for _, id := range m.NodeIDs {
+				total += len(id)
+			}
+			if total > wire.MaxFrame {
+				t.Fatalf("node IDs expanded to %d bytes", total)
+			}
 			_ = m.AppendBinaryBody(nil)
 		}
 	})
@@ -187,6 +270,8 @@ func FuzzOpcuaBodyRoundTrip(f *testing.F) {
 		f.Add(m.WireOp(), m.AppendBinaryBody(nil))
 	}
 	f.Add(mopCall, []byte{})
+	f.Add(mopSubscribe, subscribeBody(maxNodeIDs))
+	f.Add(mopSubscribe, growingSubscribeBody(4000))
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		var m Message
 		if err := m.DecodeBinaryBody(op, body); err != nil {

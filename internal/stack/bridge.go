@@ -41,6 +41,7 @@ type BridgeClient struct {
 	published  uint64
 	calls      uint64
 	reconnects uint64
+	failed     error // why a bridge loop ended other than by Stop
 }
 
 // ServicePayload is the JSON body exchanged on service request topics.
@@ -94,8 +95,8 @@ func (b *BridgeClient) Start() error {
 			b.Stop()
 			return err
 		}
-		for _, v := range cm.Subscriptions {
-			if err := b.wireVariable(client, cm, v); err != nil {
+		if len(cm.Subscriptions) > 0 {
+			if err := b.wireMachine(client, cm); err != nil {
 				b.Stop()
 				return err
 			}
@@ -165,16 +166,20 @@ func (b *BridgeClient) reconnect(server string) *opcua.Client {
 	return client
 }
 
-// Health reports liveness: the bridge must not be stopped and its broker
-// connection must be alive. Loss of an OPC UA server connection is NOT a
-// liveness failure — the bridge heals that itself by redialing.
+// Health reports liveness: the bridge must not be stopped, every bridge
+// loop must still run and its broker connection must be alive. Loss of an
+// OPC UA server connection is NOT a liveness failure — the bridge heals
+// that itself by redialing.
 func (b *BridgeClient) Health() error {
 	if b.stopped() {
 		return fmt.Errorf("stack: client %s: stopped", b.Config.Name)
 	}
 	b.mu.Lock()
-	bc := b.broker
+	bc, failed := b.broker, b.failed
 	b.mu.Unlock()
+	if failed != nil {
+		return fmt.Errorf("stack: client %s: bridge loop ended: %w", b.Config.Name, failed)
+	}
 	if bc == nil {
 		return fmt.Errorf("stack: client %s: no broker connection", b.Config.Name)
 	}
@@ -235,56 +240,91 @@ func (b *BridgeClient) clientFor(server string) (*opcua.Client, error) {
 	return c, nil
 }
 
-func (b *BridgeClient) wireVariable(client *opcua.Client, cm codegen.ClientMachine, v codegen.VarConfig) error {
-	_, ch, err := client.Subscribe(opcua.NodeID(v.NodeID))
-	if err != nil {
-		return fmt.Errorf("stack: client %s: subscribe %s: %w", b.Config.Name, v.NodeID, err)
+// wireMachine subscribes every configured variable of a machine in one
+// request and bridges the machine's changes from one goroutine: each change
+// is re-encoded as a VariableSample and staged with the broker client's
+// coalescing writer (PublishAsync), so a machine's burst of changes leaves
+// in one write instead of one round trip per sample. When the server
+// connection drops, the loop redials and resubscribes the machine's list in
+// one request. The loop returns on Stop; any other exit is a failure that
+// Health reports.
+func (b *BridgeClient) wireMachine(client *opcua.Client, cm codegen.ClientMachine) error {
+	ids := make([]opcua.NodeID, len(cm.Subscriptions))
+	for i, v := range cm.Subscriptions {
+		ids[i] = opcua.NodeID(v.NodeID)
 	}
+	sub, err := client.SubscribeNodes(ids)
+	if err != nil {
+		return fmt.Errorf("stack: client %s: subscribe machine %s: %w", b.Config.Name, cm.Machine, err)
+	}
+	b.mu.Lock()
+	bc := b.broker
+	b.mu.Unlock()
 	b.wg.Add(1)
 	go func() {
-		cur, curCh := client, ch
 		defer b.wg.Done()
+		cur := client
+		var batch []opcua.DataChange
 		for {
 			select {
 			case <-b.stopCh:
 				return
-			case change, ok := <-curCh:
-				if !ok {
-					// Connection lost: invalidate, redial, resubscribe —
-					// an OPC UA server restart heals transparently.
-					b.invalidate(cm.Server, cur)
-					for {
-						next := b.reconnect(cm.Server)
-						if next == nil {
-							return // stopping
-						}
-						_, nextCh, err := next.Subscribe(opcua.NodeID(v.NodeID))
-						if err == nil {
-							cur, curCh = next, nextCh
-							break
-						}
-						b.invalidate(cm.Server, next)
-					}
-					continue
-				}
+			case <-sub.Ready():
+			}
+			var open bool
+			batch, open = sub.Take(batch[:0])
+			for _, change := range batch {
+				v := &cm.Subscriptions[sub.Index(change)]
 				var val any
 				_ = json.Unmarshal(change.Value.Value, &val)
-				if err := b.publishJSON(v.Topic, VariableSample{
+				if err := b.publishJSON(bc.PublishAsync, v.Topic, VariableSample{
 					Machine: cm.Machine, Variable: v.Name, Category: v.Category,
 					Type: v.Type, Value: val,
 				}); err != nil {
+					b.loopFailed(fmt.Errorf("machine %s: publish: %w", cm.Machine, err))
 					return
 				}
+			}
+			if open {
+				continue
+			}
+			// Connection lost: invalidate, redial, resubscribe — an OPC UA
+			// server restart heals transparently.
+			b.invalidate(cm.Server, cur)
+			for {
+				next := b.reconnect(cm.Server)
+				if next == nil {
+					return // stopping
+				}
+				if resub, err := next.SubscribeNodes(ids); err == nil {
+					sub, cur = resub, next
+					break
+				}
+				b.invalidate(cm.Server, next)
 			}
 		}
 	}()
 	return nil
 }
 
+// loopFailed records why a bridge loop ended other than by Stop, so that
+// Health fails and the supervisor restarts the pod instead of leaving part
+// of the plant silent.
+func (b *BridgeClient) loopFailed(err error) {
+	if b.stopped() {
+		return
+	}
+	b.mu.Lock()
+	if b.failed == nil {
+		b.failed = err
+	}
+	b.mu.Unlock()
+}
+
 // payloadBuf is a pooled encode buffer for publish payloads: the bridge
 // publishes one JSON body per variable change, and broker.Client frames the
-// payload before Publish returns, so the buffer can be recycled immediately
-// afterwards instead of allocating per sample.
+// payload before Publish or PublishAsync returns, so the buffer can be
+// recycled immediately afterwards instead of allocating per sample.
 type payloadBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -296,10 +336,11 @@ var payloadPool = sync.Pool{New: func() any {
 	return p
 }}
 
-// publishJSON encodes v into a pooled buffer and publishes it to topic.
-// An encode failure drops the sample (nil, matching the old skip-on-marshal
-// behavior); a publish failure is returned so callers stop their loops.
-func (b *BridgeClient) publishJSON(topic string, v any) error {
+// publishJSON encodes v into a pooled buffer and hands it to publish
+// (a broker.Client's Publish or PublishAsync) for topic. An encode failure
+// drops the sample (nil, matching the old skip-on-marshal behavior); a
+// publish failure is returned so callers stop their loops.
+func (b *BridgeClient) publishJSON(publish func(topic string, payload []byte, retain bool) error, topic string, v any) error {
 	p := payloadPool.Get().(*payloadBuf)
 	p.buf.Reset()
 	if err := p.enc.Encode(v); err != nil {
@@ -308,19 +349,9 @@ func (b *BridgeClient) publishJSON(topic string, v any) error {
 	}
 	payload := p.buf.Bytes()
 	payload = payload[:len(payload)-1] // drop the encoder's trailing newline
-	err := b.publish(topic, payload)
+	err := publish(topic, payload, false)
 	payloadPool.Put(p)
-	return err
-}
-
-func (b *BridgeClient) publish(topic string, payload []byte) error {
-	b.mu.Lock()
-	bc := b.broker
-	b.mu.Unlock()
-	if bc == nil {
-		return fmt.Errorf("stack: broker connection closed")
-	}
-	if err := bc.Publish(topic, payload, false); err != nil {
+	if err != nil {
 		return err
 	}
 	b.mu.Lock()
@@ -351,10 +382,12 @@ func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodCon
 				return
 			case msg, ok := <-ch:
 				if !ok {
+					b.loopFailed(fmt.Errorf("service %s: broker subscription ended", m.RequestTopic))
 					return
 				}
 				reply := b.invoke(cm.Server, m, msg.Payload)
-				if err := b.publishJSON(m.ResponseTopic, reply); err != nil {
+				if err := b.publishJSON(bc.Publish, m.ResponseTopic, reply); err != nil {
+					b.loopFailed(fmt.Errorf("service %s: publish: %w", m.RequestTopic, err))
 					return
 				}
 				// Ack failure is survivable: the broker redelivers and the

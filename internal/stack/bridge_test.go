@@ -1,0 +1,245 @@
+package stack
+
+import (
+	"encoding/binary"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/smartfactory/sysml2conf/internal/broker"
+	"github.com/smartfactory/sysml2conf/internal/codegen"
+	"github.com/smartfactory/sysml2conf/internal/icelab"
+	"github.com/smartfactory/sysml2conf/internal/machinesim"
+	"github.com/smartfactory/sysml2conf/internal/opcua"
+)
+
+// subscribeCounter counts the subscribe requests that reach the OPC UA
+// servers whose listeners it wraps, and the nodes they list, by decoding
+// every frame a server reads. It adds no goroutine: the frames are decoded
+// on the server's own read.
+type subscribeCounter struct {
+	mu              sync.Mutex
+	requests, nodes int
+}
+
+func (c *subscribeCounter) wrap(ln net.Listener) net.Listener { return countingListener{ln, c} }
+
+func (c *subscribeCounter) counts() (requests, nodes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.requests, c.nodes
+}
+
+type countingListener struct {
+	net.Listener
+	c *subscribeCounter
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: conn, c: l.c}, nil
+}
+
+// countingConn keeps the bytes of a frame the server has only partly read.
+// Read has one caller, the server's read loop, so buf needs no lock.
+type countingConn struct {
+	net.Conn
+	c   *subscribeCounter
+	buf []byte
+}
+
+func (cc *countingConn) Read(p []byte) (int, error) {
+	n, err := cc.Conn.Read(p)
+	cc.buf = append(cc.buf, p[:n]...)
+	for {
+		rest, ok := cc.c.frame(cc.buf)
+		if !ok {
+			break
+		}
+		cc.buf = rest
+	}
+	return n, err
+}
+
+// frame consumes the first complete frame of b (internal/wire's grammar:
+// magic, version, op, header flags, two uvarints when flag bit 0 carries
+// an ack, the body length and the body) and counts it if it is a subscribe
+// request; ok is false while b holds no complete frame.
+func (c *subscribeCounter) frame(b []byte) (rest []byte, ok bool) {
+	if len(b) < 4 {
+		return b, false
+	}
+	op, rest := b[2], b[4:]
+	fields := 1
+	if b[3]&1 != 0 {
+		fields = 3
+	}
+	var n uint64
+	for ; fields > 0; fields-- {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return b, false
+		}
+		n, rest = v, rest[k:]
+	}
+	if uint64(len(rest)) < n {
+		return b, false
+	}
+	var m opcua.Message
+	if op != 0 && m.DecodeBinaryBody(op, rest[:n]) == nil && m.Op == opcua.OpSubscribe {
+		c.mu.Lock()
+		c.requests++
+		c.nodes += len(m.NodeIDs)
+		c.mu.Unlock()
+	}
+	return rest[n:], true
+}
+
+// goroutines is the process's goroutine count without the short-lived ones
+// (the wire writers' flushers, a sweep's notifications in flight): the
+// least of a run of samples.
+func goroutines() int {
+	least := runtime.NumGoroutine()
+	for i := 0; i < 40; i++ {
+		time.Sleep(5 * time.Millisecond)
+		least = min(least, runtime.NumGoroutine())
+	}
+	return least
+}
+
+// TestBridgeSubscribesOncePerMachine bridges the ICE Lab: its emulated
+// machines, its workcell servers and its client modules. Every machine is
+// subscribed in one request that lists all of its variables, and what the
+// bridge costs in goroutines, on both ends of the OPC UA connection, does
+// not grow with the variables: one per machine on each side, where one per
+// variable on each side cost 2·(variables − machines) more.
+func TestBridgeSubscribesOncePerMachine(t *testing.T) {
+	in, err := codegen.BuildIntermediate(icelab.MustBuild(icelab.ICELab()), codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := map[string]string{}
+	byName := map[string]codegen.MachineConfig{}
+	for _, mc := range in.Machines {
+		spec := machinesim.Spec{Name: mc.Machine}
+		for _, v := range mc.Variables {
+			spec.Vars = append(spec.Vars, machinesim.VarSpec{Name: v.Path, Type: v.Type, Category: v.Category})
+		}
+		for _, m := range mc.Methods {
+			spec.Methods = append(spec.Methods, machinesim.MethodSpec{Name: m.Name})
+		}
+		addrs[mc.Machine] = serveMachine(t, spec, nil).Addr()
+		byName[mc.Machine] = mc
+	}
+	counter := &subscribeCounter{}
+	serverAddrs := map[string]string{}
+	for _, sc := range in.Servers {
+		var machines []codegen.MachineConfig
+		for _, name := range sc.Machines {
+			machines = append(machines, byName[name])
+		}
+		srv := NewMachineServer(sc, machines, MapResolver(addrs), 10*time.Millisecond)
+		srv.ListenWrapper = counter.wrap
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		serverAddrs[sc.Name] = srv.Addr()
+	}
+	brk := broker.New()
+	if err := brk.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { brk.Close() })
+	resolve := func(server string) (string, error) { return serverAddrs[server], nil }
+
+	machines, variables := 0, 0
+	oneEach := make([]codegen.ClientConfig, len(in.Clients))
+	for i, cc := range in.Clients {
+		oneEach[i] = cc
+		oneEach[i].Machines = append([]codegen.ClientMachine(nil), cc.Machines...)
+		for j, cm := range cc.Machines {
+			if len(cm.Subscriptions) > 0 {
+				machines++
+				variables += len(cm.Subscriptions)
+				oneEach[i].Machines[j].Subscriptions = cm.Subscriptions[:1]
+			}
+		}
+	}
+	if variables < 4*machines {
+		t.Fatalf("the ICE Lab bridges %d variables of %d machines: too few to tell a machine from a variable", variables, machines)
+	}
+
+	// bridge starts every client module of configs and reports the
+	// goroutines they added and the subscribe requests and nodes that
+	// reached the servers.
+	bridge := func(configs []codegen.ClientConfig) (added, requests, nodes int) {
+		base := goroutines()
+		r0, n0 := counter.counts()
+		var clients []*BridgeClient
+		for _, cc := range configs {
+			c := NewBridgeClient(cc, resolve, brk.Addr())
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			clients = append(clients, c)
+		}
+		added = goroutines() - base
+		r1, n1 := counter.counts()
+		for _, c := range clients {
+			c.Stop()
+		}
+		eventually(t, 5*time.Second, "the bridge's goroutines to end", func() bool { return goroutines() <= base })
+		return added, r1 - r0, n1 - n0
+	}
+
+	oneAdded, requests, nodes := bridge(oneEach)
+	if requests != machines || nodes != machines {
+		t.Errorf("one variable per machine: %d subscribe requests listing %d nodes, want %d and %d", requests, nodes, machines, machines)
+	}
+	allAdded, requests, nodes := bridge(in.Clients)
+	if requests != machines || nodes != variables {
+		t.Errorf("every variable: %d subscribe requests listing %d nodes, want one per machine (%d) listing all %d variables",
+			requests, nodes, machines, variables)
+	}
+	t.Logf("%d machines, %d variables: bridging one variable per machine adds %d goroutines, every variable %d",
+		machines, variables, oneAdded, allAdded)
+	// The slack absorbs a goroutine the sampling could not tell from a
+	// lasting one; the per-variable shape would be 2·(variables − machines)
+	// over.
+	if extra := allAdded - oneAdded; extra > 4 {
+		t.Errorf("bridging all %d variables costs %d more goroutines than bridging one per machine, want the same (one per machine on each side)",
+			variables, extra)
+	}
+}
+
+// TestBridgeLoopFailureFailsHealth: a machine loop that ends other than by
+// Stop — here its publish is refused — fails Health, so the supervisor
+// restarts the pod instead of leaving the machine silent.
+func TestBridgeLoopFailureFailsHealth(t *testing.T) {
+	mc := machineConfig()
+	mc.Variables[0].Topic = "factory/line1/wc02/emco/values/+" // no publish to a wildcard
+	rig := startRigWith(t, mc)
+	if err := rig.client.Health(); err != nil {
+		t.Fatalf("Health before any change: %v", err)
+	}
+	var err error
+	eventually(t, 5*time.Second, "Health to report the ended loop", func() bool {
+		rig.machine.Step()
+		err = rig.client.Health()
+		return err != nil
+	})
+	if !strings.Contains(err.Error(), "machine emco") {
+		t.Errorf("Health = %v, want it to name the machine whose loop ended", err)
+	}
+	rig.client.Stop()
+	if err := rig.client.Health(); err == nil || !strings.Contains(err.Error(), "stopped") {
+		t.Errorf("Health after Stop = %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 
 // TestBridgeSurvivesServerRestart: the OPC UA server is torn down and a
 // replacement comes up at a new address; the bridge client reconnects,
-// resubscribes and keeps publishing, and service calls work again.
+// resubscribes the machine in one request, every variable flows again,
+// the goroutine count returns to its level before the restart, and service
+// calls work again.
 func TestBridgeSurvivesServerRestart(t *testing.T) {
 	mc := machineConfig()
 
@@ -33,16 +36,17 @@ func TestBridgeSurvivesServerRestart(t *testing.T) {
 	defer machine.Close()
 	machine.StartGenerator(5 * time.Millisecond)
 
-	newServer := func() *MachineServer {
+	newServer := func(wrap func(net.Listener) net.Listener) *MachineServer {
 		srv := NewMachineServer(codegen.ServerConfig{Name: "opcua-server-wc02", Workcell: "wc02"},
 			[]codegen.MachineConfig{mc},
 			MapResolver(map[string]string{"emco": machine.Addr()}), 5*time.Millisecond)
+		srv.ListenWrapper = wrap
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		return srv
 	}
-	srv := newServer()
+	srv := newServer(nil)
 
 	var mu sync.Mutex
 	serverAddr := srv.Addr()
@@ -75,24 +79,33 @@ func TestBridgeSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitSample := func(within time.Duration) bool {
+	// awaitEvery waits for a sample of every variable on ch.
+	awaitEvery := func(ch <-chan broker.Message, within time.Duration) bool {
+		missing := map[string]bool{}
+		for _, v := range mc.Variables {
+			missing[v.Topic] = true
+		}
 		deadline := time.After(within)
-		for {
+		for len(missing) > 0 {
 			select {
-			case <-ch:
-				return true
+			case m := <-ch:
+				delete(missing, m.Topic)
 			case <-deadline:
+				t.Logf("no sample on %v", missing)
 				return false
 			}
 		}
+		return true
 	}
-	if !awaitSample(5 * time.Second) {
-		t.Fatal("no samples before restart")
+	if !awaitEvery(ch, 5*time.Second) {
+		t.Fatal("not every variable sampled before restart")
 	}
+	before := goroutines()
 
 	// Restart the server at a new address.
 	srv.Stop()
-	srv2 := newServer()
+	counter := &subscribeCounter{}
+	srv2 := newServer(counter.wrap)
 	defer srv2.Stop()
 	mu.Lock()
 	serverAddr = srv2.Addr()
@@ -106,18 +119,26 @@ func TestBridgeSurvivesServerRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Drain anything stale, then demand a fresh sample.
-	drain := true
-	for drain {
-		select {
-		case <-ch:
-		default:
-			drain = false
-		}
+	// Once the machine has resubscribed, a fresh broker subscription sees
+	// only what was published since: every variable must flow again.
+	eventually(t, 10*time.Second, "the machine to resubscribe", func() bool {
+		requests, _ := counter.counts()
+		return requests > 0
+	})
+	freshID, fresh, err := brk.Subscribe("factory/line1/wc02/emco/values/#")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !awaitSample(10 * time.Second) {
-		t.Fatal("no samples after server restart")
+	if !awaitEvery(fresh, 10*time.Second) {
+		t.Fatal("not every variable sampled after server restart")
 	}
+	brk.Unsubscribe(freshID)
+	if requests, nodes := counter.counts(); requests != 1 || nodes != len(mc.Variables) {
+		t.Errorf("the machine resubscribed in %d requests listing %d nodes, want 1 listing %d", requests, nodes, len(mc.Variables))
+	}
+	eventually(t, 5*time.Second, "the goroutine count to return to its level before the restart", func() bool {
+		return goroutines() <= before
+	})
 
 	// Service calls work against the new server too.
 	bc, err := broker.DialClient(brk.Addr())

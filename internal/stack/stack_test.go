@@ -52,7 +52,12 @@ func machineConfig() codegen.MachineConfig {
 
 func startRig(t *testing.T) *testRig {
 	t.Helper()
-	mc := machineConfig()
+	return startRigWith(t, machineConfig())
+}
+
+// startRigWith is startRig with the machine configured as mc.
+func startRigWith(t *testing.T, mc codegen.MachineConfig) *testRig {
+	t.Helper()
 
 	machine := machinesim.New(machinesim.Spec{
 		Name: "emco",
@@ -143,8 +148,8 @@ func TestBridgePublishesToBroker(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("no sample published")
 	}
-	// The counter increments after the broker ack returns to the bridge,
-	// which may trail local delivery; poll briefly.
+	// The counter increments after the bridge staged the publish, which
+	// may trail local delivery; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if pub, _ := rig.client.Stats(); pub > 0 {
