@@ -88,18 +88,25 @@ fuzz:
 # Durability soak: the seeded chaos suites under the race detector — the
 # zero-loss audit (historian crashes + broker partition, every sequence
 # exactly once), the convergence soak and the partition-overlapped
-# reconfigure — then the WAL's concurrent-append and acked-means-synced
-# tests 200 times at 1, 2 and 4 CPUs, then the OPC UA subscription tests
-# and the bridge's server-restart test 50 times: one subscription carries
-# a machine's items through one queue set, one wake channel and one puller
-# or bridge loop, and its races (an item registered with the ack, a change
-# right behind it, a shed while the consumer takes, a resubscribe after a
-# lost connection) show only now and then. Longer than tier-1; run before
+# reconfigure — then the supervision tests 20 times: one pod record is
+# shared by the probe loop, supervised restarts, KillPod, Remove and
+# Shutdown, and a race between them (a restart that does not stop the
+# component it replaces, a kill mid-restart) shows only now and then. Then
+# the WAL's concurrent-append and acked-means-synced tests 200 times at 1,
+# 2 and 4 CPUs, then the OPC UA subscription tests and the bridge's
+# server-restart test 50 times: one subscription carries a machine's items
+# through one queue set, one wake channel and one puller or bridge loop,
+# and its races (an item registered with the ack, a change right behind
+# it, a shed while the consumer takes, a resubscribe after a lost
+# connection) show only now and then. Longer than tier-1; run before
 # touching the broker, the WAL, the OPC UA subscriptions, the bridge or
 # the supervision layers.
 soak:
 	$(GO) test -race -count=1 -v \
 		-run 'TestChaosAuditZeroLoss|TestChaosSeededSoakConverges|TestReconfigureUnderPartitionConverges' \
+		./internal/deploy/
+	$(GO) test -race -count=20 \
+		-run 'TestKillPod|TestBrokerKillCascadesAndHeals|TestShutdown|TestDuplicateDeploymentRejected|TestRemoveUnknownPod|TestReconfigure(NoChanges|MachineAdded|DriverEndpointChange)|TestLivenessRestartStopsOldComponentOnce|TestConfigNameMismatchRefused' \
 		./internal/deploy/
 	$(GO) test -race -count=200 -cpu 1,2,4 \
 		-run 'TestConcurrentAppends|TestAppendAcksOnlySyncedBytes' ./internal/wal/

@@ -133,6 +133,12 @@ func (n *Node) Serve(addr string) error { return n.Broker.Serve(addr) }
 // Addr returns the broker's TCP listen address.
 func (n *Node) Addr() string { return n.Broker.Addr() }
 
+// Health reports the wrapped broker's liveness.
+func (n *Node) Health() error { return n.Broker.Health() }
+
+// Stop is Close for callers that have no use for its error.
+func (n *Node) Stop() { n.Close() }
+
 // OwnerOf returns the shard owning a topic, or the node's own shard for
 // topics outside the plant layout (those are node-local). Exposed so
 // audits and tests can pick publish/consume shards that force a bridge

@@ -10,10 +10,7 @@
 package deploy
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -25,7 +22,6 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/historian"
 	"github.com/smartfactory/sysml2conf/internal/k8s"
 	"github.com/smartfactory/sysml2conf/internal/stack"
-	"github.com/smartfactory/sysml2conf/internal/wal"
 )
 
 // Node is one simulated cluster node.
@@ -70,7 +66,7 @@ type Pod struct {
 type Cluster struct {
 	mu    sync.Mutex
 	nodes []*Node
-	pods  map[string]*Pod
+	pods  map[string]*podRecord // by pod name
 
 	// MachineEndpoints resolves modeled driver endpoints to live machine
 	// emulator addresses. Must be set before Apply when the bundle contains
@@ -96,24 +92,9 @@ type Cluster struct {
 	// DataDir, when set before Apply, makes historian pods durable: each
 	// opens a WAL-backed store under DataDir/<name>, and a supervised
 	// restart recovers its state from disk (snapshot + WAL replay) instead
-	// of an in-memory handoff. Empty means volatile stores, kept across
-	// restarts via historianStores.
+	// of an in-memory handoff. Empty means volatile stores, each kept
+	// across restarts in its pod record.
 	DataDir string
-
-	// brokers is keyed by deployment name ("message-broker",
-	// "message-broker-s<i>"), brokerAddrs by shard index (the map nodes
-	// and components resolve each other through, refreshed on restart).
-	brokers     map[string]*broker.Node
-	brokerAddrs map[int]string
-	servers     map[string]*stack.MachineServer
-	serverAddrs map[string]string
-	clients     map[string]*stack.BridgeClient
-	historians  map[string]*historian.Service
-	monitors    map[string]*stack.WorkcellMonitor
-
-	// historianStores survive historian restarts so a supervised bounce
-	// does not lose accumulated time-series data.
-	historianStores map[string]*historian.Store
 
 	// queryServer, once started, serves the historian HTTP query API.
 	// Historians register their stores on start and unregister on stop, so
@@ -121,9 +102,8 @@ type Cluster struct {
 	queryServer *historian.QueryServer
 	queryAddr   string
 
-	runtimes map[string]*podRuntime // pod name -> supervision runtime
-	events   []Event
-	down     bool // Shutdown ran; supervisors must not resurrect pods
+	events []Event
+	down   bool // Shutdown ran; supervisors must not resurrect pods
 }
 
 // NewCluster creates a cluster with n nodes of the given pod capacity.
@@ -134,18 +114,7 @@ func NewCluster(n, capacity int) *Cluster {
 	if capacity <= 0 {
 		capacity = 16
 	}
-	c := &Cluster{
-		pods:            map[string]*Pod{},
-		brokers:         map[string]*broker.Node{},
-		brokerAddrs:     map[int]string{},
-		servers:         map[string]*stack.MachineServer{},
-		serverAddrs:     map[string]string{},
-		clients:         map[string]*stack.BridgeClient{},
-		historians:      map[string]*historian.Service{},
-		monitors:        map[string]*stack.WorkcellMonitor{},
-		historianStores: map[string]*historian.Store{},
-		runtimes:        map[string]*podRuntime{},
-	}
+	c := &Cluster{pods: map[string]*podRecord{}}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, &Node{Name: fmt.Sprintf("node-%d", i+1), Capacity: capacity})
 	}
@@ -186,8 +155,8 @@ func (c *Cluster) ApplyBundle(b *codegen.Bundle) error {
 }
 
 // Apply schedules and starts the components described by the objects.
-// ConfigMaps are indexed first; Deployments start in dependency order:
-// broker, then OPC UA servers, then clients and historians.
+// ConfigMaps are indexed first; Deployments start in the kind table's rank
+// order: broker, OPC UA servers, clients, historians, monitors.
 func (c *Cluster) Apply(objs []k8s.Object) error {
 	if err := k8s.Validate(objs); err != nil {
 		return err
@@ -204,7 +173,7 @@ func (c *Cluster) Apply(objs []k8s.Object) error {
 		case "Deployment":
 			deployments = append(deployments, o)
 		case "Namespace", "Service":
-			// Namespaces are implicit; Services resolve via serverAddrs.
+			// Namespaces are implicit; Services resolve through the pod records.
 		default:
 			return fmt.Errorf("deploy: unsupported kind %q (%s)", o.Kind(), o.Name())
 		}
@@ -230,351 +199,102 @@ func componentOf(o k8s.Object) string {
 	return ""
 }
 
+// componentRank is a Deployment's start rank; one without a known kind
+// sorts last.
 func componentRank(o k8s.Object) int {
-	switch componentOf(o) {
-	case "message-broker":
-		return 0
-	case "opcua-server":
-		return 1
-	case "opcua-client":
-		return 2
-	case "historian":
-		return 3
-	case "monitor":
-		return 4
+	if k, ok := kinds[componentOf(o)]; ok {
+		return k.rank
 	}
-	return 5
+	return len(kinds)
 }
 
 func (c *Cluster) startDeployment(o k8s.Object, configMaps map[string]k8s.Object) error {
-	pod := &Pod{
-		Name:      o.Name() + "-0",
-		Namespace: o.Namespace(),
-		Component: componentOf(o),
-		Phase:     PodPending,
+	p := &podRecord{
+		status: Pod{
+			Name:      o.Name() + "-0",
+			Namespace: o.Namespace(),
+			Component: componentOf(o),
+			Phase:     PodPending,
+		},
+		kind:       kinds[componentOf(o)],
+		deploy:     o,
+		configMaps: configMaps,
 	}
 	c.mu.Lock()
-	if _, exists := c.pods[pod.Name]; exists {
+	if _, exists := c.pods[p.status.Name]; exists {
 		c.mu.Unlock()
-		return fmt.Errorf("deploy: pod %s already exists (Deployment %s applied twice)", pod.Name, o.Name())
+		return fmt.Errorf("deploy: pod %s already exists (Deployment %s applied twice)", p.status.Name, o.Name())
 	}
-	if err := c.schedule(pod); err != nil {
+	if err := c.schedule(&p.status); err != nil {
 		c.mu.Unlock()
 		return err
 	}
-	c.pods[pod.Name] = pod
+	c.pods[p.status.Name] = p
 	c.mu.Unlock()
 
-	if err := c.startComponent(pod.Component, o, configMaps); err != nil {
+	if err := c.startPod(p); err != nil {
 		c.mu.Lock()
-		pod.Phase = PodFailed
-		pod.Error = err.Error()
+		p.status.Phase = PodFailed
+		p.status.Error = err.Error()
 		c.mu.Unlock()
 		return err
 	}
 
 	c.mu.Lock()
-	pod.Phase = PodRunning
-	pod.Ready = true
-	pod.Started = time.Now()
+	p.status.Phase = PodRunning
+	p.status.Ready = true
+	p.status.Started = time.Now()
 	c.mu.Unlock()
-	c.recordEvent(pod.Name, EventStarted, pod.Component+" started")
+	c.recordEvent(p.status.Name, EventStarted, p.status.Component+" started")
 	if pol := o.PodPolicy(); pol.Liveness != nil || pol.Readiness != nil {
-		c.startSupervisor(pod, o, pol, configMaps)
+		c.startSupervisor(p, pol)
 	}
 	return nil
 }
 
-// startComponent (re)creates and starts the component behind a Deployment,
-// registering it in the cluster's component maps. It is called both on
-// first apply and on every supervised restart — broker address and server
-// endpoints are read fresh each time, so a restarted broker cascades new
-// addresses to the components restarted after it.
-func (c *Cluster) startComponent(component string, o k8s.Object, configMaps map[string]k8s.Object) error {
-	cfg := func(key string) ([]byte, error) {
-		cm, ok := configMaps[o.Namespace()+"/"+o.Name()+"-config"]
-		if !ok {
-			return nil, fmt.Errorf("deploy: ConfigMap %s-config not found", o.Name())
-		}
-		data, ok := cm.ConfigData()[key]
-		if !ok {
-			return nil, fmt.Errorf("deploy: ConfigMap %s-config lacks key %s", o.Name(), key)
-		}
-		return []byte(data), nil
-	}
-
-	switch component {
-	case "message-broker":
-		// A broker.json ConfigMap places the node in a federation; a
-		// one-broker plant's Deployment has none and is shard 0 of 1.
-		bc := codegen.BrokerShardConfig{Shards: 1}
-		if _, ok := configMaps[o.Namespace()+"/"+o.Name()+"-config"]; ok {
-			raw, err := cfg("broker.json")
-			if err != nil {
-				return err
-			}
-			if err := json.Unmarshal(raw, &bc); err != nil {
-				return fmt.Errorf("deploy: bad broker.json for %s: %w", o.Name(), err)
-			}
-		}
-		return c.startBrokerNode(o.Name(), bc)
-
-	case "opcua-server":
-		raw, err := cfg("server.json")
-		if err != nil {
-			return err
-		}
-		var sc codegen.ServerConfig
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			return fmt.Errorf("deploy: bad server.json for %s: %w", o.Name(), err)
-		}
-		var machines []codegen.MachineConfig
-		for _, name := range sc.Machines {
-			mraw, err := cfg("machine-" + name + ".json")
-			if err != nil {
-				return err
-			}
-			var mc codegen.MachineConfig
-			if err := json.Unmarshal(mraw, &mc); err != nil {
-				return fmt.Errorf("deploy: bad machine config %s: %w", name, err)
-			}
-			machines = append(machines, mc)
-		}
-		resolver := c.MachineEndpoints
-		if resolver == nil {
-			resolver = stack.IdentityResolver
-		}
-		srv := stack.NewMachineServer(sc, machines, resolver, c.PollPeriod)
-		if inj := c.FaultInjector; inj != nil {
-			name := sc.Name
-			srv.ListenWrapper = func(ln net.Listener) net.Listener {
-				return inj.Wrap("opcua:"+name, ln)
-			}
-		}
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.servers[sc.Name] = srv
-		c.serverAddrs[sc.Name] = srv.Addr()
-		c.mu.Unlock()
-
-	case "opcua-client":
-		raw, err := cfg("client.json")
-		if err != nil {
-			return err
-		}
-		var cc codegen.ClientConfig
-		if err := json.Unmarshal(raw, &cc); err != nil {
-			return fmt.Errorf("deploy: bad client.json for %s: %w", o.Name(), err)
-		}
-		brokerAddr, err := c.BrokerShardAddr(cc.Shard)
-		if err != nil {
-			return fmt.Errorf("deploy: client %s started before the broker: %w", cc.Name, err)
-		}
-		client := stack.NewBridgeClient(cc, c.resolveServer, brokerAddr)
-		if err := client.Start(); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.clients[cc.Name] = client
-		c.mu.Unlock()
-
-	case "historian":
-		raw, err := cfg("storage.json")
-		if err != nil {
-			return err
-		}
-		var sc codegen.StorageConfig
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			return fmt.Errorf("deploy: bad storage.json for %s: %w", o.Name(), err)
-		}
-		brokerAddr, err := c.BrokerShardAddr(sc.Shard)
-		if err != nil {
-			return fmt.Errorf("deploy: historian %s started before the broker: %w", sc.Name, err)
-		}
-		c.mu.Lock()
-		store := c.historianStores[sc.Name]
-		dataDir := c.DataDir
-		c.mu.Unlock()
-		if dataDir != "" {
-			// Durable mode: every restart goes through the crash-recovery
-			// path — open snapshot + WAL, replay, resubscribe from the
-			// recovered session high-water marks.
-			opts := historian.DurableOptions{MaxPerSeries: sc.Retention}
-			if inj := c.FaultInjector; inj != nil {
-				opts.FS = inj.WrapFS("disk:"+sc.Name, wal.OS)
-			}
-			svc, err := historian.NewDurableService(brokerAddr, sc.Name, sc.Topics,
-				filepath.Join(dataDir, sc.Name), opts)
-			if err != nil {
-				return err
-			}
-			c.mu.Lock()
-			c.historians[sc.Name] = svc
-			qs := c.queryServer
-			c.mu.Unlock()
-			if qs != nil {
-				qs.Register(sc.Name, svc.Store)
-			}
-			return nil
-		}
-		if store == nil {
-			// Recorded before the service starts: a start that fails after
-			// acking samples into the store must not throw them away.
-			store = historian.NewStore(sc.Retention)
-			c.mu.Lock()
-			c.historianStores[sc.Name] = store
-			c.mu.Unlock()
-		}
-		svc, err := historian.NewAckedService(brokerAddr, sc.Name, sc.Topics, store)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.historians[sc.Name] = svc
-		qs := c.queryServer
-		c.mu.Unlock()
-		if qs != nil {
-			qs.Register(sc.Name, store)
-		}
-
-	case "monitor":
-		raw, err := cfg("monitor.json")
-		if err != nil {
-			return err
-		}
-		var mc codegen.MonitorConfig
-		if err := json.Unmarshal(raw, &mc); err != nil {
-			return fmt.Errorf("deploy: bad monitor.json for %s: %w", o.Name(), err)
-		}
-		brokerAddr, err := c.BrokerShardAddr(mc.Shard)
-		if err != nil {
-			return fmt.Errorf("deploy: monitor %s started before the broker: %w", mc.Name, err)
-		}
-		mon := stack.NewWorkcellMonitor(mc, brokerAddr)
-		if err := mon.Start(); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.monitors[mc.Name] = mon
-		c.mu.Unlock()
-
-	default:
-		return fmt.Errorf("deploy: deployment %s has no recognized component label", o.Name())
-	}
-	return nil
-}
-
-// startBrokerNode starts one broker shard: a broker.Node that forwards
-// non-owned publishes to owner shards and pulls remote-owned subscriptions
-// over acked bridge links (a one-shard node owns every topic and does
-// neither). Addresses resolve through the cluster's live brokerAddrs map,
-// so a restarted peer's new port is found on the next (re)dial.
-func (c *Cluster) startBrokerNode(name string, bc codegen.BrokerShardConfig) error {
-	opts := broker.NodeOptions{
-		Workcells: bc.Workcells,
-		Resolve:   c.BrokerShardAddr,
-	}
-	if inj := c.FaultInjector; inj != nil {
-		opts.Dial = func(link, addr string) (net.Conn, error) {
-			return inj.Dial(link, addr, 2*time.Second)
-		}
-	}
-	n := broker.NewNode(bc.Shard, bc.Shards, opts)
-	if inj := c.FaultInjector; inj != nil {
-		injName := strings.TrimPrefix(name, "message-")
-		n.Broker.ListenWrapper = func(ln net.Listener) net.Listener {
-			return inj.Wrap(injName, ln)
-		}
-	}
-	if err := n.Serve("127.0.0.1:0"); err != nil {
-		n.Close()
-		return err
-	}
+// running returns the component of Deployment name if it runs and is a T.
+func running[T component](c *Cluster, name string) T {
 	c.mu.Lock()
-	c.brokers[name] = n
-	c.brokerAddrs[bc.Shard] = n.Addr()
-	c.mu.Unlock()
-	return nil
+	defer c.mu.Unlock()
+	var t T
+	if p := c.pods[name+"-0"]; p != nil {
+		t, _ = p.comp.(T)
+	}
+	return t
+}
+
+// runningAll returns every running component that is a T, with its
+// Deployment name.
+func runningAll[T component](c *Cluster) map[string]T {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[string]T{}
+	for _, p := range c.pods {
+		if t, ok := p.comp.(T); ok {
+			out[p.name()] = t
+		}
+	}
+	return out
 }
 
 // BrokerShardAddr returns the live address of one broker shard ("" plus
 // an error while that node is down). A one-broker plant's broker is shard 0.
 func (c *Cluster) BrokerShardAddr(shard int) (string, error) {
-	c.mu.Lock()
-	addr := c.brokerAddrs[shard]
-	c.mu.Unlock()
-	if addr == "" {
-		return "", fmt.Errorf("deploy: broker shard %d is not running", shard)
-	}
-	return addr, nil
-}
-
-// stopComponent tears down the component behind a Deployment without
-// touching pod bookkeeping (the supervisor uses it mid-restart, KillPod
-// uses it to simulate a crash).
-func (c *Cluster) stopComponent(component, name string) {
-	switch component {
-	case "message-broker":
-		c.mu.Lock()
-		n := c.brokers[name]
-		if n != nil {
-			delete(c.brokers, name)
-			delete(c.brokerAddrs, n.Shard())
-		}
-		c.mu.Unlock()
-		if n != nil {
-			n.Close()
-		}
-	case "opcua-server":
-		c.mu.Lock()
-		srv := c.servers[name]
-		delete(c.servers, name)
-		delete(c.serverAddrs, name)
-		c.mu.Unlock()
-		if srv != nil {
-			srv.Stop()
-		}
-	case "opcua-client":
-		c.mu.Lock()
-		cl := c.clients[name]
-		delete(c.clients, name)
-		c.mu.Unlock()
-		if cl != nil {
-			cl.Stop()
-		}
-	case "historian":
-		c.mu.Lock()
-		h := c.historians[name]
-		delete(c.historians, name)
-		qs := c.queryServer
-		c.mu.Unlock()
-		if qs != nil {
-			qs.Unregister(name)
-		}
-		if h != nil {
-			h.Close()
-		}
-	case "monitor":
-		c.mu.Lock()
-		mon := c.monitors[name]
-		delete(c.monitors, name)
-		c.mu.Unlock()
-		if mon != nil {
-			mon.Stop()
+	for _, n := range c.brokerNodes() {
+		if n.Shard() == shard {
+			if addr := n.Addr(); addr != "" {
+				return addr, nil
+			}
 		}
 	}
+	return "", fmt.Errorf("deploy: broker shard %d is not running", shard)
 }
 
 func (c *Cluster) resolveServer(server string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addr, ok := c.serverAddrs[server]
-	if !ok {
-		return "", fmt.Errorf("deploy: OPC UA server %q is not running", server)
+	if s := running[*stack.MachineServer](c, server); s != nil {
+		return s.Addr(), nil
 	}
-	return addr, nil
+	return "", fmt.Errorf("deploy: OPC UA server %q is not running", server)
 }
 
 // Pods returns pod statuses sorted by name.
@@ -583,7 +303,7 @@ func (c *Cluster) Pods() []Pod {
 	defer c.mu.Unlock()
 	out := make([]Pod, 0, len(c.pods))
 	for _, p := range c.pods {
-		out = append(out, *p)
+		out = append(out, p.status)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -597,7 +317,7 @@ func (c *Cluster) AllRunning() bool {
 		return false
 	}
 	for _, p := range c.pods {
-		if p.Phase != PodRunning {
+		if p.status.Phase != PodRunning {
 			return false
 		}
 	}
@@ -610,28 +330,21 @@ func (c *Cluster) AllRunning() bool {
 // so callers that need just some broker (the factorysim orchestrator)
 // need not know the shard count.
 func (c *Cluster) BrokerAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	best := -1
-	for shard := range c.brokerAddrs {
-		if best < 0 || shard < best {
-			best = shard
+	for _, n := range c.brokerNodes() {
+		if addr := n.Addr(); addr != "" {
+			return addr
 		}
 	}
-	if best < 0 {
-		return ""
-	}
-	return c.brokerAddrs[best]
+	return ""
 }
 
-// brokerNodes snapshots the live broker nodes.
+// brokerNodes snapshots the live broker nodes, sorted by shard.
 func (c *Cluster) brokerNodes() []*broker.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*broker.Node, 0, len(c.brokers))
-	for _, n := range c.brokers {
+	var out []*broker.Node
+	for _, n := range runningAll[*broker.Node](c) {
 		out = append(out, n)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Shard() < out[j].Shard() })
 	return out
 }
 
@@ -692,7 +405,6 @@ func (c *Cluster) BrokerShardStats() []ShardBrokerStats {
 		s.Redelivered, s.Refused = n.Broker.AckStats()
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
 }
 
@@ -713,9 +425,11 @@ func (c *Cluster) StartQueryServer(addr string) (string, error) {
 	// Register while still holding c.mu (Register only takes the query
 	// server's own lock): a historian stopped concurrently either sees
 	// c.queryServer already set and Unregisters after us, or is gone from
-	// c.historians before we snapshot it — never re-registered stale.
-	for name, h := range c.historians {
-		qs.Register(name, h.Store)
+	// its record before we look — never re-registered stale.
+	for _, p := range c.pods {
+		if h, ok := p.comp.(*historian.Service); ok {
+			qs.Register(p.name(), h.Store)
+		}
 	}
 	c.mu.Unlock()
 
@@ -749,17 +463,13 @@ func (c *Cluster) QueryAddr() string {
 
 // Historian returns a running historian service by name, or nil.
 func (c *Cluster) Historian(name string) *historian.Service {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.historians[name]
+	return running[*historian.Service](c, name)
 }
 
 // Historians lists running historian names, sorted.
 func (c *Cluster) Historians() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []string
-	for name := range c.historians {
+	for name := range runningAll[*historian.Service](c) {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -768,41 +478,19 @@ func (c *Cluster) Historians() []string {
 
 // Server returns a running OPC UA server component by name, or nil.
 func (c *Cluster) Server(name string) *stack.MachineServer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.servers[name]
-}
-
-// Client returns a running bridge client by name, or nil.
-func (c *Cluster) Client(name string) *stack.BridgeClient {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.clients[name]
+	return running[*stack.MachineServer](c, name)
 }
 
 // Monitor returns a running workcell monitor by name, or nil.
 func (c *Cluster) Monitor(name string) *stack.WorkcellMonitor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.monitors[name]
-}
-
-// NodeLoads returns pod counts per node (diagnostics and tests).
-func (c *Cluster) NodeLoads() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := map[string]int{}
-	for _, n := range c.nodes {
-		out[n.Name] = n.pods
-	}
-	return out
+	return running[*stack.WorkcellMonitor](c, name)
 }
 
 // Shutdown drains the cluster: supervisors stop first (so nothing gets
-// resurrected mid-teardown), then components stop in reverse data-flow
-// order — clients, servers, monitors, historians, broker — so no component
-// observes a dependency vanishing while it is still doing work. Shutdown is
-// idempotent; a second call is a no-op.
+// resurrected mid-teardown), then the query front end, then components in
+// the kind table's drain order — clients, servers, monitors, historians,
+// broker tier — so no component observes a dependency vanishing while it
+// is still doing work. Shutdown is idempotent; a second call is a no-op.
 func (c *Cluster) Shutdown() {
 	c.mu.Lock()
 	if c.down {
@@ -810,63 +498,41 @@ func (c *Cluster) Shutdown() {
 		return
 	}
 	c.down = true
-	runtimes := c.runtimes
-	c.runtimes = map[string]*podRuntime{}
+	pods := make([]*podRecord, 0, len(c.pods))
+	for _, p := range c.pods {
+		pods = append(pods, p)
+	}
 	c.mu.Unlock()
 
 	// 1. Stop every supervisor and wait for its probe loop to exit.
-	for _, rt := range runtimes {
-		rt.halt()
-	}
-	for _, rt := range runtimes {
-		<-rt.done
-	}
+	c.haltSupervisors(pods...)
 
+	// 2. The query front end, then the components in drain order.
 	c.mu.Lock()
-	clients := c.clients
-	servers := c.servers
-	historians := c.historians
-	monitors := c.monitors
-	nodes := c.brokers
 	qs := c.queryServer
 	c.queryServer = nil
 	c.queryAddr = ""
-	c.clients = map[string]*stack.BridgeClient{}
-	c.servers = map[string]*stack.MachineServer{}
-	c.historians = map[string]*historian.Service{}
-	c.monitors = map[string]*stack.WorkcellMonitor{}
-	c.brokers = map[string]*broker.Node{}
-	c.brokerAddrs = map[int]string{}
 	c.mu.Unlock()
-
-	// 2. Components in order: query front end → clients → servers →
-	// monitors → historians → broker tier.
 	if qs != nil {
 		qs.Close()
 	}
-	for _, cl := range clients {
-		cl.Stop()
-	}
-	for _, s := range servers {
-		s.Stop()
-	}
-	for _, mo := range monitors {
-		mo.Stop()
-	}
-	for _, h := range historians {
-		h.Close()
-	}
-	for _, n := range nodes {
-		n.Close()
+	sort.Slice(pods, func(i, j int) bool {
+		if pods[i].kind.drain != pods[j].kind.drain {
+			return pods[i].kind.drain < pods[j].kind.drain
+		}
+		return pods[i].status.Name < pods[j].status.Name
+	})
+	for _, p := range pods {
+		c.stopPod(p)
 	}
 
 	c.mu.Lock()
-	for _, p := range c.pods {
-		if p.Phase == PodRunning || p.Phase == PodPending {
-			p.Phase = PodSucceeded
+	for _, p := range pods {
+		if p.status.Phase == PodRunning || p.status.Phase == PodPending {
+			p.status.Phase = PodSucceeded
 		}
-		p.Ready = false
-		p.ReadyReason = "cluster shut down"
+		p.status.Ready = false
+		p.status.ReadyReason = "cluster shut down"
 	}
 	c.mu.Unlock()
 }

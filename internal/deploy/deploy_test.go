@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/broker"
 	"github.com/smartfactory/sysml2conf/internal/codegen"
 	"github.com/smartfactory/sysml2conf/internal/icelab"
+	"github.com/smartfactory/sysml2conf/internal/k8s"
 	"github.com/smartfactory/sysml2conf/internal/stack"
 )
 
@@ -50,7 +53,10 @@ func TestApplyBundleAllPodsRunning(t *testing.T) {
 		t.Errorf("pods = %d, want %d", got, wantPods)
 	}
 	// Scheduler spread: no node should hold everything.
-	loads := cluster.NodeLoads()
+	loads := map[string]int{}
+	for _, p := range cluster.Pods() {
+		loads[p.Node]++
+	}
 	for node, n := range loads {
 		if n == wantPods {
 			t.Errorf("node %s holds all %d pods; scheduler did not spread", node, n)
@@ -161,7 +167,7 @@ func TestClientStartedBeforeBrokerFails(t *testing.T) {
 	if clientOnly == nil {
 		t.Fatal("client manifest not found")
 	}
-	objs, err := decodeManifest(clientOnly)
+	objs, err := k8s.Decode(clientOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,5 +222,76 @@ func TestSpecForMachine(t *testing.T) {
 			t.Errorf("%s: spec %d/%d vs config %d/%d", mc.Machine,
 				len(spec.Vars), len(spec.Methods), len(mc.Variables), len(mc.Methods))
 		}
+	}
+}
+
+// TestConfigNameMismatchRefused: a client.json whose name is not its
+// Deployment's is refused at start. Accepted, the cluster would know the
+// component by one name and probe the pod by the other, and every
+// supervised restart would start a bridge client without stopping the last.
+func TestConfigNameMismatchRefused(t *testing.T) {
+	bundle := millingBundle(t)
+	fleet, resolver, err := StartFleet(bundle.Intermediate.Machines, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+
+	// Fresh objects, so the bundle's own stay untouched.
+	var objs []k8s.Object
+	for _, data := range bundle.Manifests {
+		o, err := k8s.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o...)
+	}
+	const deployment, renamed = "opcua-client-1", "opcua-client-renamed"
+	edited := false
+	for _, o := range objs {
+		if o.Kind() != "ConfigMap" || o.Name() != deployment+"-config" {
+			continue
+		}
+		data := o.Raw["data"].(map[string]any)
+		var cc map[string]any
+		if err := json.Unmarshal([]byte(data["client.json"].(string)), &cc); err != nil {
+			t.Fatal(err)
+		}
+		cc["name"] = renamed
+		raw, err := json.Marshal(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data["client.json"] = string(raw)
+		edited = true
+	}
+	if !edited {
+		t.Fatalf("no ConfigMap %s-config in the bundle", deployment)
+	}
+
+	before := runtime.NumGoroutine()
+	cluster := NewCluster(2, 16)
+	cluster.MachineEndpoints = resolver
+	fastProbes(cluster)
+	err = cluster.Apply(objs)
+	if err == nil || !strings.Contains(err.Error(), deployment) || !strings.Contains(err.Error(), renamed) {
+		t.Errorf("Apply = %v, want an error naming %s and %s", err, deployment, renamed)
+	}
+	if p, ok := cluster.PodStatus(deployment); !ok || p.Phase != PodFailed {
+		t.Errorf("pod %s: %+v, want Failed", deployment, p)
+	}
+	for _, name := range []string{deployment, renamed} {
+		if comp := running[component](cluster, name); comp != nil {
+			t.Errorf("a component runs under %s: %T", name, comp)
+		}
+	}
+
+	cluster.Shutdown()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after Shutdown, %d before Apply", after, before)
 	}
 }

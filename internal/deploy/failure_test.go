@@ -8,6 +8,7 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/broker"
 	"github.com/smartfactory/sysml2conf/internal/codegen"
 	"github.com/smartfactory/sysml2conf/internal/icelab"
+	"github.com/smartfactory/sysml2conf/internal/k8s"
 	"github.com/smartfactory/sysml2conf/internal/stack"
 )
 
@@ -169,7 +170,7 @@ func TestBundleIsSelfContained(t *testing.T) {
 	bundle := millingBundle(t)
 	components := map[string]int{}
 	for name, data := range bundle.Manifests {
-		objs, err := decodeManifest(data)
+		objs, err := k8s.Decode(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -14,29 +14,23 @@ import (
 func (c *Cluster) Remove(deploymentName string) error {
 	podName := deploymentName + "-0"
 	c.mu.Lock()
-	pod, ok := c.pods[podName]
+	p, ok := c.pods[podName]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("deploy: pod %s not found", podName)
 	}
 	delete(c.pods, podName)
 	for _, n := range c.nodes {
-		if n.Name == pod.Node && n.pods > 0 {
+		if n.Name == p.status.Node && n.pods > 0 {
 			n.pods--
 		}
 	}
-	component := pod.Component
-	if component == "historian" {
-		// An explicit removal discards the retained store; only supervised
-		// restarts keep data across component generations.
-		delete(c.historianStores, deploymentName)
-	}
 	c.mu.Unlock()
 
-	c.stopSupervisor(podName)
-	// The deployment, the component and its service share the same name
-	// (e.g. "opcua-server-<workcell>").
-	c.stopComponent(component, deploymentName)
+	// The record goes, and a volatile historian's store with it: only
+	// supervised restarts keep data across component generations.
+	c.haltSupervisors(p)
+	c.stopPod(p)
 	return nil
 }
 
@@ -174,15 +168,8 @@ func planReconfigure(old, new *codegen.Bundle, diff codegen.Diff) reconfigurePla
 		}
 	}
 	for _, d := range running {
-		switch componentOf(d.obj) {
-		case "opcua-client":
-			if brokerRestarts || dependentClients[d.obj.Name()] {
-				stop[d.obj.Name()] = d.obj
-			}
-		case "historian", "monitor":
-			if brokerRestarts {
-				stop[d.obj.Name()] = d.obj
-			}
+		if brokerRestarts && kinds[componentOf(d.obj)].onBroker || dependentClients[d.obj.Name()] {
+			stop[d.obj.Name()] = d.obj
 		}
 	}
 

@@ -32,15 +32,10 @@ type Event struct {
 // maxEvents bounds the in-memory event log.
 const maxEvents = 4096
 
-// podRuntime is the supervision state of one pod: everything needed to
-// probe it and to rebuild its component on restart.
+// podRuntime is a pod's supervisor: its probe policy and the handles of its
+// probe loop.
 type podRuntime struct {
-	podName    string
-	deployName string
-	component  string
-	deploy     k8s.Object
-	policy     k8s.PodPolicy
-	configMaps map[string]k8s.Object
+	policy k8s.PodPolicy
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -84,35 +79,33 @@ func scaleProbe(p *k8s.ProbeSpec, unit time.Duration) probeParams {
 	return out
 }
 
-// startSupervisor registers a runtime for the pod and begins probing it.
-func (c *Cluster) startSupervisor(pod *Pod, o k8s.Object, pol k8s.PodPolicy, configMaps map[string]k8s.Object) {
+// startSupervisor gives the pod a supervisor and begins probing it.
+func (c *Cluster) startSupervisor(p *podRecord, pol k8s.PodPolicy) {
 	rt := &podRuntime{
-		podName:    pod.Name,
-		deployName: o.Name(),
-		component:  pod.Component,
-		deploy:     o,
-		policy:     pol,
-		configMaps: configMaps,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		policy: pol,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	c.mu.Lock()
-	if old := c.runtimes[pod.Name]; old != nil {
-		old.halt()
-	}
-	c.runtimes[pod.Name] = rt
+	p.rt = rt
 	c.mu.Unlock()
-	go c.supervise(rt, pod)
+	go c.supervise(p, rt)
 }
 
-// stopSupervisor halts a pod's probe loop and waits for it to exit.
-func (c *Cluster) stopSupervisor(podName string) {
+// haltSupervisors halts the pods' probe loops and waits for them to exit.
+func (c *Cluster) haltSupervisors(pods ...*podRecord) {
 	c.mu.Lock()
-	rt := c.runtimes[podName]
-	delete(c.runtimes, podName)
+	rts := make([]*podRuntime, 0, len(pods))
+	for _, p := range pods {
+		if p.rt != nil {
+			rts = append(rts, p.rt)
+		}
+	}
 	c.mu.Unlock()
-	if rt != nil {
+	for _, rt := range rts {
 		rt.halt()
+	}
+	for _, rt := range rts {
 		<-rt.done
 	}
 }
@@ -121,7 +114,7 @@ func (c *Cluster) stopSupervisor(podName string) {
 // threshold restart the component with exponential backoff (repeated
 // restart failures surface as CrashLoopBackOff); readiness failures only
 // flip the pod's Ready condition.
-func (c *Cluster) supervise(rt *podRuntime, pod *Pod) {
+func (c *Cluster) supervise(p *podRecord, rt *podRuntime) {
 	defer close(rt.done)
 	unit := c.probeUnit()
 	live := scaleProbe(rt.policy.Liveness, unit)
@@ -150,7 +143,7 @@ func (c *Cluster) supervise(rt *podRuntime, pod *Pod) {
 			if time.Since(epoch) < live.delay {
 				continue
 			}
-			err := c.componentHealth(rt.component, rt.deployName)
+			err := c.probe(p, false)
 			if err == nil {
 				failures = 0
 				continue
@@ -160,8 +153,8 @@ func (c *Cluster) supervise(rt *podRuntime, pod *Pod) {
 				continue
 			}
 			failures = 0
-			c.recordEvent(rt.podName, EventUnhealthy, err.Error())
-			if !c.restartPod(rt, pod) {
+			c.recordEvent(p.status.Name, EventUnhealthy, err.Error())
+			if !c.restartPod(p, rt) {
 				return // halted mid-restart
 			}
 			epoch = time.Now()
@@ -170,7 +163,7 @@ func (c *Cluster) supervise(rt *podRuntime, pod *Pod) {
 			if time.Since(epoch) < ready.delay {
 				continue
 			}
-			c.setReady(pod, c.componentReady(rt.component, rt.deployName))
+			c.setReady(p, c.probe(p, true))
 		}
 	}
 }
@@ -180,17 +173,18 @@ func (c *Cluster) supervise(rt *podRuntime, pod *Pod) {
 // crashLoopThreshold consecutive failures the pod is marked
 // CrashLoopBackOff and keeps retrying at the capped pace until it heals or
 // the supervisor halts. Returns false when halted.
-func (c *Cluster) restartPod(rt *podRuntime, pod *Pod) bool {
+func (c *Cluster) restartPod(p *podRecord, rt *podRuntime) bool {
 	const crashLoopThreshold = 5
 	unit := c.probeUnit()
 	backoff := resilience.Backoff{Initial: 2 * unit, Factor: 2, Max: 64 * unit}
+	pod := &p.status
 
 	c.mu.Lock()
 	pod.Phase = PodPending
 	pod.Ready = false
 	pod.ReadyReason = "restarting"
 	c.mu.Unlock()
-	c.stopComponent(rt.component, rt.deployName)
+	c.stopPod(p)
 
 	for attempt := 0; ; attempt++ {
 		timer := time.NewTimer(backoff.Delay(attempt))
@@ -200,7 +194,7 @@ func (c *Cluster) restartPod(rt *podRuntime, pod *Pod) bool {
 			return false
 		case <-timer.C:
 		}
-		err := c.startComponent(rt.component, rt.deploy, rt.configMaps)
+		err := c.startPod(p)
 		if err == nil {
 			c.mu.Lock()
 			pod.Phase = PodRunning
@@ -211,8 +205,8 @@ func (c *Cluster) restartPod(rt *podRuntime, pod *Pod) bool {
 			pod.Restarts++
 			restarts := pod.Restarts
 			c.mu.Unlock()
-			c.recordEvent(rt.podName, EventRestarted,
-				fmt.Sprintf("%s restarted (restart #%d)", rt.component, restarts))
+			c.recordEvent(pod.Name, EventRestarted,
+				fmt.Sprintf("%s restarted (restart #%d)", pod.Component, restarts))
 			return true
 		}
 		c.mu.Lock()
@@ -224,89 +218,16 @@ func (c *Cluster) restartPod(rt *podRuntime, pod *Pod) bool {
 		}
 		c.mu.Unlock()
 		if crashed {
-			c.recordEvent(rt.podName, EventCrashLoop, err.Error())
+			c.recordEvent(pod.Name, EventCrashLoop, err.Error())
 		}
 	}
-}
-
-// componentHealth is the liveness check behind a pod: the component must
-// exist and report healthy. A missing component (killed or mid-crash) is a
-// liveness failure, which is exactly what triggers the restart path.
-func (c *Cluster) componentHealth(component, name string) error {
-	switch component {
-	case "message-broker":
-		c.mu.Lock()
-		n := c.brokers[name]
-		c.mu.Unlock()
-		if n == nil {
-			return fmt.Errorf("deploy: broker %s not running", name)
-		}
-		return n.Broker.Health()
-	case "opcua-server":
-		c.mu.Lock()
-		s := c.servers[name]
-		c.mu.Unlock()
-		if s == nil {
-			return fmt.Errorf("deploy: server %s not running", name)
-		}
-		return s.Health()
-	case "opcua-client":
-		c.mu.Lock()
-		cl := c.clients[name]
-		c.mu.Unlock()
-		if cl == nil {
-			return fmt.Errorf("deploy: client %s not running", name)
-		}
-		return cl.Health()
-	case "historian":
-		c.mu.Lock()
-		h := c.historians[name]
-		c.mu.Unlock()
-		if h == nil {
-			return fmt.Errorf("deploy: historian %s not running", name)
-		}
-		return h.Health()
-	case "monitor":
-		c.mu.Lock()
-		m := c.monitors[name]
-		c.mu.Unlock()
-		if m == nil {
-			return fmt.Errorf("deploy: monitor %s not running", name)
-		}
-		return m.Health()
-	}
-	return fmt.Errorf("deploy: unknown component %q", component)
-}
-
-// componentReady is the readiness check: servers and clients distinguish
-// "alive" from "all upstream connections established"; the rest equate
-// readiness with liveness.
-func (c *Cluster) componentReady(component, name string) error {
-	switch component {
-	case "opcua-server":
-		c.mu.Lock()
-		s := c.servers[name]
-		c.mu.Unlock()
-		if s == nil {
-			return fmt.Errorf("deploy: server %s not running", name)
-		}
-		return s.Ready()
-	case "opcua-client":
-		c.mu.Lock()
-		cl := c.clients[name]
-		c.mu.Unlock()
-		if cl == nil {
-			return fmt.Errorf("deploy: client %s not running", name)
-		}
-		return cl.Ready()
-	}
-	return c.componentHealth(component, name)
 }
 
 // setReady updates a pod's Ready condition, emitting an event on
 // transitions.
-func (c *Cluster) setReady(pod *Pod, err error) {
+func (c *Cluster) setReady(p *podRecord, err error) {
 	c.mu.Lock()
+	pod := &p.status
 	was := pod.Ready
 	if err == nil {
 		pod.Ready = true
@@ -352,10 +273,10 @@ func (c *Cluster) PodStatus(name string) (Pod, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.pods[name]; ok {
-		return *p, true
+		return p.status, true
 	}
 	if p, ok := c.pods[name+"-0"]; ok {
-		return *p, true
+		return p.status, true
 	}
 	return Pod{}, false
 }
@@ -368,7 +289,7 @@ func (c *Cluster) AllReady() bool {
 		return false
 	}
 	for _, p := range c.pods {
-		if p.Phase != PodRunning || !p.Ready {
+		if p.status.Phase != PodRunning || !p.status.Ready {
 			return false
 		}
 	}
@@ -381,15 +302,13 @@ func (c *Cluster) AllReady() bool {
 func (c *Cluster) KillPod(deploymentName string) error {
 	podName := deploymentName + "-0"
 	c.mu.Lock()
-	pod, ok := c.pods[podName]
+	p, ok := c.pods[podName]
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("deploy: pod %s not found", podName)
 	}
-	component := pod.Component
-	c.mu.Unlock()
-	c.recordEvent(podName, EventKilled, component+" killed")
-	c.stopComponent(component, deploymentName)
+	c.recordEvent(podName, EventKilled, p.status.Component+" killed")
+	c.stopPod(p)
 	return nil
 }
 

@@ -1,10 +1,16 @@
 package deploy
 
 import (
+	"errors"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/smartfactory/sysml2conf/internal/faultinject"
+	"github.com/smartfactory/sysml2conf/internal/historian"
+	"github.com/smartfactory/sysml2conf/internal/k8s"
 )
 
 // fastProbes configures a cluster for quick supervision tests: 2ms probe
@@ -219,22 +225,39 @@ func TestBrokerPartitionCrashLoopAndRecovery(t *testing.T) {
 }
 
 func TestShutdownDrainsInOrderAndMarksPods(t *testing.T) {
-	bundle := millingBundle(t)
-	fleet, resolver, err := StartFleet(bundle.Intermediate.Machines, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
+	// The full ICE Lab runs all five kinds (the milling workcell alone
+	// has no monitor).
+	cluster, _ := deployICELab(t)
 
-	cluster := NewCluster(2, 16)
-	cluster.MachineEndpoints = resolver
-	fastProbes(cluster)
-	if err := cluster.ApplyBundle(bundle); err != nil {
-		t.Fatal(err)
+	// Every running component is wrapped in a recorder, so the drain order
+	// is observed, not inferred.
+	var stops stopLog
+	pods := map[string]int{} // by kind
+	cluster.mu.Lock()
+	for _, p := range cluster.pods {
+		p.comp = &recordingComponent{component: p.comp, kind: p.status.Component, log: &stops}
+		pods[p.status.Component]++
+	}
+	cluster.mu.Unlock()
+	if len(pods) != len(kinds) {
+		t.Fatalf("the plant runs the kinds %v, want all %d", pods, len(kinds))
 	}
 
 	cluster.Shutdown()
 	cluster.Shutdown() // idempotent: second call is a no-op
+
+	drain := []string{"opcua-client", "opcua-server", "monitor", "historian", "message-broker"}
+	got := stops.entries()
+	stopped := map[string]int{}
+	for i, kind := range got {
+		stopped[kind]++
+		if i > 0 && slices.Index(drain, got[i-1]) > slices.Index(drain, kind) {
+			t.Errorf("shutdown stopped a %s before a %s; want the order %v: %v", got[i-1], kind, drain, got)
+		}
+	}
+	if !maps.Equal(stopped, pods) {
+		t.Errorf("shutdown stopped %v, want each pod's component once: %v", stopped, pods)
+	}
 
 	for _, p := range cluster.Pods() {
 		if p.Phase != PodSucceeded {
@@ -249,5 +272,175 @@ func TestShutdownDrainsInOrderAndMarksPods(t *testing.T) {
 	}
 	if cluster.BrokerAddr() != "" {
 		t.Error("broker addr survives shutdown")
+	}
+}
+
+// stopLog is an ordered, concurrency-safe record of test events.
+type stopLog struct {
+	mu  sync.Mutex
+	log []string
+}
+
+func (l *stopLog) add(e string) {
+	l.mu.Lock()
+	l.log = append(l.log, e)
+	l.mu.Unlock()
+}
+
+func (l *stopLog) entries() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.log)
+}
+
+// recordingComponent wraps a pod's real component and logs its kind when
+// it is stopped.
+type recordingComponent struct {
+	component
+	kind string
+	log  *stopLog
+}
+
+func (r *recordingComponent) Stop() {
+	r.log.add(r.kind)
+	r.component.Stop()
+}
+
+// fakeComponent is a component that runs nothing: it fails its liveness
+// checks with health, counts them and logs "stop <name>" when stopped.
+type fakeComponent struct {
+	name   string
+	health error
+	log    *stopLog
+
+	mu            sync.Mutex
+	checks, stops int
+}
+
+func (f *fakeComponent) Health() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.checks++
+	return f.health
+}
+
+func (f *fakeComponent) Stop() {
+	f.mu.Lock()
+	f.stops++
+	f.mu.Unlock()
+	f.log.add("stop " + f.name)
+}
+
+func (f *fakeComponent) counts() (checks, stops int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.checks, f.stops
+}
+
+// fakePod puts a Running pod record for Deployment name into the cluster,
+// with comp running behind it, as startDeployment leaves one of kind k.
+func fakePod(c *Cluster, name string, k kind, comp component) *podRecord {
+	p := &podRecord{
+		status: Pod{Name: name + "-0", Component: "fake", Phase: PodRunning, Ready: true},
+		kind:   k,
+		deploy: k8s.Object{Raw: map[string]any{
+			"kind":     "Deployment",
+			"metadata": map[string]any{"name": name},
+		}},
+		comp: comp,
+	}
+	c.mu.Lock()
+	c.pods[p.status.Name] = p
+	c.mu.Unlock()
+	return p
+}
+
+func TestLivenessRestartStopsOldComponentOnce(t *testing.T) {
+	cluster := NewCluster(1, 4)
+	cluster.ProbeUnit = time.Millisecond
+	defer cluster.Shutdown()
+
+	var log stopLog
+	old := &fakeComponent{name: "old", health: errors.New("wedged"), log: &log}
+	fresh := &fakeComponent{name: "new", log: &log}
+	start := func(*Cluster, *podRecord) (component, error) {
+		log.add("start new")
+		return fresh, nil
+	}
+	const threshold = 3
+	p := fakePod(cluster, "fake", kind{start: start}, old)
+	cluster.startSupervisor(p, k8s.PodPolicy{
+		Liveness: &k8s.ProbeSpec{PeriodSeconds: 1, FailureThreshold: threshold},
+	})
+
+	waitFor(t, 5*time.Second, "the supervised restart", func() bool {
+		s, _ := cluster.PodStatus("fake")
+		return s.Restarts >= 1
+	})
+	// The new component passes its checks: give the probe loop time to run
+	// several, which must restart nothing more.
+	waitFor(t, 5*time.Second, "probes of the new component", func() bool {
+		checks, _ := fresh.counts()
+		return checks >= 2*threshold
+	})
+
+	if checks, stops := old.counts(); checks != threshold || stops != 1 {
+		t.Errorf("old component: %d liveness checks and %d stops, want %d and 1", checks, stops, threshold)
+	}
+	if got, want := log.entries(), []string{"stop old", "start new"}; !slices.Equal(got, want) {
+		t.Errorf("restart did %v, want %v", got, want)
+	}
+	s, _ := cluster.PodStatus("fake")
+	if s.Restarts != 1 || s.Phase != PodRunning || !s.Ready {
+		t.Errorf("pod after restart: restarts=%d phase=%s ready=%v, want 1, Running, true", s.Restarts, s.Phase, s.Ready)
+	}
+	var events []string
+	for _, e := range cluster.Events() {
+		if e.Pod == "fake-0" {
+			events = append(events, e.Type)
+		}
+	}
+	if want := []string{EventUnhealthy, EventRestarted}; !slices.Equal(events, want) {
+		t.Errorf("events = %v, want %v", events, want)
+	}
+}
+
+func TestKillPodKeepsHistorianStoreRemoveDiscardsIt(t *testing.T) {
+	cluster := NewCluster(1, 4)
+	defer cluster.Shutdown()
+
+	var log stopLog
+	h := &fakeComponent{name: "historian", log: &log}
+	p := fakePod(cluster, "historian-1", kinds["historian"], h)
+	store := historian.NewStore(16)
+	p.store = store
+
+	for i := 0; i < 2; i++ { // a second kill finds nothing running
+		if err := cluster.KillPod("historian-1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, stops := h.counts(); stops != 1 {
+		t.Errorf("KillPod twice stopped the historian %d times, want 1", stops)
+	}
+	cluster.mu.Lock()
+	kept, comp := cluster.pods["historian-1-0"], p.comp
+	cluster.mu.Unlock()
+	if kept != p || kept.store != store || comp != nil {
+		t.Errorf("after KillPod: record kept=%v, store kept=%v, component %v; want the record with its store and nothing running",
+			kept == p, kept != nil && kept.store == store, comp)
+	}
+
+	if err := cluster.Remove("historian-1"); err != nil {
+		t.Fatal(err)
+	}
+	cluster.mu.Lock()
+	_, left := cluster.pods["historian-1-0"]
+	cluster.mu.Unlock()
+	if left {
+		t.Error("Remove left the pod record, and the historian store with it")
+	}
+	if _, stops := h.counts(); stops != 1 {
+		t.Errorf("Remove of a killed pod stopped the historian again (%d stops)", stops)
 	}
 }

@@ -482,6 +482,9 @@ func (s *Service) Health() error {
 	return nil
 }
 
+// Stop is Close for callers that have no use for its error.
+func (s *Service) Stop() { s.Close() }
+
 // Close stops ingestion and drops the broker connection; a service that
 // owns a durable store closes it too.
 func (s *Service) Close() error {
