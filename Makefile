@@ -66,11 +66,14 @@ plantbench-ab:
 # against strconv.Unquote; the document decoder against panics and against
 # its own encoder), and the SysML front end every model enters through
 # (lex, parse and resolve against panics and unpositioned errors; parse,
-# print and parse against the printer). `make check` replays the seed
-# corpora and CI's fuzz-smoke job explores each target for 10 s; run this
+# print and parse against the printer), and the two places a sample skips
+# encoding/json (the monitor's payload scan against json.Unmarshal, the
+# bridge's value splice against decode and re-encode). `make check`
+# replays the seed corpora and CI's fuzz-smoke job explores each target
+# for 10 s; run this
 # for minutes or hours when touching internal/wire framing, a protocol
 # codec, the WAL record format, the machinesim wire protocol,
-# internal/yamlenc or internal/sysml.
+# internal/yamlenc, internal/sysml or the stack's sample fast paths.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
@@ -84,6 +87,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalDocs -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/yamlenc/
 	$(GO) test -fuzz=FuzzParseResolve -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/sysml/sema/
 	$(GO) test -fuzz=FuzzPrintRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/sysml/sema/
+	$(GO) test -fuzz=FuzzMonitorIngest -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/stack/
+	$(GO) test -fuzz=FuzzBridgeSamplePayload -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/stack/
 
 # Durability soak: the seeded chaos suites under the race detector — the
 # zero-loss audit (historian crashes + broker partition, every sequence

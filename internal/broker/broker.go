@@ -479,6 +479,11 @@ type frame struct {
 	// frame's ID, and reserves per-frame ack/err responses for the
 	// exceptional results (dup, error).
 	Fwd bool
+
+	// topics, when set, is the reading connection's intern table: Topic
+	// decodes through it, so a topic the peer sent before is not copied
+	// again. Only the goroutine reading that connection decodes with it.
+	topics *wire.Interner
 }
 
 // Serve starts the TCP listener at addr (port 0 picks a free port).
@@ -573,9 +578,10 @@ func (b *Broker) handleConn(conn net.Conn) {
 		}
 	}
 
+	var topics wire.Interner
 	var f frame
 	for {
-		f = frame{}
+		f = frame{topics: &topics}
 		if err := r.ReadFrame(&f); err != nil {
 			return
 		}
@@ -588,7 +594,8 @@ func (b *Broker) handleConn(conn net.Conn) {
 				// (or error) goes back when the owner's ack arrives; the
 				// coalescing writer makes the late send safe from any
 				// goroutine. f is reused next iteration — capture copies
-				// (Topic/Payload are fresh per decode, the struct is not).
+				// (Topic is immutable, Payload fresh per decode, the struct
+				// is not).
 				id, noAck := f.ID, f.NoAck
 				fa(f.Topic, f.Payload, f.Retain, f.Session, f.Seq, func(dup bool, err error) {
 					switch {

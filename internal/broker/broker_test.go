@@ -11,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/smartfactory/sysml2conf/internal/wire"
 )
 
 func TestMatchTopic(t *testing.T) {
@@ -516,5 +518,92 @@ func assertRefusesNonFrame(t *testing.T, addr string) {
 	}
 	if len(got) != 0 {
 		t.Errorf("server answered a non-frame with % x", got)
+	}
+}
+
+// TestDecodeMsgFrameAllocs: a msg frame whose topic the connection sent
+// before decodes with one allocation, its payload (margin 0: copying the
+// topic cost one more).
+func TestDecodeMsgFrameAllocs(t *testing.T) {
+	sent := frame{Op: opMsg, SubID: 3, Seq: 41, Topic: "factory/line1/wc02/emco/values/Axes/load",
+		Payload: []byte(`{"machine":"emco","variable":"load","value":1.5}`)}
+	body := sent.AppendBinaryBody(nil)
+	var topics wire.Interner
+	var f frame
+	decode := func() {
+		f = frame{topics: &topics}
+		if err := f.DecodeBinaryBody(bopMsg, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(200, decode); n != 1 {
+		t.Errorf("decoding a msg frame with a seen topic allocates %.1f objects, want 1", n)
+	}
+	if f.Topic != sent.Topic || f.SubID != 3 || f.Seq != 41 || !bytes.Equal(f.Payload, sent.Payload) {
+		t.Errorf("decoded %+v", f)
+	}
+}
+
+// TestTopicInternUnderHostilePeer: one connection publishes more distinct
+// topics than a connection's intern table holds, and one topic longer
+// than it holds. Every message arrives under its own topic, the receiving
+// connection's table stops at its bound, and the broker keeps serving
+// another connection throughout.
+func TestTopicInternUnderHostilePeer(t *testing.T) {
+	b := New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	dial := func() *Client {
+		c, err := DialClient(b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	hostile, sub, other := dial(), dial(), dial()
+	_, ch, err := sub.Subscribe("flood/#")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, otherCh, err := other.Subscribe("plant/ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	receive := func(ch <-chan Message, topic string) {
+		t.Helper()
+		select {
+		case m := <-ch:
+			if m.Topic != topic {
+				t.Fatalf("message published on %.40q arrived on %.40q", topic, m.Topic)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message on %.40q never arrived", topic)
+		}
+	}
+
+	topics := []string{"flood/" + strings.Repeat("x", wire.InternMaxLen)}
+	for i := 0; i < wire.InternMaxEntries+100; i++ {
+		topics = append(topics, fmt.Sprintf("flood/%d", i))
+	}
+	topics = append(topics, topics[0], topics[1]) // repeats read from the full table
+	for i, topic := range topics {
+		if err := hostile.Publish(topic, []byte("x"), false); err != nil {
+			t.Fatal(err)
+		}
+		receive(ch, topic)
+		if i%1000 == 0 {
+			if err := other.Publish("plant/ok", []byte("y"), false); err != nil {
+				t.Fatal(err)
+			}
+			receive(otherCh, "plant/ok")
+		}
+	}
+	// The receive above orders the read loop's last table write before this.
+	if n := sub.topics.Len(); n != wire.InternMaxEntries {
+		t.Errorf("the subscriber connection's table holds %d topics, want its bound %d", n, wire.InternMaxEntries)
 	}
 }

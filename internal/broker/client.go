@@ -39,6 +39,10 @@ type Client struct {
 	timeout time.Duration
 	done    chan struct{}
 	closing chan struct{} // closed by Close before the conn drops
+
+	// topics interns the topics of frames read from the broker; only
+	// readLoop touches it.
+	topics wire.Interner
 }
 
 // clientSub is the client side of one subscription. For acked sessions the
@@ -166,7 +170,7 @@ func (c *Client) readLoop() {
 	// roundTrip waiters hold them past this iteration.
 	var fr frame
 	for {
-		fr = frame{}
+		fr = frame{topics: &c.topics}
 		f := &fr
 		if err := r.ReadFrame(f); err != nil {
 			c.mu.Lock()

@@ -101,7 +101,7 @@ func (f *frame) DecodeBinaryBody(op byte, body []byte) error {
 	f.Seq = d.Uvarint()
 	f.FromSeq = d.Uvarint()
 	flags := d.Byte()
-	f.Topic = d.String()
+	f.Topic = d.Intern(f.topics)
 	f.Session = d.String()
 	f.Error = d.String()
 	f.Payload = d.Rest()

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -396,16 +398,29 @@ func parseBounds(fromS, toS string) (from, to time.Time, err error) {
 	return from, to, nil
 }
 
+// parseInstant reads a range bound: unix nanoseconds written as
+// strconv.FormatInt writes an int64 (no sign but a leading '-', no leading
+// zero, no "-0"), or an RFC 3339 time. No RFC 3339 time is all digits, so
+// the integer is tried first, without building the time parser's error.
 func parseInstant(s string) (time.Time, error) {
+	digits := strings.TrimPrefix(s, "-")
+	if digits != "" && strings.Trim(digits, "0123456789") == "" {
+		if digits[0] == '0' && (len(digits) > 1 || len(s) > 1) {
+			return time.Time{}, errInstant // a leading zero, or "-0"
+		}
+		nanos, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return time.Time{}, errInstant // out of int64 range
+		}
+		return time.Unix(0, nanos), nil
+	}
 	if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
 		return t, nil
 	}
-	var nanos int64
-	if _, err := fmt.Sscanf(s, "%d", &nanos); err == nil && fmt.Sprintf("%d", nanos) == s {
-		return time.Unix(0, nanos), nil
-	}
-	return time.Time{}, errors.New("want RFC3339 or unix nanoseconds")
+	return time.Time{}, errInstant
 }
+
+var errInstant = errors.New("want RFC3339 or unix nanoseconds")
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -2,6 +2,7 @@ package historian
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -323,4 +324,35 @@ func TestQueryConcurrentReadersUnderIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// parseInstantBefore is parseInstant as it was before the integer fast
+// path: RFC 3339 first, then a %d scan that must print back to the input.
+func parseInstantBefore(s string) (time.Time, error) {
+	if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
+		return t, nil
+	}
+	var nanos int64
+	if _, err := fmt.Sscanf(s, "%d", &nanos); err == nil && fmt.Sprintf("%d", nanos) == s {
+		return time.Unix(0, nanos), nil
+	}
+	return time.Time{}, errors.New("want RFC3339 or unix nanoseconds")
+}
+
+// TestParseInstantMatchesBefore pins which bounds parseInstant accepts and
+// the instant it reads against the scan-based parser it replaced.
+func TestParseInstantMatchesBefore(t *testing.T) {
+	for _, s := range []string{
+		"0", "1", "-1", "1700000000123456789", "-1700000000123456789",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
+		"-0", "00", "01", "-01", "+1", "+0", " 1", "1 ", "1a", "a1", "", "-", "--1", "1_000", "0x10", "1e9",
+		"2026-10-18T04:16:53Z", "2026-10-18T04:16:53.123456789+02:00", "2026-10-18", "2026-10-18T04:16:53",
+		"20261018", "١٢٣",
+	} {
+		got, err := parseInstant(s)
+		want, wantErr := parseInstantBefore(s)
+		if (err == nil) != (wantErr == nil) || !got.Equal(want) || got.Location().String() != want.Location().String() {
+			t.Errorf("parseInstant(%q) = %v, %v; before: %v, %v", s, got, err, want, wantErr)
+		}
+	}
 }

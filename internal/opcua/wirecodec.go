@@ -166,8 +166,29 @@ func (m *Message) DecodeBinaryBody(op byte, body []byte) error {
 }
 
 func decodeVariant(d *wire.Dec, v *Variant) {
-	v.Type = d.String()
+	v.Type = variantType(d.View())
 	v.Value = d.Bytes()
+}
+
+// variantType returns the built-in type names V and WriteRaw produce as
+// constants, so a notify does not copy its type name; only an unknown name
+// is copied out of the body.
+func variantType(b []byte) string {
+	switch string(b) {
+	case "Double":
+		return "Double"
+	case "String":
+		return "String"
+	case "Boolean":
+		return "Boolean"
+	case "Int64":
+		return "Int64"
+	case "Null":
+		return "Null"
+	case "Json":
+		return "Json"
+	}
+	return string(b)
 }
 
 // decodeVariants decodes a counted Variant sequence. The count is bounded

@@ -297,3 +297,27 @@ func sameMessage(a, b *Message) bool {
 	ca.Node, cb.Node = nil, nil
 	return bytes.Equal(na, nb) && reflect.DeepEqual(ca, cb)
 }
+
+// TestDecodeVariantAllocs: a Double variant decodes with one allocation,
+// its value bytes; the type name is a constant (margin 0: copying the name
+// cost one more).
+func TestDecodeVariantAllocs(t *testing.T) {
+	body := appendVariant(nil, V(1234.5625))
+	var v Variant
+	if n := testing.AllocsPerRun(200, func() {
+		d := wire.NewDec(body)
+		decodeVariant(&d, &v)
+	}); n != 1 {
+		t.Errorf("decoding a Double variant allocates %.1f objects, want 1", n)
+	}
+	if !v.Equal(V(1234.5625)) {
+		t.Errorf("decoded %+v", v)
+	}
+	for _, typ := range []string{"Double", "String", "Boolean", "Int64", "Null", "Json", "Float", ""} {
+		d := wire.NewDec(appendVariant(nil, Variant{Type: typ, Value: json.RawMessage("1")}))
+		decodeVariant(&d, &v)
+		if v.Type != typ || d.Finish() != nil {
+			t.Errorf("type %q decoded as %q (%v)", typ, v.Type, d.Finish())
+		}
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -242,16 +244,21 @@ func (b *BridgeClient) clientFor(server string) (*opcua.Client, error) {
 
 // wireMachine subscribes every configured variable of a machine in one
 // request and bridges the machine's changes from one goroutine: each change
-// is re-encoded as a VariableSample and staged with the broker client's
-// coalescing writer (PublishAsync), so a machine's burst of changes leaves
-// in one write instead of one round trip per sample. When the server
-// connection drops, the loop redials and resubscribes the machine's list in
-// one request. The loop returns on Stop; any other exit is a failure that
-// Health reports.
+// becomes a VariableSample payload (spliced from the server's value bytes
+// where that is byte-identical, see publishChange) and is staged with the
+// broker client's coalescing writer (PublishAsync), so a machine's burst of
+// changes leaves in one write instead of one round trip per sample. When
+// the server connection drops, the loop redials and resubscribes the
+// machine's list in one request. The loop returns on Stop; any other exit
+// is a failure that Health reports.
 func (b *BridgeClient) wireMachine(client *opcua.Client, cm codegen.ClientMachine) error {
 	ids := make([]opcua.NodeID, len(cm.Subscriptions))
+	encs := make([]sampleEncoder, len(cm.Subscriptions))
 	for i, v := range cm.Subscriptions {
 		ids[i] = opcua.NodeID(v.NodeID)
+		encs[i] = newSampleEncoder(VariableSample{
+			Machine: cm.Machine, Variable: v.Name, Category: v.Category, Type: v.Type,
+		})
 	}
 	sub, err := client.SubscribeNodes(ids)
 	if err != nil {
@@ -265,6 +272,7 @@ func (b *BridgeClient) wireMachine(client *opcua.Client, cm codegen.ClientMachin
 		defer b.wg.Done()
 		cur := client
 		var batch []opcua.DataChange
+		var payload []byte // reused: PublishAsync frames it before returning
 		for {
 			select {
 			case <-b.stopCh:
@@ -274,13 +282,10 @@ func (b *BridgeClient) wireMachine(client *opcua.Client, cm codegen.ClientMachin
 			var open bool
 			batch, open = sub.Take(batch[:0])
 			for _, change := range batch {
-				v := &cm.Subscriptions[sub.Index(change)]
-				var val any
-				_ = json.Unmarshal(change.Value.Value, &val)
-				if err := b.publishJSON(bc.PublishAsync, v.Topic, VariableSample{
-					Machine: cm.Machine, Variable: v.Name, Category: v.Category,
-					Type: v.Type, Value: val,
-				}); err != nil {
+				i := sub.Index(change)
+				var err error
+				payload, err = b.publishChange(bc.PublishAsync, &encs[i], cm.Subscriptions[i].Topic, change.Value.Value, payload)
+				if err != nil {
 					b.loopFailed(fmt.Errorf("machine %s: publish: %w", cm.Machine, err))
 					return
 				}
@@ -358,6 +363,100 @@ func (b *BridgeClient) publishJSON(publish func(topic string, payload []byte, re
 	b.published++
 	b.mu.Unlock()
 	return nil
+}
+
+// publishChange publishes the VariableSample of one change whose JSON
+// value bytes are raw, and returns buf for reuse (publish frames the
+// payload before returning). Where raw is spliceable, the payload is e's
+// prefix, raw and the closing brace, assembled in buf: byte for byte what
+// decoding raw and encoding the sample gives, because encoding the value
+// json.Unmarshal reads from raw gives raw back. Any other raw is decoded
+// and re-encoded by publishJSON, as every change once was.
+func (b *BridgeClient) publishChange(publish func(topic string, payload []byte, retain bool) error, e *sampleEncoder, topic string, raw, buf []byte) ([]byte, error) {
+	if !spliceable(raw) {
+		sample := e.tmpl
+		_ = json.Unmarshal(raw, &sample.Value)
+		return buf, b.publishJSON(publish, topic, sample)
+	}
+	buf = append(append(append(buf[:0], e.prefix...), raw...), '}')
+	if err := publish(topic, buf, false); err != nil {
+		return buf, err
+	}
+	b.mu.Lock()
+	b.published++
+	b.mu.Unlock()
+	return buf, nil
+}
+
+// sampleEncoder holds what the payloads of one subscribed variable share.
+// Four of a sample's five fields are fixed per variable, so their encoding
+// is made once, by the encoder publishJSON uses (same HTML escaping), up to
+// and including the value's key.
+type sampleEncoder struct {
+	tmpl   VariableSample // every field but Value
+	prefix []byte         // tmpl's payload up to and including `"value":`
+}
+
+func newSampleEncoder(tmpl VariableSample) sampleEncoder {
+	p := payloadPool.Get().(*payloadBuf)
+	defer payloadPool.Put(p)
+	p.buf.Reset()
+	_ = p.enc.Encode(tmpl) // strings and a nil value: cannot fail
+	enc := p.buf.Bytes()
+	// The encoding ends in `"value":null}` and the encoder's newline.
+	return sampleEncoder{tmpl: tmpl, prefix: append([]byte(nil), enc[:len(enc)-len("null}\n")]...)}
+}
+
+// spliceable reports, without allocating, whether raw is what json.Marshal
+// writes for the value json.Unmarshal reads from raw: a literal, a finite
+// number in encoding/json's float format, or a string of printable ASCII
+// that needs no escape (the encoder escapes <, > and & for HTML).
+func spliceable(raw []byte) bool {
+	if len(raw) == 0 {
+		return false
+	}
+	switch c := raw[0]; {
+	case c == '"':
+		if len(raw) < 2 || raw[len(raw)-1] != '"' {
+			return false
+		}
+		for _, c := range raw[1 : len(raw)-1] {
+			if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return false
+			}
+		}
+		return true
+	case c == '-' || (c >= '0' && c <= '9'):
+		f, err := strconv.ParseFloat(string(raw), 64)
+		if err != nil || math.IsInf(f, 0) {
+			return false // ParseFloat also reads "-Inf", which would re-encode to itself
+		}
+		var buf [32]byte
+		return bytes.Equal(appendJSONFloat(buf[:0], f), raw)
+	}
+	switch string(raw) {
+	case "true", "false", "null":
+		return true
+	}
+	return false
+}
+
+// appendJSONFloat appends f as encoding/json encodes a float64: the
+// shortest representation, in exponent form outside [1e-6, 1e21), with a
+// two-digit negative exponent trimmed to one ("1e-07" -> "1e-7").
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodConfig) error {

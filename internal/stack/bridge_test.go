@@ -1,7 +1,9 @@
 package stack
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"net"
 	"runtime"
 	"strings"
@@ -241,5 +243,125 @@ func TestBridgeLoopFailureFailsHealth(t *testing.T) {
 	rig.client.Stop()
 	if err := rig.client.Health(); err == nil || !strings.Contains(err.Error(), "stopped") {
 		t.Errorf("Health after Stop = %v", err)
+	}
+}
+
+// decodeEncodePayload is the payload the bridge published for every change
+// before it spliced: the value decoded into any, the sample JSON-encoded.
+// nil when the encode fails (the sample was dropped).
+func decodeEncodePayload(tmpl VariableSample, raw []byte) []byte {
+	_ = json.Unmarshal(raw, &tmpl.Value)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(tmpl); err != nil {
+		return nil
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+// bridgedPayload is the payload publishChange hands the broker for raw.
+func bridgedPayload(t *testing.T, e *sampleEncoder, raw []byte) []byte {
+	var got []byte
+	capture := func(_ string, payload []byte, _ bool) error {
+		got = append([]byte(nil), payload...)
+		return nil
+	}
+	if _, err := new(BridgeClient).publishChange(capture, e, "t", raw, nil); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// FuzzBridgeSamplePayload: for any value bytes, the payload the bridge
+// publishes is byte-identical to decoding them and encoding the sample.
+func FuzzBridgeSamplePayload(f *testing.F) {
+	for _, seed := range []string{
+		`12.5`, `-0`, `0`, `1e21`, `1e+21`, `1e-7`, `1e-07`, `0.000001`, `123456789012345678901`,
+		`1E5`, `01`, `-Inf`, `NaN`, `1e400`, `0x1p-2`, `true`, `null`, `"ok"`, `"<a>"`, `"é"`,
+		`"a\"b"`, `{"a":1}`, `[1,2]`, ` 1`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	e := newSampleEncoder(VariableSample{Machine: "emco<1>", Variable: "load&x", Category: "Axes", Type: "Double"})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if got, want := bridgedPayload(t, &e, raw), decodeEncodePayload(e.tmpl, raw); !bytes.Equal(got, want) {
+			t.Fatalf("value %q: bridge published %q, decode and encode give %q", raw, got, want)
+		}
+	})
+}
+
+// TestBridgeSplicedPayloadAllocs: building and publishing the payload of a
+// numeric change allocates nothing once the buffer has grown (margin 0:
+// decoding and re-encoding cost 5 objects per change here).
+func TestBridgeSplicedPayloadAllocs(t *testing.T) {
+	e := newSampleEncoder(VariableSample{Machine: "emco", Variable: "load", Category: "Axes", Type: "Double"})
+	b := new(BridgeClient)
+	publish := func(string, []byte, bool) error { return nil }
+	raw := []byte("1234.5625")
+	buf, _ := b.publishChange(publish, &e, "t", raw, nil)
+	if n := testing.AllocsPerRun(200, func() { buf, _ = b.publishChange(publish, &e, "t", raw, buf) }); n != 0 {
+		t.Errorf("publishing a numeric change allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestBridgePayloadsMatchDecodeEncode drives values through a real OPC UA
+// server, the bridge and a broker: every payload the broker delivers is
+// byte for byte what decoding the value and encoding the sample gives,
+// whether the bridge spliced the value bytes or not.
+func TestBridgePayloadsMatchDecodeEncode(t *testing.T) {
+	space := opcua.NewAddressSpace()
+	machine := opcua.NewNodeID(1, "emco")
+	if _, err := space.AddObject(space.Root(), machine, "emco", nil); err != nil {
+		t.Fatal(err)
+	}
+	node := opcua.NewNodeID(1, "emco", "Axes", "load")
+	if _, err := space.AddVariable(machine, node, "load", "Double", opcua.V(0.0), nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := opcua.NewServer("opcua-server-wc02", space)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	brk := broker.New()
+	if err := brk.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	topic := "factory/line1/wc02/emco/values/Axes/load"
+	_, ch, err := brk.Subscribe(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := codegen.VarConfig{Name: "load<&>", Category: "Axes", Type: "Double", NodeID: string(node), Topic: topic}
+	client := NewBridgeClient(codegen.ClientConfig{
+		Name: "opcua-client-1",
+		Machines: []codegen.ClientMachine{{
+			Machine: "emco", Workcell: "wc02", Server: "opcua-server-wc02",
+			Subscriptions: []codegen.VarConfig{v},
+		}},
+	}, func(string) (string, error) { return srv.Addr(), nil }, brk.Addr())
+	if err := client.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer client.Stop() // Start returns with the machine subscribed
+
+	tmpl := VariableSample{Machine: "emco", Variable: v.Name, Category: v.Category, Type: v.Type}
+	for _, raw := range []string{
+		`12.5`, `-0`, `1e-7`, `1e21`, `1E5`, `2.50`, `1e-07`, `123456789012345678901`, `1e400`,
+		`42`, `-17`, `true`, `false`, `null`, `"running"`, `"a\"b"`, `"<b>&"`, `"é "`,
+		`{"x":[1,2]}`, `not json`,
+	} {
+		if err := space.Write(node, opcua.Variant{Type: "Double", Value: json.RawMessage(raw)}); err != nil {
+			t.Fatal(err)
+		}
+		want := decodeEncodePayload(tmpl, []byte(raw))
+		select {
+		case m := <-ch:
+			if !bytes.Equal(m.Payload, want) {
+				t.Errorf("value %s: broker delivered %s, decode and encode give %s", raw, m.Payload, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("value %s never reached the broker", raw)
+		}
 	}
 }

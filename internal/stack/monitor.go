@@ -1,10 +1,13 @@
 package stack
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/smartfactory/sysml2conf/internal/broker"
 	"github.com/smartfactory/sysml2conf/internal/codegen"
@@ -96,20 +99,19 @@ func (w *WorkcellMonitor) consume(ch <-chan broker.Message) {
 }
 
 func (w *WorkcellMonitor) ingest(m broker.Message) {
-	var sample VariableSample
-	if err := json.Unmarshal(m.Payload, &sample); err != nil {
+	variable, val, numeric, counted := readSample(m.Payload)
+	if !counted {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.samples++
 	w.series[m.Topic] = struct{}{}
-	val, numeric := asFloat(sample.Value)
 	if !numeric {
 		return
 	}
 	for _, attr := range w.Config.Attributes {
-		if attr.Source == "" || attr.Source != sample.Variable {
+		if attr.Source == "" || attr.Source != string(variable) {
 			continue
 		}
 		switch attr.Function {
@@ -128,6 +130,162 @@ func (w *WorkcellMonitor) ingest(m broker.Message) {
 			}
 		}
 	}
+}
+
+// readSample reads what ingest needs of a VariableSample payload: whether
+// the sample counts (it is one json.Unmarshal accepts), its variable, and
+// its value as a number (a bool counts as 0 or 1). A payload scanSample
+// reads is not decoded; anything else is, by json.Unmarshal.
+func readSample(p []byte) (variable []byte, value float64, numeric, counted bool) {
+	if variable, value, numeric, ok := scanSample(p); ok {
+		return variable, value, numeric, true
+	}
+	var sample VariableSample
+	if err := json.Unmarshal(p, &sample); err != nil {
+		return nil, 0, false, false
+	}
+	value, numeric = asFloat(sample.Value)
+	return []byte(sample.Variable), value, numeric, true
+}
+
+// sampleKeys are VariableSample's JSON keys; an index is a bit of
+// scanSample's seen set.
+var sampleKeys = [...]string{"machine", "variable", "category", "type", "value"}
+
+// Indices of sampleKeys that scanSample reads.
+const (
+	keyVariable = 1
+	keyValue    = 4
+)
+
+// scanSample reads a VariableSample payload's top-level variable and value
+// without allocating, and agrees with json.Unmarshal into VariableSample on
+// everything it reads: ok is true only for a valid JSON object whose keys
+// are plain ASCII, each field key appears at most once and exactly as
+// spelled (encoding/json also matches keys by bytes.EqualFold), the four
+// string fields are strings, variable has no escapes, and value is a
+// number in float64 range, a literal or a string. Any other payload (a
+// nested value, null for a string field, a key spelled another way) gets
+// ok false and goes to json.Unmarshal. variable points into p.
+func scanSample(p []byte) (variable []byte, value float64, numeric, ok bool) {
+	if !json.Valid(p) { // pooled scanner: no allocation
+		return nil, 0, false, false
+	}
+	i := skipSpace(p, 0)
+	if p[i] != '{' {
+		return nil, 0, false, false
+	}
+	var seen uint
+	for i = skipSpace(p, i+1); p[i] != '}'; i = skipSpace(p, i+1) {
+		if p[i] == ',' {
+			i = skipSpace(p, i+1)
+		}
+		end := stringEnd(p, i)
+		key := p[i+1 : end-1]
+		for _, c := range key {
+			if c == '\\' || c >= utf8.RuneSelf {
+				return nil, 0, false, false // encoding/json unescapes and Unicode-folds keys
+			}
+		}
+		field := -1
+		for k, name := range sampleKeys {
+			if string(key) == name {
+				field = k
+				break
+			}
+			if bytes.EqualFold(key, []byte(name)) {
+				return nil, 0, false, false // encoding/json matches keys case-insensitively
+			}
+		}
+		i = skipSpace(p, skipSpace(p, end)+1) // past the colon
+		if field < 0 {
+			i = valueEnd(p, i) - 1
+			continue
+		}
+		if seen&(1<<field) != 0 {
+			return nil, 0, false, false // a repeated field: the last one wins
+		}
+		seen |= 1 << field
+		switch c := p[i]; {
+		case field != keyValue:
+			if c != '"' {
+				return nil, 0, false, false
+			}
+			end := stringEnd(p, i)
+			if field == keyVariable {
+				variable = p[i+1 : end-1]
+				if bytes.IndexByte(variable, '\\') >= 0 || !utf8.Valid(variable) {
+					return nil, 0, false, false
+				}
+			}
+			i = end - 1
+		case c == '"':
+			i = stringEnd(p, i) - 1
+		case c == 't' || c == 'f' || c == 'n':
+			value, numeric = 0, c != 'n'
+			if c == 't' {
+				value = 1
+			}
+			i = valueEnd(p, i) - 1
+		case c == '-' || (c >= '0' && c <= '9'):
+			end := valueEnd(p, i)
+			f, err := strconv.ParseFloat(string(p[i:end]), 64)
+			if err != nil {
+				return nil, 0, false, false // out of range: encoding/json refuses the payload
+			}
+			value, numeric = f, true
+			i = end - 1
+		default:
+			return nil, 0, false, false // an object or array value
+		}
+	}
+	return variable, value, numeric, true
+}
+
+func skipSpace(p []byte, i int) int {
+	for i < len(p) && (p[i] == ' ' || p[i] == '\t' || p[i] == '\n' || p[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// stringEnd returns the index just past the JSON string starting at
+// p[i] == '"' (p is valid JSON).
+func stringEnd(p []byte, i int) int {
+	for i++; p[i] != '"'; i++ {
+		if p[i] == '\\' {
+			i++
+		}
+	}
+	return i + 1
+}
+
+// valueEnd returns the index just past the JSON value starting at p[i]
+// (p is valid JSON).
+func valueEnd(p []byte, i int) int {
+	switch p[i] {
+	case '"':
+		return stringEnd(p, i)
+	case '{', '[':
+		depth := 0
+		for ; ; i++ {
+			switch p[i] {
+			case '"':
+				i = stringEnd(p, i) - 1
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+	}
+	for i < len(p) && p[i] != ',' && p[i] != '}' && p[i] != ']' && p[i] != ' ' &&
+		p[i] != '\t' && p[i] != '\n' && p[i] != '\r' {
+		i++
+	}
+	return i
 }
 
 func asFloat(v any) (float64, bool) {

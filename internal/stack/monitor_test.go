@@ -2,6 +2,7 @@ package stack
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -177,5 +178,82 @@ func TestClassifyViaBuildIntermediate(t *testing.T) {
 	samples, _, _ := mon.Stats()
 	if samples != 1 {
 		t.Errorf("samples = %d", samples)
+	}
+}
+
+// referenceSample is what ingest decided before it scanned payloads:
+// json.Unmarshal into VariableSample, counted when that succeeds, numeric
+// when the value decodes to a number or a bool.
+func referenceSample(p []byte) (variable string, value float64, numeric, counted bool) {
+	var sample VariableSample
+	if err := json.Unmarshal(p, &sample); err != nil {
+		return "", 0, false, false
+	}
+	switch v := sample.Value.(type) {
+	case float64:
+		return sample.Variable, v, true, true
+	case bool:
+		if v {
+			return sample.Variable, 1, true, true
+		}
+		return sample.Variable, 0, true, true
+	}
+	return sample.Variable, 0, false, true
+}
+
+// FuzzMonitorIngest: for any payload, ingest's decision (counted or not,
+// variable, numeric, value) is the one json.Unmarshal into VariableSample
+// gives.
+func FuzzMonitorIngest(f *testing.F) {
+	for _, seed := range []string{
+		`{"machine":"emco","variable":"load","category":"Axes","type":"Double","value":1.5}`,
+		`{"mAChine":0}`,
+		`{"Variable":"x","value":1}`,
+		`{"variable":"a","variable":"b","value":1}`,
+		`{"variable":"load","value":1,"value":"x"}`,
+		`{"variable":"load","value":1e400}`,
+		`{"variable":5,"value":1}`,
+		`{"variable":null,"value":1}`,
+		`{"variable":"load","value":{"a":[1,{"b":2}]}}`,
+		` { "variable" : "load" , "value" : -0.5e-3 , "type" : "Double" } `,
+		`{"variable":"lоad","machine":"é","value":true}`,
+		`{"machıne":"x","variable":"load","value":false}`,
+		`{"\u0076ariable":"load","value":3}`,
+		`{"variable":"load","value":2}`,
+		`{"variable":"load","value":null,"extra":[1e400]}`,
+		`null`, `[1]`, `5`, `{}`, `{"variable":"load"`, "",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		variable, value, numeric, counted := readSample(p)
+		wantVar, wantValue, wantNumeric, wantCounted := referenceSample(p)
+		if counted != wantCounted || string(variable) != wantVar || numeric != wantNumeric ||
+			math.Float64bits(value) != math.Float64bits(wantValue) {
+			t.Fatalf("%q: read (%q, %v, numeric %v, counted %v), json.Unmarshal says (%q, %v, %v, %v)",
+				p, variable, value, numeric, counted, wantVar, wantValue, wantNumeric, wantCounted)
+		}
+	})
+}
+
+// TestMonitorIngestAllocs: ingesting a numeric sample as the bridge
+// publishes it allocates nothing (margin 0: json.Unmarshal into
+// VariableSample cost 12 objects per sample here).
+func TestMonitorIngestAllocs(t *testing.T) {
+	w := NewWorkcellMonitor(monitorConfig(), "")
+	m := broker.Message{
+		Topic:   "factory/line1/wc02/emco/values/Axes/load",
+		Payload: []byte(`{"machine":"emco","variable":"load","category":"Axes","type":"Double","value":12.375}`),
+	}
+	w.ingest(m) // the series and the accumulator exist from here on
+	if n := testing.AllocsPerRun(200, func() { w.ingest(m) }); n != 0 {
+		t.Errorf("ingest of a numeric sample allocates %.1f objects, want 0", n)
+	}
+	// AllocsPerRun runs the function once more before it counts.
+	if samples, _, _ := w.Stats(); samples != 202 {
+		t.Errorf("samples = %d, want 202", samples)
+	}
+	if acc := w.means["load"]; acc == nil || acc.count != 202 || acc.sum != 202*12.375 {
+		t.Errorf("mean accumulator = %+v, want 202 samples of 12.375", acc)
 	}
 }

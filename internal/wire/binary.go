@@ -139,9 +139,9 @@ func AppendBytes(dst []byte, b []byte) []byte {
 
 var errTruncated = errors.New("truncated binary frame")
 
-// Dec is a cursor over a binary frame body. Every accessor copies what it
-// returns (the body buffer is pooled), returns the zero value after the
-// first decode error, and the terminal Err surfaces that error once.
+// Dec is a cursor over a binary frame body. Every accessor but View copies
+// what it returns (the body buffer is pooled), returns the zero value after
+// the first decode error, and the terminal Err surfaces that error once.
 type Dec struct {
 	b   []byte
 	err error
@@ -212,6 +212,52 @@ func (d *Dec) take() []byte {
 
 // String decodes a length-prefixed string.
 func (d *Dec) String() string { return string(d.take()) }
+
+// View decodes a length-prefixed field without copying it: the result
+// points into the body and is valid only until DecodeBinaryBody returns.
+// A caller that keeps the value copies it (Intern, or a switch mapping it
+// to constants).
+func (d *Dec) View() []byte { return d.take() }
+
+// Intern decodes a length-prefixed string through t, so a value the
+// connection sent before costs a map lookup and no allocation. A nil t
+// decodes as String.
+func (d *Dec) Intern(t *Interner) string {
+	v := d.take()
+	if t == nil || len(v) == 0 || len(v) > InternMaxLen {
+		return string(v)
+	}
+	if s, ok := t.m[string(v)]; ok {
+		return s
+	}
+	s := string(v)
+	if len(t.m) < InternMaxEntries {
+		if t.m == nil {
+			t.m = map[string]string{}
+		}
+		t.m[s] = s
+	}
+	return s
+}
+
+// Interner bounds: a peer can make an Interner hold at most
+// InternMaxEntries strings of at most InternMaxLen bytes each (1 MiB);
+// longer values and values past a full table decode as plain copies.
+const (
+	InternMaxEntries = 4096
+	InternMaxLen     = 256
+)
+
+// Interner maps the byte strings a connection keeps repeating (broker
+// topics) to one shared string each. It belongs to the goroutine reading
+// the connection and is not safe for concurrent use. The zero value is
+// ready to use.
+type Interner struct {
+	m map[string]string
+}
+
+// Len returns how many strings the table holds.
+func (t *Interner) Len() int { return len(t.m) }
 
 // Bytes decodes a length-prefixed byte field, copied out of the body.
 // An empty field decodes as nil.

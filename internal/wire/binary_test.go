@@ -352,3 +352,45 @@ func TestWriterBinaryConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestDecIntern: a repeated value decodes to the table's string without
+// allocating; the table stops at InternMaxEntries and never holds a value
+// longer than InternMaxLen, and every value still decodes intact.
+func TestDecIntern(t *testing.T) {
+	var tab Interner
+	body := AppendString(nil, "factory/line1/wc02/emco/values/Axes/load")
+	first := NewDec(body)
+	want := first.Intern(&tab)
+	if n := testing.AllocsPerRun(100, func() {
+		d := NewDec(body)
+		if d.Intern(&tab) != want {
+			t.Fatal("interned value changed")
+		}
+	}); n != 0 {
+		t.Errorf("decoding a seen value allocates %.1f objects, want 0", n)
+	}
+
+	long := strings.Repeat("x", InternMaxLen+1)
+	d := NewDec(AppendString(nil, long))
+	if got := d.Intern(&tab); got != long || tab.Len() != 1 {
+		t.Errorf("long value decoded as %d bytes, table holds %d; want it intact and not held", len(got), tab.Len())
+	}
+	for i := 0; i < InternMaxEntries+10; i++ {
+		v := fmt.Sprintf("t/%d", i)
+		d := NewDec(AppendString(nil, v))
+		if got := d.Intern(&tab); got != v {
+			t.Fatalf("decoded %q, want %q", got, v)
+		}
+	}
+	if tab.Len() != InternMaxEntries {
+		t.Errorf("table holds %d values, want its bound %d", tab.Len(), InternMaxEntries)
+	}
+	d = NewDec(AppendString(nil, "abc"))
+	if v := d.View(); string(v) != "abc" || d.Finish() != nil {
+		t.Errorf("View = %q, %v", v, d.Finish())
+	}
+	d = NewDec([]byte{4, 'a'})
+	if d.Intern(nil) != "" || d.Err() == nil {
+		t.Error("truncated field decoded")
+	}
+}
