@@ -59,7 +59,9 @@ plantbench-ab:
 
 # Exploratory fuzzing of the decoders of bytes we did not just produce: the
 # wire frame reader with each protocol's frame codec (corrupt, truncated
-# and oversized frames; broker frames and OPC UA messages), the historian's
+# and oversized frames; broker frames and OPC UA messages), the broker's
+# topic matcher and filter check (against their split-into-levels
+# reference), the historian's
 # WAL record codec, the machine driver protocol (the sweep response
 # splitter against encoding/json, and the emulator's request dispatch) and
 # the YAML decoder every manifest is read back with (its one-pass unquote
@@ -72,12 +74,13 @@ plantbench-ab:
 # replays the seed corpora and CI's fuzz-smoke job explores each target
 # for 10 s; run this
 # for minutes or hours when touching internal/wire framing, a protocol
-# codec, the WAL record format, the machinesim wire protocol,
+# codec, topic matching, the WAL record format, the machinesim wire protocol,
 # internal/yamlenc, internal/sysml or the stack's sample fast paths.
 FUZZ_TIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
 	$(GO) test -fuzz=FuzzBinaryBodyRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
+	$(GO) test -fuzz=FuzzMatchTopic -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/broker/
 	$(GO) test -fuzz=FuzzOpcuaFrameDecode -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/opcua/
 	$(GO) test -fuzz=FuzzOpcuaBodyRoundTrip -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/opcua/
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZ_TIME) -run='^$$' ./internal/historian/

@@ -50,22 +50,30 @@ type Message struct {
 //
 // The broker itself matches through the trie index in trie.go; MatchTopic
 // remains the executable specification the trie is property-tested against,
-// and serves one-off checks like retained-message replay.
+// and serves one-off checks like retained-message replay, which runs it
+// against every retained topic of a shard on each subscribe. So it walks
+// both strings level by level and allocates nothing; FuzzMatchTopic holds
+// it to the split-into-levels reference it replaced.
 func MatchTopic(filter, topic string) bool {
-	f := strings.Split(filter, "/")
-	t := strings.Split(topic, "/")
-	for i, seg := range f {
-		if seg == "#" {
-			return i == len(f)-1
+	topicDone := false // the topic's last level has been matched
+	for {
+		fseg, frest, fmore := strings.Cut(filter, "/")
+		if fseg == "#" {
+			return !fmore
 		}
-		if i >= len(t) {
+		if topicDone {
 			return false
 		}
-		if seg != "+" && seg != t[i] {
+		tseg, trest, tmore := strings.Cut(topic, "/")
+		if fseg != "+" && fseg != tseg {
 			return false
 		}
+		if !fmore {
+			return !tmore
+		}
+		topicDone = !tmore
+		filter, topic = frest, trest
 	}
-	return len(f) == len(t)
 }
 
 // ValidateFilter checks filter syntax: "#" only at the end, no empty filter.
@@ -73,12 +81,13 @@ func ValidateFilter(filter string) error {
 	if filter == "" {
 		return errors.New("broker: empty topic filter")
 	}
-	segs := strings.Split(filter, "/")
-	for i, seg := range segs {
-		if seg == "#" && i != len(segs)-1 {
+	for rest, more := filter, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		if seg == "#" && more {
 			return fmt.Errorf("broker: %q: '#' must be the final level", filter)
 		}
-		if strings.Contains(seg, "#") && seg != "#" || strings.Contains(seg, "+") && seg != "+" {
+		if seg != "#" && strings.Contains(seg, "#") || seg != "+" && strings.Contains(seg, "+") {
 			return fmt.Errorf("broker: %q: wildcards must occupy a whole level", filter)
 		}
 	}

@@ -55,6 +55,29 @@ func TestValidateFilter(t *testing.T) {
 	}
 }
 
+// TestMatchTopicAllocatesNothing: retained replay runs MatchTopic against
+// every retained topic of a shard on each subscribe, and every subscribe
+// validates its filter, so neither may allocate on the success path.
+func TestMatchTopicAllocatesNothing(t *testing.T) {
+	const filter = "factory/+/+/+/values/#"
+	topics := []string{
+		"factory/line1/wc02/emco/values/Axes/actualX",
+		"factory/line1/wc02/emco/services/is_ready/response",
+		"factory/line1",
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, topic := range topics {
+			MatchTopic(filter, topic)
+		}
+		if ValidateFilter(filter) != nil {
+			t.Fatal("filter refused")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MatchTopic + ValidateFilter: %v allocs per run, want 0", allocs)
+	}
+}
+
 func TestMatchExactProperty(t *testing.T) {
 	f := func(segs []string) bool {
 		var clean []string
@@ -245,12 +268,70 @@ func TestRequestReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer caller.Close()
-	reply, err := caller.Request("svc/is_ready/request", "svc/is_ready/response", []byte(`1`), 2*time.Second)
+	reply, err := caller.Request("svc/is_ready/request", "svc/is_ready/response", []byte(`1`), nil, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(reply) != `{"ok":true,"req":1}` {
 		t.Errorf("reply = %s", reply)
+	}
+}
+
+// TestRequestFailsFastOnLostConnection: a call waiting when the broker
+// dies, and every call after it on the connection — including one on a
+// response topic whose subscription the client kept — fails at once
+// instead of waiting out its timeout or spinning on the closed channel.
+func TestRequestFailsFastOnLostConnection(t *testing.T) {
+	b := New()
+	if err := b.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	responder, err := DialClient(b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer responder.Close()
+	_, reqCh, err := responder.Subscribe("svc/echo/request")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for m := range reqCh {
+			_ = responder.PublishAsync("svc/echo/response", m.Payload, false)
+		}
+	}()
+	caller, err := DialClientTimeout(b.Addr(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer caller.Close()
+	if _, err := caller.Request("svc/echo/request", "svc/echo/response", []byte(`1`), nil, time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	const timeout, prompt = 10 * time.Second, 2 * time.Second
+	call := func(topic string) (time.Duration, error) {
+		start := time.Now()
+		_, err := caller.Request(topic+"/request", topic+"/response", []byte(`2`), nil, timeout)
+		return time.Since(start), err
+	}
+	waiting := make(chan error, 1)
+	var waited time.Duration
+	go func() {
+		var err error
+		waited, err = call("svc/silent") // nobody answers
+		waiting <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	b.Close()
+	if err := <-waiting; err == nil || waited > prompt {
+		t.Errorf("call waiting as the broker died: %v after %v", err, waited)
+	}
+	for _, topic := range []string{"svc/echo", "svc/echo", "svc/other"} {
+		if took, err := call(topic); err == nil || took > prompt {
+			t.Errorf("%s after the broker died: %v after %v", topic, err, took)
+		}
 	}
 }
 

@@ -43,6 +43,11 @@ type Client struct {
 	// topics interns the topics of frames read from the broker; only
 	// readLoop touches it.
 	topics wire.Interner
+
+	// replies holds Request's reply subscriptions by response topic. Each
+	// is made by the topic's first call and lives as long as the
+	// connection.
+	replies map[string]*replySub
 }
 
 // clientSub is the client side of one subscription. For acked sessions the
@@ -52,6 +57,23 @@ type clientSub struct {
 	ch      chan Message
 	acked   bool
 	lastSeq uint64 // highest seq handed to the consumer
+
+	// reply marks a Request reply subscription. The read loop queues a
+	// message on it only while a call waits (waiting) and only if that
+	// call's match accepts it, and then ends the wait, so the one-slot
+	// channel never holds a reply that is not the waiting call's. wait
+	// numbers the waits. The three change under mu.
+	reply   bool
+	waiting bool
+	wait    uint64
+	match   func(payload []byte) bool
+}
+
+// replySub is Request's state for one response topic. call serializes the
+// topic's calls, so at most one waits for a reply at a time.
+type replySub struct {
+	call sync.Mutex
+	st   *clientSub // nil until a call's subscribe is acknowledged
 }
 
 // fwdWaiter is one in-flight windowed forward awaiting the broker's
@@ -100,6 +122,7 @@ func NewClientConn(conn net.Conn, timeout time.Duration) *Client {
 		pending:     map[uint64]chan *frame{},
 		pendingSubs: map[uint64]*clientSub{},
 		subs:        map[int]*clientSub{},
+		replies:     map[string]*replySub{},
 		timeout:     timeout,
 		done:        make(chan struct{}),
 		closing:     make(chan struct{}),
@@ -199,7 +222,7 @@ func (c *Client) readLoop() {
 			// Deliver under the lock so Unsubscribe cannot close the
 			// channel mid-send (drop-oldest for slow consumers).
 			c.mu.Lock()
-			if st := c.subs[f.SubID]; st != nil {
+			if st := c.subs[f.SubID]; st != nil && (!st.reply || c.takeReply(st, f.Payload)) {
 				msg := Message{Topic: f.Topic, Payload: f.Payload, Retained: f.Retain, Seq: f.Seq}
 				if st.acked {
 					c.mu.Unlock()
@@ -267,6 +290,28 @@ func (c *Client) readLoop() {
 	}
 }
 
+// takeReply reports whether payload answers the call waiting on the reply
+// subscription st, and if so ends the wait. The call's match is the
+// caller's code, so it runs without mu; a wait that ended or was replaced
+// by the next call meanwhile takes nothing. Called, and returns, with mu
+// held, on the read loop: the only goroutine that queues on st.ch.
+func (c *Client) takeReply(st *clientSub, payload []byte) bool {
+	if !st.waiting {
+		return false
+	}
+	if match := st.match; match != nil {
+		wait := st.wait
+		c.mu.Unlock()
+		ok := match(payload)
+		c.mu.Lock()
+		if !ok || !st.waiting || st.wait != wait {
+			return false
+		}
+	}
+	st.waiting = false
+	return true
+}
+
 // takeFwds pops and returns the in-flight forwards with ID ≤ upTo.
 func (c *Client) takeFwds(upTo uint64) []fwdWaiter {
 	c.mu.Lock()
@@ -296,9 +341,11 @@ func (c *Client) popFwdsLocked(upTo uint64) []fwdWaiter {
 // the subscribe ack (see the pendingSubs field comment).
 func (c *Client) roundTrip(f *frame, sub *clientSub) (*frame, error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.readErr != nil {
+		// The read loop closes the waiters it finds as it exits; one
+		// registered after that would wait out the whole timeout.
 		c.mu.Unlock()
-		return nil, errors.New("broker client: closed")
+		return nil, c.Err()
 	}
 	c.nextID++
 	f.ID = c.nextID
@@ -471,7 +518,7 @@ func (c *Client) PublishSeqAsync(topic string, payload []byte, retain bool, sess
 // Subscribe registers a topic filter; messages arrive on the returned
 // channel until Unsubscribe or connection loss.
 func (c *Client) Subscribe(filter string) (int, <-chan Message, error) {
-	return c.subscribe(&frame{Op: opSub, Topic: filter}, false, 0, clientSubDepth)
+	return c.subscribe(&frame{Op: opSub, Topic: filter}, &clientSub{ch: make(chan Message, clientSubDepth)})
 }
 
 // SubscribeSession opens (or resumes) an acked at-least-once session.
@@ -480,7 +527,8 @@ func (c *Client) Subscribe(filter string) (int, <-chan Message, error) {
 // redeliveries at or below it. Each message on the channel carries its Seq;
 // the consumer must Ack after processing or delivery stalls at the window.
 func (c *Client) SubscribeSession(filter, session string, fromSeq uint64) (int, <-chan Message, error) {
-	return c.subscribe(&frame{Op: opSub, Topic: filter, Acked: true, Session: session, FromSeq: fromSeq}, true, fromSeq, clientSubDepth)
+	return c.subscribe(&frame{Op: opSub, Topic: filter, Acked: true, Session: session, FromSeq: fromSeq},
+		&clientSub{ch: make(chan Message, clientSubDepth), acked: true, lastSeq: fromSeq})
 }
 
 // clientSubDepth is the client-side queue of a subscription: a plain one
@@ -489,14 +537,12 @@ func (c *Client) SubscribeSession(filter, session string, fromSeq uint64) (int, 
 // the connection nothing.
 const clientSubDepth = 256
 
-// subscribe opens a subscription whose consumer channel holds depth
-// messages.
-func (c *Client) subscribe(f *frame, acked bool, fromSeq uint64, depth int) (int, <-chan Message, error) {
+// subscribe sends the subscribe request f for the client side st.
+func (c *Client) subscribe(f *frame, st *clientSub) (int, <-chan Message, error) {
 	// The sub state is built up front and registered by the read loop
 	// together with the broker's ack: an acked-session resume replays the
 	// queued backlog immediately behind that ack, and registering here —
 	// after roundTrip returns — would race those replayed frames.
-	st := &clientSub{ch: make(chan Message, depth), acked: acked, lastSeq: fromSeq}
 	resp, err := c.roundTrip(f, st)
 	if err != nil {
 		return 0, nil, err
@@ -535,27 +581,88 @@ func (c *Client) Unsubscribe(id int) error {
 	return err
 }
 
-// Request publishes to reqTopic and waits for one reply on respTopic
-// (a simple request/reply convention used for machine services).
-func (c *Client) Request(reqTopic, respTopic string, payload []byte, timeout time.Duration) ([]byte, error) {
-	// One reply is all that is waited for, so the queue holds one.
-	subID, ch, err := c.subscribe(&frame{Op: opSub, Topic: respTopic}, false, 0, 1)
-	if err != nil {
+// Request publishes payload to reqTopic and waits up to timeout for one
+// reply on respTopic that match accepts (any reply when match is nil) —
+// the request/reply convention of machine services, MQTT 5's response
+// topic with the correlation kept in the payload.
+//
+// The first call on a respTopic subscribes to it, one round trip, and the
+// subscription stays until the connection ends. Every later call is one
+// fire-and-forget publish out and the reply in: no subscribe, publish ack
+// or unsubscribe. Calls on one respTopic are serialized. A reply reaches
+// the waiting call only if match accepts it; anything else — a reply to
+// another client's call on the same service, or one to this client's own
+// earlier call that timed out — is dropped before it can take the slot,
+// so the call keeps waiting for its own until the deadline. match runs on
+// the connection's read goroutine, which reads nothing else meanwhile, so
+// it must be quick. Without match a late reply to an earlier timed-out
+// call is indistinguishable from this call's.
+//
+// A connection that is already lost fails the call at once; one lost
+// while the call waits fails it when the loss is noticed.
+func (c *Client) Request(reqTopic, respTopic string, payload []byte, match func(reply []byte) bool, timeout time.Duration) ([]byte, error) {
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	defer func() { _ = c.Unsubscribe(subID) }()
-	if err := c.Publish(reqTopic, payload, false); err != nil {
+	c.mu.Lock()
+	rs := c.replies[respTopic]
+	if rs == nil {
+		rs = &replySub{}
+		c.replies[respTopic] = rs
+	}
+	c.mu.Unlock()
+
+	rs.call.Lock()
+	defer rs.call.Unlock()
+	if rs.st == nil {
+		st := &clientSub{ch: make(chan Message, 1), reply: true}
+		if _, _, err := c.subscribe(&frame{Op: opSub, Topic: respTopic}, st); err != nil {
+			return nil, err
+		}
+		rs.st = st
+	}
+	// A connection lost from here on closes st.ch, which ends the wait
+	// below at once.
+	st := rs.st
+	c.mu.Lock()
+	// A reply an earlier call left behind (accepted as that call gave up
+	// on a failed publish) is not this call's.
+	select {
+	case <-st.ch:
+	default:
+	}
+	st.waiting, st.match = true, match
+	st.wait++
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		st.waiting, st.match = false, nil
+		c.mu.Unlock()
+	}()
+
+	if err := c.PublishAsync(reqTopic, payload, false); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case m, ok := <-ch:
+	case m, ok := <-st.ch:
 		if !ok {
 			return nil, errors.New("broker client: connection lost awaiting reply")
 		}
 		return m.Payload, nil
 	case <-timer.C:
+		// The reply may have been queued as the deadline passed.
+		c.mu.Lock()
+		st.waiting = false
+		c.mu.Unlock()
+		select {
+		case m, ok := <-st.ch:
+			if ok {
+				return m.Payload, nil
+			}
+		default:
+		}
 		return nil, fmt.Errorf("broker client: no reply on %s after %v", respTopic, timeout)
 	}
 }

@@ -2,6 +2,9 @@ package broker
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/smartfactory/sysml2conf/internal/wire"
@@ -81,6 +84,66 @@ func FuzzBinaryBodyRoundTrip(f *testing.F) {
 			!bytes.Equal(fr.Payload, fr2.Payload) || fr.Retain != fr2.Retain ||
 			fr.Acked != fr2.Acked || fr.NoAck != fr2.NoAck {
 			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", fr, fr2)
+		}
+	})
+}
+
+// refMatchTopic and refValidateFilter are the split-into-levels
+// definitions MatchTopic and ValidateFilter replaced: the executable
+// reference the allocation-free walks are fuzzed against.
+func refMatchTopic(filter, topic string) bool {
+	f := strings.Split(filter, "/")
+	t := strings.Split(topic, "/")
+	for i, seg := range f {
+		if seg == "#" {
+			return i == len(f)-1
+		}
+		if i >= len(t) {
+			return false
+		}
+		if seg != "+" && seg != t[i] {
+			return false
+		}
+	}
+	return len(f) == len(t)
+}
+
+func refValidateFilter(filter string) error {
+	if filter == "" {
+		return errors.New("broker: empty topic filter")
+	}
+	segs := strings.Split(filter, "/")
+	for i, seg := range segs {
+		if seg == "#" && i != len(segs)-1 {
+			return fmt.Errorf("broker: %q: '#' must be the final level", filter)
+		}
+		if strings.Contains(seg, "#") && seg != "#" || strings.Contains(seg, "+") && seg != "+" {
+			return fmt.Errorf("broker: %q: wildcards must occupy a whole level", filter)
+		}
+	}
+	return nil
+}
+
+// FuzzMatchTopic holds MatchTopic and ValidateFilter to their references:
+// the same match for every filter and topic, the same error (or none) for
+// every filter — empty levels, leading and trailing slashes, wildcards
+// inside a level and a "#" that is not last included.
+func FuzzMatchTopic(f *testing.F) {
+	for _, c := range [][2]string{
+		{"a/b/c", "a/b/c"}, {"a/b/c", "a/b"}, {"a/b", "a/b/c"}, {"a/+/c", "a/x/c"},
+		{"a/#", "a"}, {"a/#", "a/"}, {"#", ""}, {"+", ""}, {"", ""}, {"/", "/"},
+		{"+/+", "/"}, {"a//#", "a//b"}, {"a/#/b", "a/x/b"}, {"a/b#", "a/b#"},
+		{"a/+x/c", "a/+x/c"}, {"factory/+/+/+/values/#", "factory/line1/wc02/emco/values/Axes/actualX"},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, filter, topic string) {
+		if got, want := MatchTopic(filter, topic), refMatchTopic(filter, topic); got != want {
+			t.Fatalf("MatchTopic(%q, %q) = %v, reference %v", filter, topic, got, want)
+		}
+		got, want := ValidateFilter(filter), refValidateFilter(filter)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("ValidateFilter(%q) = %v, reference %v", filter, got, want)
 		}
 	})
 }

@@ -74,12 +74,17 @@ type ackState struct {
 	nextSeq uint64 // highest assigned seq
 	cursor  uint64 // next seq the pump hands to the consumer
 
+	// timer is the subscription's one redelivery timer, made by the first
+	// arm and Reset by every later one. due is the current arm's deadline:
+	// a fire that ran after its arm was stopped (and maybe re-armed) finds
+	// the timer disarmed or due still ahead, and leaves the cursor alone.
 	attempt    int
 	timer      *time.Timer
 	timerArmed bool
+	due        time.Time
 
 	attached bool
-	epoch    int // increments per attach/detach; stale pumps and timers exit
+	epoch    int // increments per attach/detach; stale pumps exit
 	detach   chan struct{}
 
 	// room, when non-nil, has publishers waiting on it in awaitRoom; it is
@@ -446,7 +451,7 @@ func (s *subscription) pumpAcked(epoch int, out chan Message, detach chan struct
 			m := a.queue[a.cursor-a.base]
 			m.Seq = a.cursor
 			a.cursor++
-			s.armRedeliveryLocked(epoch)
+			s.armRedeliveryLocked()
 			s.mu.Unlock()
 			select {
 			case out <- m:
@@ -460,7 +465,7 @@ func (s *subscription) pumpAcked(epoch int, out chan Message, detach chan struct
 		// Nothing deliverable. If messages are in flight and no timer is
 		// pending (an ack stopped it), re-arm so a lost ack still redelivers.
 		if a.cursor > a.base {
-			s.armRedeliveryLocked(epoch)
+			s.armRedeliveryLocked()
 		}
 		s.mu.Unlock()
 		select {
@@ -476,27 +481,41 @@ func (s *subscription) pumpAcked(epoch int, out chan Message, detach chan struct
 }
 
 // armRedeliveryLocked schedules a redelivery sweep after the current
-// backoff delay, if one is not already pending. Callers hold s.mu.
-func (s *subscription) armRedeliveryLocked(epoch int) {
+// backoff delay, if one is not already pending. Callers hold s.mu. The
+// subscription keeps one timer for its life: arming an acked session is
+// what every ack that empties the window leads to, so it must not cost a
+// timer and a closure each time (TestRedeliveryArmAckAllocatesNothing).
+func (s *subscription) armRedeliveryLocked() {
 	a := s.ack
 	if a.timerArmed {
 		return
 	}
 	a.timerArmed = true
 	d := a.backoff.Delay(a.attempt)
-	a.timer = time.AfterFunc(d, func() { s.redeliver(epoch) })
+	a.due = time.Now().Add(d)
+	if a.timer == nil {
+		a.timer = time.AfterFunc(d, s.redeliver)
+	} else {
+		a.timer.Reset(d)
+	}
 }
 
 // redeliver rewinds the delivery cursor to the oldest unacked message. The
 // next attempt's timer backs off exponentially, so a dead consumer costs
 // bounded work while a merely-slow one gets its messages again quickly.
-func (s *subscription) redeliver(epoch int) {
+// A stale fire returns without touching anything: its arm was stopped by
+// an ack, a detach or a reattach (timerArmed false), or stopped and armed
+// again, which put due after now. Every arm happens in the pump of the
+// current attachment, so an armed timer always belongs to the live epoch.
+func (s *subscription) redeliver() {
 	s.mu.Lock()
 	a := s.ack
-	if a.epoch == epoch {
-		a.timerArmed = false
+	if !a.timerArmed || time.Now().Before(a.due) {
+		s.mu.Unlock()
+		return
 	}
-	if s.closed || a.epoch != epoch || !a.attached || a.cursor <= a.base {
+	a.timerArmed = false
+	if s.closed || !a.attached || a.cursor <= a.base {
 		s.mu.Unlock()
 		return
 	}

@@ -456,3 +456,75 @@ func TestClientDedupsRedelivery(t *testing.T) {
 		t.Fatal("expected broker-side redeliveries while unacked")
 	}
 }
+
+// ackedSub returns the broker's subscription behind an acked session id.
+func ackedSub(t *testing.T, b *Broker, id int) *subscription {
+	t.Helper()
+	b.subMu.Lock()
+	s := b.subs[id]
+	b.subMu.Unlock()
+	if s == nil || s.ack == nil {
+		t.Fatalf("subscription %d is not an acked session", id)
+	}
+	return s
+}
+
+// TestRedeliveryArmAckAllocatesNothing: every ack that empties the window
+// stops the redelivery timer and the pump arms it again for the next
+// message in flight. The subscription's one timer is Reset, so the cycle
+// allocates nothing once the first arm has made it.
+func TestRedeliveryArmAckAllocatesNothing(t *testing.T) {
+	b := New()
+	defer b.Close()
+	b.RedeliveryBackoff = resilience.Backoff{Initial: time.Minute, Max: time.Minute}
+	id, _, err := b.SubscribeOpts("arm/ack", SubOptions{Acked: true, Session: "arm-ack"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ackedSub(t, b, id)
+	allocs := testing.AllocsPerRun(200, func() {
+		s.mu.Lock()
+		s.armRedeliveryLocked()
+		s.mu.Unlock()
+		b.Ack(id, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("arm → ack: %v allocs per cycle, want 0", allocs)
+	}
+}
+
+// TestStaleRedeliveryFireKeepsCursor: a fire whose arm was since stopped,
+// or stopped and armed again, must not rewind the delivery cursor — that
+// would redeliver a message that is inside its ack deadline.
+func TestStaleRedeliveryFireKeepsCursor(t *testing.T) {
+	b := New()
+	defer b.Close()
+	b.RedeliveryBackoff = resilience.Backoff{Initial: time.Minute, Max: time.Minute}
+	id, ch, err := b.SubscribeOpts("stale/fire", SubOptions{Acked: true, Session: "stale-fire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish("stale/fire", []byte("1"), false); err != nil {
+		t.Fatal(err)
+	}
+	collectSeqs(t, ch, 1) // in flight: the pump armed the timer a minute out
+	s := ackedSub(t, b, id)
+	cursor := func() uint64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.ack.cursor
+	}
+	want := cursor()
+
+	s.redeliver() // the fire of an earlier arm, re-armed since: due is ahead
+	s.mu.Lock()
+	s.ack.stopTimerLocked()
+	s.mu.Unlock()
+	s.redeliver() // the fire of an arm an ack stopped
+	if got := cursor(); got != want {
+		t.Errorf("cursor = %d after stale fires, want %d", got, want)
+	}
+	if redelivered, _ := b.AckStats(); redelivered != 0 {
+		t.Errorf("redelivered = %d after stale fires, want 0", redelivered)
+	}
+}

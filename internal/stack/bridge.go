@@ -2,12 +2,15 @@ package stack
 
 import (
 	"bytes"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/smartfactory/sysml2conf/internal/broker"
@@ -465,8 +468,10 @@ func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodCon
 	b.mu.Unlock()
 	// Service requests ride an acked session: a request published while this
 	// bridge is down (or mid-restart) is redelivered once it reattaches under
-	// the same deterministic session name, instead of being dropped. The ack
-	// goes out only after the reply is published.
+	// the same deterministic session name, instead of being dropped. The
+	// reply is staged with PublishAsync and the ack queued behind it, so both
+	// leave in one flush and the ack never precedes the reply: a connection
+	// lost before the flush loses both, and the request is redelivered.
 	session := "svc/" + b.Config.Name + "/" + m.RequestTopic
 	subID, ch, err := bc.SubscribeSession(m.RequestTopic, session, 0)
 	if err != nil {
@@ -485,7 +490,7 @@ func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodCon
 					return
 				}
 				reply := b.invoke(cm.Server, m, msg.Payload)
-				if err := b.publishJSON(bc.Publish, m.ResponseTopic, reply); err != nil {
+				if err := b.publishJSON(bc.PublishAsync, m.ResponseTopic, reply); err != nil {
 					b.loopFailed(fmt.Errorf("service %s: publish: %w", m.RequestTopic, err))
 					return
 				}
@@ -574,19 +579,41 @@ func (b *BridgeClient) Stop() {
 }
 
 // CallService is a convenience for invoking a machine service through the
-// broker from any client connection (used by the SOM layer and tests).
+// broker from any client connection (used by the SOM layer and tests). Each
+// call carries a fresh ServicePayload.ID, and only the reply echoing it is
+// taken: every client that calls a service hears every reply on its
+// response topic, and a reply to another caller — or to this caller's own
+// earlier call that timed out — is dropped while the wait goes on.
 func CallService(bc *broker.Client, m codegen.MethodConfig, args []any, timeout time.Duration) (ServiceReply, error) {
-	payload, err := json.Marshal(ServicePayload{Args: args})
-	if err != nil {
-		return ServiceReply{}, err
-	}
-	raw, err := bc.Request(m.RequestTopic, m.ResponseTopic, payload, timeout)
+	id := callPrefix + strconv.FormatUint(callSeq.Add(1), 36)
+	payload, err := json.Marshal(ServicePayload{Args: args, ID: id})
 	if err != nil {
 		return ServiceReply{}, err
 	}
 	var reply ServiceReply
-	if err := json.Unmarshal(raw, &reply); err != nil {
-		return ServiceReply{}, fmt.Errorf("stack: malformed service reply: %w", err)
+	if _, err := bc.Request(m.RequestTopic, m.ResponseTopic, payload, func(raw []byte) bool {
+		var r ServiceReply
+		if json.Unmarshal(raw, &r) != nil || r.ID != id {
+			return false
+		}
+		reply = r
+		return true
+	}, timeout); err != nil {
+		return ServiceReply{}, err
 	}
 	return reply, nil
+}
+
+// callPrefix and callSeq make service call IDs: random per process, so
+// callers in different processes sharing a broker never collide, and
+// counted within it.
+var (
+	callPrefix = newCallPrefix()
+	callSeq    atomic.Uint64
+)
+
+func newCallPrefix() string {
+	var b [6]byte
+	_, _ = rand.Read(b[:]) // crypto/rand does not fail on supported platforms
+	return hex.EncodeToString(b[:]) + "-"
 }

@@ -69,15 +69,32 @@ func (cc *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// frame consumes the first complete frame of b (internal/wire's grammar:
-// magic, version, op, header flags, two uvarints when flag bit 0 carries
-// an ack, the body length and the body) and counts it if it is a subscribe
-// request; ok is false while b holds no complete frame.
+// frame consumes the first complete frame of b and counts it if it is a
+// subscribe request; ok is false while b holds no complete frame.
 func (c *subscribeCounter) frame(b []byte) (rest []byte, ok bool) {
-	if len(b) < 4 {
+	op, body, rest, ok := nextFrame(b)
+	if !ok {
 		return b, false
 	}
-	op, rest := b[2], b[4:]
+	var m opcua.Message
+	if op != 0 && m.DecodeBinaryBody(op, body) == nil && m.Op == opcua.OpSubscribe {
+		c.mu.Lock()
+		c.requests++
+		c.nodes += len(m.NodeIDs)
+		c.mu.Unlock()
+	}
+	return rest, true
+}
+
+// nextFrame splits the first complete frame off b (internal/wire's grammar:
+// magic, version, op, header flags, two uvarints when flag bit 0 carries
+// an ack, the body length and the body); ok is false while b holds no
+// complete frame.
+func nextFrame(b []byte) (op byte, body, rest []byte, ok bool) {
+	if len(b) < 4 {
+		return 0, nil, b, false
+	}
+	op, rest = b[2], b[4:]
 	fields := 1
 	if b[3]&1 != 0 {
 		fields = 3
@@ -86,21 +103,14 @@ func (c *subscribeCounter) frame(b []byte) (rest []byte, ok bool) {
 	for ; fields > 0; fields-- {
 		v, k := binary.Uvarint(rest)
 		if k <= 0 {
-			return b, false
+			return 0, nil, b, false
 		}
 		n, rest = v, rest[k:]
 	}
 	if uint64(len(rest)) < n {
-		return b, false
+		return 0, nil, b, false
 	}
-	var m opcua.Message
-	if op != 0 && m.DecodeBinaryBody(op, rest[:n]) == nil && m.Op == opcua.OpSubscribe {
-		c.mu.Lock()
-		c.requests++
-		c.nodes += len(m.NodeIDs)
-		c.mu.Unlock()
-	}
-	return rest[n:], true
+	return op, rest[:n], rest[n:], true
 }
 
 // goroutines is the process's goroutine count without the short-lived ones

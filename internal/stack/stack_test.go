@@ -244,7 +244,7 @@ func TestMalformedServiceRequest(t *testing.T) {
 	}
 	defer bc.Close()
 	raw, err := bc.Request(rig.mc.Methods[0].RequestTopic, rig.mc.Methods[0].ResponseTopic,
-		[]byte(`{not json`), 3*time.Second)
+		[]byte(`{not json`), nil, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
