@@ -31,28 +31,33 @@ plantbench:
 
 # A/B of this working tree against a git revision, the way a timing claim
 # has to be made (ROADMAP "Perf tier"): REF is exported under
-# .bench_build/ab/ref, seeds 1-10 of WORKLOAD run on both sides — the
-# revision first on odd seeds, this tree first on even ones — and
-# `plantbench compare` judges the two sets of records (bounds for the gated
-# metrics, the 9-of-10 pairs rule for the timings). About 10 minutes for
-# commission; the first run of the REF side also builds its own Go cache.
+# .bench_build/ab/ref, and seeds 1-10 of each workload in WORKLOAD (a
+# space-separated list) run on both sides — per seed, each workload in
+# turn, the revision first on odd seeds and this tree first on even ones —
+# and `plantbench compare` judges the two sets of records, workload by
+# workload (bounds for the gated metrics, the 9-of-10 pairs rule for the
+# timings). So one call A/Bs a claim's workload and the workloads that
+# must not move. About 10 minutes per workload; the first run of the REF
+# side also builds its own Go cache.
 #   make plantbench-ab REF=HEAD~1
-#   make plantbench-ab REF=main WORKLOAD=telemetry
+#   make plantbench-ab REF=main WORKLOAD="commission telemetry firehose operations"
 WORKLOAD ?= commission
 AB = .bench_build/ab
 plantbench-ab:
-	@test -n "$(REF)" || { echo "usage: make plantbench-ab REF=<rev> [WORKLOAD=commission]"; exit 2; }
+	@test -n "$(REF)" || { echo "usage: make plantbench-ab REF=<rev> [WORKLOAD=\"commission ...\"]"; exit 2; }
 	rm -rf $(AB)
 	mkdir -p $(AB)/ref
 	git archive $(REF) | tar -x -C $(AB)/ref
 	@for seed in 1 2 3 4 5 6 7 8 9 10; do \
 		if [ $$((seed % 2)) -eq 1 ]; then order="ref change"; else order="change ref"; fi; \
-		for side in $$order; do \
-			if [ $$side = ref ]; then dir=$(AB)/ref; else dir=.; fi; \
-			echo "== $(WORKLOAD) seed $$seed: $$side"; \
-			(cd $$dir && sh benchmark/run.sh --workload $(WORKLOAD) --seed $$seed --seconds 20 --trace 0 \
-				--out $(CURDIR)/$(AB)/out-$$side) > $(AB)/last-run.log 2>&1 || { cat $(AB)/last-run.log; exit 1; }; \
-			tail -n 1 $(AB)/last-run.log; \
+		for workload in $(WORKLOAD); do \
+			for side in $$order; do \
+				if [ $$side = ref ]; then dir=$(AB)/ref; else dir=.; fi; \
+				echo "== $$workload seed $$seed: $$side"; \
+				(cd $$dir && sh benchmark/run.sh --workload $$workload --seed $$seed --seconds 20 --trace 0 \
+					--out $(CURDIR)/$(AB)/out-$$side) > $(AB)/last-run.log 2>&1 || { cat $(AB)/last-run.log; exit 1; }; \
+				tail -n 1 $(AB)/last-run.log; \
+			done; \
 		done; \
 	done
 	.bench_build/plantbench compare $(AB)/out-ref/runs.jsonl $(AB)/out-change/runs.jsonl

@@ -274,12 +274,15 @@ func TestOutboxSessionlessFailOnDialFailure(t *testing.T) {
 }
 
 // TestOutboxConcurrentSessionsExactlyOnce: several sessions submit to one
-// outbox at once, each from its own goroutine, while the link drops
+// outbox at once, each from its own goroutine, while the link cuts
+// connections. The first cuts are certain to hit entries in flight: every
+// write is truncated until an entry has been re-sent, since a write only
+// carries staged, unacknowledged entries; after that the link drops
 // connections at random. Every session's entries must reach the broker
 // exactly once and in its seq order, and a nil Flush must follow.
 func TestOutboxConcurrentSessionsExactlyOnce(t *testing.T) {
 	r := newOutboxRig(t, 73)
-	r.inj.Set(outboxLink, faultinject.Rule{DropRate: 0.1})
+	r.inj.Set(outboxLink, faultinject.Rule{TruncateRate: 1})
 	const sessions, perSession = 4, 300
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
@@ -292,12 +295,13 @@ func TestOutboxConcurrentSessionsExactlyOnce(t *testing.T) {
 			}
 		}(s)
 	}
+	pollStat(t, 10*time.Second, "an entry cut in flight to be re-sent", func() bool {
+		return r.ob.Stats().Replayed > 0
+	})
+	r.inj.Set(outboxLink, faultinject.Rule{DropRate: 0.1})
 	wg.Wait()
 	if err := r.ob.Flush(30 * time.Second); err != nil {
 		t.Fatalf("%v (%+v)", err, r.ob.Stats())
-	}
-	if st := r.ob.Stats(); st.Replayed == 0 {
-		t.Fatalf("nothing was replayed (%+v, %+v)", st, r.inj.Stats()[outboxLink])
 	}
 	pollStat(t, 5*time.Second, "the consumer to catch up", func() bool {
 		return len(r.delivered()) >= sessions*perSession

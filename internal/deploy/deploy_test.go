@@ -140,6 +140,46 @@ func TestServiceCallUnknownMethodFails(t *testing.T) {
 	}
 }
 
+// TestServiceCallUnknownServiceFails: a request for a service a deployed
+// machine does not have reaches the bridge on the machine's service filter
+// and is answered with a failed reply naming the service, well before the
+// caller's timeout.
+func TestServiceCallUnknownServiceFails(t *testing.T) {
+	cluster, bundle := deployICELab(t)
+	var isReady codegen.MethodConfig
+	for _, mc := range bundle.Intermediate.Machines {
+		for _, m := range mc.Methods {
+			if mc.Machine == "emco" && m.Name == "is_ready" {
+				isReady = m
+			}
+		}
+	}
+	if isReady.Name == "" {
+		t.Fatal("emco is_ready method not found in configs")
+	}
+	ghost := codegen.MethodConfig{
+		RequestTopic:  strings.Replace(isReady.RequestTopic, "/is_ready/", "/ghost/", 1),
+		ResponseTopic: strings.Replace(isReady.ResponseTopic, "/is_ready/", "/ghost/", 1),
+	}
+	bc, err := broker.DialClient(cluster.BrokerAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	const timeout = 5 * time.Second
+	start := time.Now()
+	reply, err := stack.CallService(bc, ghost, nil, timeout)
+	if err != nil {
+		t.Fatalf("%s: %v, want a failed reply", ghost.RequestTopic, err)
+	}
+	if took := time.Since(start); took > timeout/5 {
+		t.Errorf("the reply took %v of the %v timeout", took, timeout)
+	}
+	if reply.OK || !strings.Contains(reply.Error, `"ghost"`) {
+		t.Errorf("reply = %+v, want a failure naming the service", reply)
+	}
+}
+
 func TestClientStartedBeforeBrokerFails(t *testing.T) {
 	factory := icelab.MustBuild(icelab.ICELab())
 	bundle, err := codegen.Generate(factory, codegen.GenOptions{})

@@ -5,10 +5,12 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +28,9 @@ type ServerResolver func(server string) (string, error)
 // BridgeClient is the OPC UA client module of the architecture: for the
 // machines in its group it subscribes to every configured variable on the
 // owning OPC UA server and republishes values to the message broker; it
-// also listens on each service's request topic and proxies the call to the
-// OPC UA method node, publishing the result on the response topic.
+// also listens on each machine's service request topics, through one
+// broker session per machine, and proxies each call to the OPC UA method
+// node, publishing the result on the service's response topic.
 type BridgeClient struct {
 	Config codegen.ClientConfig
 
@@ -84,8 +87,14 @@ func NewBridgeClient(cfg codegen.ClientConfig, resolver ServerResolver, brokerAd
 }
 
 // Start connects to the broker and all owning OPC UA servers, then wires
-// subscriptions and service listeners.
+// subscriptions and service listeners. It refuses, with ErrServiceTopics
+// and before dialing anything, service topics that one session per machine
+// cannot serve (see serviceFilters).
 func (b *BridgeClient) Start() error {
+	filters, err := b.serviceFilters()
+	if err != nil {
+		return err
+	}
 	bc, err := broker.DialClient(b.brokerAddr)
 	if err != nil {
 		return fmt.Errorf("stack: client %s: %w", b.Config.Name, err)
@@ -94,7 +103,7 @@ func (b *BridgeClient) Start() error {
 	b.broker = bc
 	b.mu.Unlock()
 
-	for _, cm := range b.Config.Machines {
+	for i, cm := range b.Config.Machines {
 		client, err := b.clientFor(cm.Server)
 		if err != nil {
 			b.Stop()
@@ -106,8 +115,8 @@ func (b *BridgeClient) Start() error {
 				return err
 			}
 		}
-		for _, m := range cm.Methods {
-			if err := b.wireService(cm, m); err != nil {
+		if len(cm.Methods) > 0 {
+			if err := b.wireServices(cm, filters[i]); err != nil {
 				b.Stop()
 				return err
 			}
@@ -462,20 +471,84 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodConfig) error {
+// ErrServiceTopics is what Start refuses a client configuration with when
+// its service topics cannot be served by one session per machine: a
+// request topic not of the shape <base>/<service>/request, a machine whose
+// request topics have two bases, or two machines of one client with one
+// filter.
+var ErrServiceTopics = errors.New("service topics not servable by one session per machine")
+
+// serviceFilters returns, per machine of the client (indexed like
+// Config.Machines, "" for a machine without methods), the filter
+// <base>/+/request that covers the machine's request topics as
+// codegen.TopicsForService emits them, and no other machine's.
+func (b *BridgeClient) serviceFilters() ([]string, error) {
+	filters := make([]string, len(b.Config.Machines))
+	owner := map[string]string{} // filter -> machine
+	for i, cm := range b.Config.Machines {
+		var base string
+		for _, m := range cm.Methods {
+			mb, ok := requestBase(m.RequestTopic)
+			if !ok {
+				return nil, fmt.Errorf("stack: client %s: machine %s: request topic %q is not <base>/<service>/request: %w",
+					b.Config.Name, cm.Machine, m.RequestTopic, ErrServiceTopics)
+			}
+			if base != "" && mb != base {
+				return nil, fmt.Errorf("stack: client %s: machine %s: request topics under %s and %s: %w",
+					b.Config.Name, cm.Machine, base, mb, ErrServiceTopics)
+			}
+			base = mb
+		}
+		if base == "" {
+			continue
+		}
+		filters[i] = base + "/+/request"
+		if prev, dup := owner[filters[i]]; dup {
+			return nil, fmt.Errorf("stack: client %s: machines %s and %s share the service filter %s: %w",
+				b.Config.Name, prev, cm.Machine, filters[i], ErrServiceTopics)
+		}
+		owner[filters[i]] = cm.Machine
+	}
+	return filters, nil
+}
+
+// requestBase splits a request topic <base>/<service>/request into its
+// base; ok is false for any other shape. A topic with a wildcard is no
+// request topic (nothing can publish on it), and an empty base or service
+// level is not the shape.
+func requestBase(topic string) (base string, ok bool) {
+	rest, ok := strings.CutSuffix(topic, "/request")
+	i := strings.LastIndexByte(rest, '/')
+	if !ok || i <= 0 || i == len(rest)-1 || strings.ContainsAny(topic, "+#") {
+		return "", false
+	}
+	return rest[:i], true
+}
+
+// wireServices serves every service of a machine from one acked session on
+// filter, named svc/<client>/<machine>, and one loop that takes the
+// machine's requests in order and dispatches each by topic. A request
+// published while this bridge is down (or mid-restart) is redelivered once
+// it reattaches under the same session name, instead of being dropped. The
+// reply is staged with PublishAsync and the ack queued behind it, so both
+// leave in one flush and the ack never precedes the reply: a connection
+// lost before the flush loses both, and the request is redelivered. One
+// loop per machine keeps the acks cumulative: a machine's calls run one at
+// a time, in the order they reached the broker. A request on the filter
+// that names no configured service is answered with a failed reply on its
+// response topic rather than left to time out.
+func (b *BridgeClient) wireServices(cm codegen.ClientMachine, filter string) error {
 	b.mu.Lock()
 	bc := b.broker
 	b.mu.Unlock()
-	// Service requests ride an acked session: a request published while this
-	// bridge is down (or mid-restart) is redelivered once it reattaches under
-	// the same deterministic session name, instead of being dropped. The
-	// reply is staged with PublishAsync and the ack queued behind it, so both
-	// leave in one flush and the ack never precedes the reply: a connection
-	// lost before the flush loses both, and the request is redelivered.
-	session := "svc/" + b.Config.Name + "/" + m.RequestTopic
-	subID, ch, err := bc.SubscribeSession(m.RequestTopic, session, 0)
+	methods := make(map[string]codegen.MethodConfig, len(cm.Methods))
+	for _, m := range cm.Methods {
+		methods[m.RequestTopic] = m
+	}
+	session := "svc/" + b.Config.Name + "/" + cm.Machine
+	subID, ch, err := bc.SubscribeSession(filter, session, 0)
 	if err != nil {
-		return fmt.Errorf("stack: client %s: subscribe %s: %w", b.Config.Name, m.RequestTopic, err)
+		return fmt.Errorf("stack: client %s: subscribe %s: %w", b.Config.Name, filter, err)
 	}
 	b.wg.Add(1)
 	go func() {
@@ -486,12 +559,18 @@ func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodCon
 				return
 			case msg, ok := <-ch:
 				if !ok {
-					b.loopFailed(fmt.Errorf("service %s: broker subscription ended", m.RequestTopic))
+					b.loopFailed(fmt.Errorf("services of machine %s: broker subscription ended", cm.Machine))
 					return
 				}
-				reply := b.invoke(cm.Server, m, msg.Payload)
-				if err := b.publishJSON(bc.PublishAsync, m.ResponseTopic, reply); err != nil {
-					b.loopFailed(fmt.Errorf("service %s: publish: %w", m.RequestTopic, err))
+				var reply ServiceReply
+				var respTopic string
+				if m, ok := methods[msg.Topic]; ok {
+					reply, respTopic = b.invoke(cm.Server, m, msg.Payload), m.ResponseTopic
+				} else {
+					reply, respTopic = unknownService(cm.Machine, msg.Topic, msg.Payload)
+				}
+				if err := b.publishJSON(bc.PublishAsync, respTopic, reply); err != nil {
+					b.loopFailed(fmt.Errorf("services of machine %s: publish: %w", cm.Machine, err))
 					return
 				}
 				// Ack failure is survivable: the broker redelivers and the
@@ -501,6 +580,20 @@ func (b *BridgeClient) wireService(cm codegen.ClientMachine, m codegen.MethodCon
 		}
 	}()
 	return nil
+}
+
+// unknownService is the reply to a request on a machine's service filter
+// whose topic, <base>/<service>/request, names no configured service, and
+// the topic it goes out on, <base>/<service>/response. It fails, names the
+// service and echoes the request's ID, so the caller hears at once instead
+// of waiting out its timeout.
+func unknownService(machine, topic string, body []byte) (ServiceReply, string) {
+	var req ServicePayload
+	_ = json.Unmarshal(body, &req) // a malformed body still gets the reply, without an ID
+	rest := strings.TrimSuffix(topic, "/request")
+	svc := rest[strings.LastIndexByte(rest, '/')+1:]
+	return ServiceReply{OK: false, Error: fmt.Sprintf("machine %s has no service %q", machine, svc), ID: req.ID},
+		rest + "/response"
 }
 
 // invoke proxies a service call to the OPC UA method node, looking up the

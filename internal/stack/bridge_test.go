@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,16 +19,57 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/opcua"
 )
 
+// tapFrames wraps a server's listener so that onFrame sees the op byte and
+// body of every frame the server reads. It adds no goroutine: the frames
+// are split on the server's own read.
+func tapFrames(ln net.Listener, onFrame func(op byte, body []byte)) net.Listener {
+	return tapListener{ln, onFrame}
+}
+
+type tapListener struct {
+	net.Listener
+	onFrame func(op byte, body []byte)
+}
+
+func (l tapListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: conn, onFrame: l.onFrame}, nil
+}
+
+// tapConn keeps the bytes of a frame the server has only partly read.
+// Read has one caller, the server's read loop, so buf needs no lock.
+type tapConn struct {
+	net.Conn
+	onFrame func(op byte, body []byte)
+	buf     []byte
+}
+
+func (tc *tapConn) Read(p []byte) (int, error) {
+	n, err := tc.Conn.Read(p)
+	tc.buf = append(tc.buf, p[:n]...)
+	for {
+		op, body, rest, ok := nextFrame(tc.buf)
+		if !ok {
+			break
+		}
+		tc.onFrame(op, body)
+		tc.buf = rest
+	}
+	return n, err
+}
+
 // subscribeCounter counts the subscribe requests that reach the OPC UA
 // servers whose listeners it wraps, and the nodes they list, by decoding
-// every frame a server reads. It adds no goroutine: the frames are decoded
-// on the server's own read.
+// every frame a server reads.
 type subscribeCounter struct {
 	mu              sync.Mutex
 	requests, nodes int
 }
 
-func (c *subscribeCounter) wrap(ln net.Listener) net.Listener { return countingListener{ln, c} }
+func (c *subscribeCounter) wrap(ln net.Listener) net.Listener { return tapFrames(ln, c.frame) }
 
 func (c *subscribeCounter) counts() (requests, nodes int) {
 	c.mu.Lock()
@@ -35,47 +77,8 @@ func (c *subscribeCounter) counts() (requests, nodes int) {
 	return c.requests, c.nodes
 }
 
-type countingListener struct {
-	net.Listener
-	c *subscribeCounter
-}
-
-func (l countingListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &countingConn{Conn: conn, c: l.c}, nil
-}
-
-// countingConn keeps the bytes of a frame the server has only partly read.
-// Read has one caller, the server's read loop, so buf needs no lock.
-type countingConn struct {
-	net.Conn
-	c   *subscribeCounter
-	buf []byte
-}
-
-func (cc *countingConn) Read(p []byte) (int, error) {
-	n, err := cc.Conn.Read(p)
-	cc.buf = append(cc.buf, p[:n]...)
-	for {
-		rest, ok := cc.c.frame(cc.buf)
-		if !ok {
-			break
-		}
-		cc.buf = rest
-	}
-	return n, err
-}
-
-// frame consumes the first complete frame of b and counts it if it is a
-// subscribe request; ok is false while b holds no complete frame.
-func (c *subscribeCounter) frame(b []byte) (rest []byte, ok bool) {
-	op, body, rest, ok := nextFrame(b)
-	if !ok {
-		return b, false
-	}
+// frame counts a frame if it is a subscribe request.
+func (c *subscribeCounter) frame(op byte, body []byte) {
 	var m opcua.Message
 	if op != 0 && m.DecodeBinaryBody(op, body) == nil && m.Op == opcua.OpSubscribe {
 		c.mu.Lock()
@@ -83,7 +86,6 @@ func (c *subscribeCounter) frame(b []byte) (rest []byte, ok bool) {
 		c.nodes += len(m.NodeIDs)
 		c.mu.Unlock()
 	}
-	return rest, true
 }
 
 // nextFrame splits the first complete frame off b (internal/wire's grammar:
@@ -125,13 +127,12 @@ func goroutines() int {
 	return least
 }
 
-// TestBridgeSubscribesOncePerMachine bridges the ICE Lab: its emulated
-// machines, its workcell servers and its client modules. Every machine is
-// subscribed in one request that lists all of its variables, and what the
-// bridge costs in goroutines, on both ends of the OPC UA connection, does
-// not grow with the variables: one per machine on each side, where one per
-// variable on each side cost 2·(variables − machines) more.
-func TestBridgeSubscribesOncePerMachine(t *testing.T) {
+// startICELab serves the ICE Lab's emulated machines, its workcell servers
+// (their listeners wrapped by serverWrap) and a broker (its listener
+// wrapped by brokerWrap) for the lab's client modules to bridge; a nil
+// wrapper wraps nothing.
+func startICELab(t *testing.T, serverWrap, brokerWrap func(net.Listener) net.Listener) (*codegen.Intermediate, ServerResolver, *broker.Broker) {
+	t.Helper()
 	in, err := codegen.BuildIntermediate(icelab.MustBuild(icelab.ICELab()), codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,6 @@ func TestBridgeSubscribesOncePerMachine(t *testing.T) {
 		addrs[mc.Machine] = serveMachine(t, spec, nil).Addr()
 		byName[mc.Machine] = mc
 	}
-	counter := &subscribeCounter{}
 	serverAddrs := map[string]string{}
 	for _, sc := range in.Servers {
 		var machines []codegen.MachineConfig
@@ -157,7 +157,7 @@ func TestBridgeSubscribesOncePerMachine(t *testing.T) {
 			machines = append(machines, byName[name])
 		}
 		srv := NewMachineServer(sc, machines, MapResolver(addrs), 10*time.Millisecond)
-		srv.ListenWrapper = counter.wrap
+		srv.ListenWrapper = serverWrap
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +165,23 @@ func TestBridgeSubscribesOncePerMachine(t *testing.T) {
 		serverAddrs[sc.Name] = srv.Addr()
 	}
 	brk := broker.New()
+	brk.ListenWrapper = brokerWrap
 	if err := brk.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { brk.Close() })
-	resolve := func(server string) (string, error) { return serverAddrs[server], nil }
+	return in, func(server string) (string, error) { return serverAddrs[server], nil }, brk
+}
+
+// TestBridgeSubscribesOncePerMachine bridges the ICE Lab: its emulated
+// machines, its workcell servers and its client modules. Every machine is
+// subscribed in one request that lists all of its variables, and what the
+// bridge costs in goroutines, on both ends of the OPC UA connection, does
+// not grow with the variables: one per machine on each side, where one per
+// variable on each side cost 2·(variables − machines) more.
+func TestBridgeSubscribesOncePerMachine(t *testing.T) {
+	counter := &subscribeCounter{}
+	in, resolve, brk := startICELab(t, counter.wrap, nil)
 
 	machines, variables := 0, 0
 	oneEach := make([]codegen.ClientConfig, len(in.Clients))
@@ -228,6 +240,59 @@ func TestBridgeSubscribesOncePerMachine(t *testing.T) {
 	if extra := allAdded - oneAdded; extra > 4 {
 		t.Errorf("bridging all %d variables costs %d more goroutines than bridging one per machine, want the same (one per machine on each side)",
 			variables, extra)
+	}
+}
+
+// TestBridgeSubscribesServicesOncePerMachine bridges the ICE Lab and counts
+// the subscribe frames its client modules send the broker: one acked
+// session per machine with services, where a session per service sent one
+// per service. Every service of every machine then answers through those
+// sessions.
+func TestBridgeSubscribesServicesOncePerMachine(t *testing.T) {
+	var subscribes atomic.Int64
+	in, resolve, brk := startICELab(t, nil, func(ln net.Listener) net.Listener {
+		return tapFrames(ln, func(op byte, _ []byte) {
+			if op == 2 { // the broker's subscribe op, a wire contract (internal/broker/wirecodec.go)
+				subscribes.Add(1)
+			}
+		})
+	})
+	machines, services := 0, 0
+	for _, cc := range in.Clients {
+		for _, cm := range cc.Machines {
+			if len(cm.Methods) > 0 {
+				machines++
+				services += len(cm.Methods)
+			}
+		}
+	}
+	if services < 2*machines {
+		t.Fatalf("the ICE Lab has %d services on %d machines: too few to tell a machine from a service", services, machines)
+	}
+	for _, cc := range in.Clients {
+		c := NewBridgeClient(cc, resolve, brk.Addr())
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Stop)
+	}
+	if n := subscribes.Load(); n != int64(machines) {
+		t.Errorf("the bridge sent %d service subscribes for %d services on %d machines, want one per machine", n, services, machines)
+	}
+
+	bc, err := broker.DialClient(brk.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	for _, cc := range in.Clients {
+		for _, cm := range cc.Machines {
+			for _, m := range cm.Methods {
+				if reply, err := CallService(bc, m, nil, 5*time.Second); err != nil || !reply.OK {
+					t.Errorf("%s %s: %+v, %v", cm.Machine, m.Name, reply, err)
+				}
+			}
+		}
 	}
 }
 

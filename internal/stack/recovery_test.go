@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"encoding/json"
 	"net"
 	"sync"
 	"testing"
@@ -152,5 +153,69 @@ func TestBridgeSurvivesServerRestart(t *testing.T) {
 	}
 	if !reply.OK {
 		t.Errorf("is_ready after restart: %+v", reply)
+	}
+}
+
+// TestServiceRequestWhileBridgeDownAnsweredOnceAfterStart: requests to two
+// services of one machine, published while its bridge is stopped, wait in
+// the machine's one session and are each answered exactly once by the
+// bridge that starts under the same name, and each runs on the machine
+// once.
+func TestServiceRequestWhileBridgeDownAnsweredOnceAfterStart(t *testing.T) {
+	rig := startRig(t)
+	rig.client.Stop()
+
+	bc, err := broker.DialClient(rig.brk.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	replies := map[string]<-chan broker.Message{}
+	for _, m := range rig.mc.Methods {
+		_, ch, err := bc.Subscribe(m.ResponseTopic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies[m.Name] = ch
+		var args []any
+		if len(m.Args) > 0 {
+			args = []any{"prog.nc"}
+		}
+		payload, _ := json.Marshal(ServicePayload{Args: args, ID: "while-down-" + m.Name})
+		if err := bc.Publish(m.RequestTopic, payload, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	client := NewBridgeClient(rig.client.Config, func(string) (string, error) { return rig.server.Addr(), nil }, rig.brk.Addr())
+	if err := client.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer client.Stop()
+	for _, m := range rig.mc.Methods {
+		var reply ServiceReply
+		select {
+		case msg := <-replies[m.Name]:
+			if err := json.Unmarshal(msg.Payload, &reply); err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no reply after the bridge started", m.Name)
+		}
+		if !reply.OK || reply.ID != "while-down-"+m.Name {
+			t.Errorf("%s: reply %+v", m.Name, reply)
+		}
+	}
+	// A redelivery would come after the session's backoff (100 ms).
+	time.Sleep(400 * time.Millisecond)
+	for _, m := range rig.mc.Methods {
+		select {
+		case msg := <-replies[m.Name]:
+			t.Errorf("%s: a second reply %s", m.Name, msg.Payload)
+		default:
+		}
+		if n := rig.machine.CallCount(m.Name); n != 1 {
+			t.Errorf("%s ran %d times on the machine, want once", m.Name, n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +255,49 @@ func TestMalformedServiceRequest(t *testing.T) {
 	}
 	if reply.OK || !strings.Contains(reply.Error, "malformed") {
 		t.Errorf("reply = %+v", reply)
+	}
+}
+
+// TestBridgeStartRefusesUnservableServiceTopics: service topics that one
+// session per machine cannot serve are refused by Start, with
+// ErrServiceTopics and a message naming what is wrong.
+func TestBridgeStartRefusesUnservableServiceTopics(t *testing.T) {
+	method := func(name, base string) codegen.MethodConfig {
+		return codegen.MethodConfig{Name: name, RequestTopic: base + "/" + name + "/request", ResponseTopic: base + "/" + name + "/response"}
+	}
+	const emcoBase, latheBase = "factory/line1/wc02/emco/services", "factory/line1/wc02/lathe/services"
+	for _, tc := range []struct {
+		name     string
+		machines []codegen.ClientMachine
+		want     string
+	}{
+		{"no request suffix", []codegen.ClientMachine{{Machine: "emco", Methods: []codegen.MethodConfig{
+			{Name: "go", RequestTopic: emcoBase + "/go/req", ResponseTopic: emcoBase + "/go/response"}}}}, emcoBase + "/go/req"},
+		{"no service level", []codegen.ClientMachine{{Machine: "emco", Methods: []codegen.MethodConfig{
+			{Name: "go", RequestTopic: "request", ResponseTopic: "response"}}}}, `"request"`},
+		{"empty service level", []codegen.ClientMachine{{Machine: "emco", Methods: []codegen.MethodConfig{
+			method("", emcoBase)}}}, emcoBase + "//request"},
+		{"wildcard", []codegen.ClientMachine{{Machine: "emco", Methods: []codegen.MethodConfig{
+			method("+", emcoBase)}}}, emcoBase + "/+/request"},
+		{"two bases", []codegen.ClientMachine{{Machine: "emco", Methods: []codegen.MethodConfig{
+			method("a", emcoBase), method("b", latheBase)}}}, "under " + emcoBase + " and " + latheBase},
+		{"shared filter", []codegen.ClientMachine{
+			{Machine: "emco", Methods: []codegen.MethodConfig{method("a", emcoBase)}},
+			{Machine: "lathe", Methods: []codegen.MethodConfig{method("b", emcoBase)}},
+		}, "machines emco and lathe share the service filter " + emcoBase + "/+/request"},
+	} {
+		dialed := false
+		client := NewBridgeClient(codegen.ClientConfig{Name: "c", Machines: tc.machines},
+			func(string) (string, error) { dialed = true; return "", nil }, "127.0.0.1:1")
+		err := client.Start()
+		if !errors.Is(err, ErrServiceTopics) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Start = %v, want ErrServiceTopics naming %s", tc.name, err, tc.want)
+		}
+		if dialed {
+			t.Errorf("%s: Start resolved a server before refusing", tc.name)
+		}
+		if err == nil {
+			client.Stop()
+		}
 	}
 }
