@@ -106,7 +106,10 @@ fuzz:
 # Shutdown, and a race between them (a restart that does not stop the
 # component it replaces, a kill mid-restart) shows only now and then. Then
 # the WAL's concurrent-append and acked-means-synced tests 200 times at 1,
-# 2 and 4 CPUs, then the OPC UA subscription tests and the bridge's
+# 2 and 4 CPUs, then the durable historian's checkpoint tests 20 times (a
+# checkpoint is written on its own goroutine while appends go on: a slow
+# snapshot fsync, crashes before and after its rename, compaction), then
+# the OPC UA subscription tests and the bridge's
 # server-restart test 50 times: one subscription carries a machine's items
 # through one queue set, one wake channel and one puller or bridge loop,
 # and its races (an item registered with the ack, a change right behind
@@ -123,6 +126,8 @@ soak:
 		./internal/deploy/
 	$(GO) test -race -count=200 -cpu 1,2,4 \
 		-run 'TestConcurrentAppends|TestAppendAcksOnlySyncedBytes' ./internal/wal/
+	$(GO) test -race -count=20 \
+		-run 'TestCheckpoint|TestLSNsContinueAboveSnapshot|TestDurable' ./internal/historian/
 	$(GO) test -race -count=50 -run 'TestSubscri|TestClientLost|TestBridgeSurvivesServerRestart' \
 		./internal/opcua/ ./internal/stack/
 

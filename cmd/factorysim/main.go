@@ -89,7 +89,7 @@ func main() {
 	defer fleet.Close()
 	fmt.Printf("machine emulators: %d started\n", len(fleet.Names()))
 
-	cluster := deploy.NewCluster(3, 32)
+	cluster := deploy.NewCluster(clusterNodes, podsPerNode(bundle))
 	cluster.MachineEndpoints = resolver
 	cluster.PollPeriod = 50 * time.Millisecond
 	cluster.FaultInjector = inj
@@ -296,6 +296,23 @@ func main() {
 			fmt.Printf("snapshot written: %s\n", path)
 		}
 	}
+}
+
+// clusterNodes is the node count of the simulated cluster.
+const clusterNodes = 3
+
+// podsPerNode sizes the nodes to the bundle: together they hold every
+// Deployment, and each holds at least 32 pods.
+func podsPerNode(b *codegen.Bundle) int {
+	deployments := 0
+	for name := range b.Manifests {
+		for _, o := range b.Objects(name) {
+			if o.Kind() == "Deployment" {
+				deployments++
+			}
+		}
+	}
+	return max(32, (deployments+clusterNodes-1)/clusterNodes)
 }
 
 // browseServer prints the address space of one deployed OPC UA server,

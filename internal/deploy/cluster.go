@@ -140,53 +140,42 @@ func (c *Cluster) schedule(pod *Pod) error {
 	return nil
 }
 
-// ApplyBundle applies every manifest of a generated bundle, in path order.
-// It reads the objects the generator decoded when it validated the bundle
+// ApplyBundle applies every manifest of a generated bundle. It reads the
+// objects the generator decoded when it validated the bundle
 // (codegen.Bundle.Objects) and parses no YAML itself; the objects are shared
 // with the bundle and only ever read here.
 func (c *Cluster) ApplyBundle(b *codegen.Bundle) error {
+	return c.Apply(bundleObjects(b))
+}
+
+// bundleObjects are the objects of a bundle's manifests, in path order.
+func bundleObjects(b *codegen.Bundle) []k8s.Object {
 	var all []k8s.Object
 	for _, f := range b.AllFiles() {
 		if strings.HasPrefix(f.Name, "manifests/") {
 			all = append(all, b.Objects(f.Name)...)
 		}
 	}
-	return c.Apply(all)
+	return all
 }
 
-// Apply schedules and starts the components described by the objects.
-// ConfigMaps are indexed first; Deployments start in the kind table's rank
-// order: broker, OPC UA servers, clients, historians, monitors.
+// Apply schedules and starts the components described by the objects, in
+// the kind table's order: broker, historians, monitors, OPC UA servers,
+// clients. It adds to what runs: it plans from no pods to the objects, and
+// a Deployment that already has a pod is refused when its turn comes.
 func (c *Cluster) Apply(objs []k8s.Object) error {
 	if err := k8s.Validate(objs); err != nil {
+		return err
+	}
+	t, err := plan(nil, objs)
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	c.down = false // a fresh Apply revives a previously drained cluster
 	c.mu.Unlock()
-	configMaps := map[string]k8s.Object{}
-	var deployments []k8s.Object
-	for _, o := range objs {
-		switch o.Kind() {
-		case "ConfigMap":
-			configMaps[o.Namespace()+"/"+o.Name()] = o
-		case "Deployment":
-			deployments = append(deployments, o)
-		case "Namespace", "Service":
-			// Namespaces are implicit; Services resolve through the pod records.
-		default:
-			return fmt.Errorf("deploy: unsupported kind %q (%s)", o.Kind(), o.Name())
-		}
-	}
-	sort.SliceStable(deployments, func(i, j int) bool {
-		return componentRank(deployments[i]) < componentRank(deployments[j])
-	})
-	for _, d := range deployments {
-		if err := c.startDeployment(d, configMaps); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = c.run(t, false)
+	return err
 }
 
 func componentOf(o k8s.Object) string {
@@ -199,36 +188,19 @@ func componentOf(o k8s.Object) string {
 	return ""
 }
 
-// componentRank is a Deployment's start rank; one without a known kind
-// sorts last.
-func componentRank(o k8s.Object) int {
-	if k, ok := kinds[componentOf(o)]; ok {
-		return k.rank
-	}
-	return len(kinds)
-}
-
-func (c *Cluster) startDeployment(o k8s.Object, configMaps map[string]k8s.Object) error {
-	p := &podRecord{
-		status: Pod{
-			Name:      o.Name() + "-0",
-			Namespace: o.Namespace(),
-			Component: componentOf(o),
-			Phase:     PodPending,
-		},
-		kind:       kinds[componentOf(o)],
-		deploy:     o,
-		configMaps: configMaps,
-	}
+// start schedules a new pod record, records its broker dependencies and
+// starts its component.
+func (c *Cluster) start(p *podRecord) error {
 	c.mu.Lock()
 	if _, exists := c.pods[p.status.Name]; exists {
 		c.mu.Unlock()
-		return fmt.Errorf("deploy: pod %s already exists (Deployment %s applied twice)", p.status.Name, o.Name())
+		return fmt.Errorf("deploy: pod %s already exists (Deployment %s applied twice)", p.status.Name, p.name())
 	}
 	if err := c.schedule(&p.status); err != nil {
 		c.mu.Unlock()
 		return err
 	}
+	p.dependOnBrokers(c.pods)
 	c.pods[p.status.Name] = p
 	c.mu.Unlock()
 
@@ -246,7 +218,7 @@ func (c *Cluster) startDeployment(o k8s.Object, configMaps map[string]k8s.Object
 	p.status.Started = time.Now()
 	c.mu.Unlock()
 	c.recordEvent(p.status.Name, EventStarted, p.status.Component+" started")
-	if pol := o.PodPolicy(); pol.Liveness != nil || pol.Readiness != nil {
+	if pol := p.deploy.PodPolicy(); pol.Liveness != nil || pol.Readiness != nil {
 		c.startSupervisor(p, pol)
 	}
 	return nil
@@ -487,10 +459,11 @@ func (c *Cluster) Monitor(name string) *stack.WorkcellMonitor {
 }
 
 // Shutdown drains the cluster: supervisors stop first (so nothing gets
-// resurrected mid-teardown), then the query front end, then components in
-// the kind table's drain order — clients, servers, monitors, historians,
-// broker tier — so no component observes a dependency vanishing while it
-// is still doing work. Shutdown is idempotent; a second call is a no-op.
+// resurrected mid-teardown), then the query front end, then every pod in the
+// stop order of the plan to nothing — clients, servers, monitors,
+// historians, broker tier — so no component observes a dependency vanishing
+// while it is still doing work. The records stay, marked Succeeded.
+// Shutdown is idempotent; a second call is a no-op.
 func (c *Cluster) Shutdown() {
 	c.mu.Lock()
 	if c.down {
@@ -498,16 +471,10 @@ func (c *Cluster) Shutdown() {
 		return
 	}
 	c.down = true
-	pods := make([]*podRecord, 0, len(c.pods))
-	for _, p := range c.pods {
-		pods = append(pods, p)
-	}
+	t, _ := plan(c.pods, nil) // nothing desired: no object to refuse
 	c.mu.Unlock()
+	c.haltSupervisors(t.stop...)
 
-	// 1. Stop every supervisor and wait for its probe loop to exit.
-	c.haltSupervisors(pods...)
-
-	// 2. The query front end, then the components in drain order.
 	c.mu.Lock()
 	qs := c.queryServer
 	c.queryServer = nil
@@ -516,23 +483,5 @@ func (c *Cluster) Shutdown() {
 	if qs != nil {
 		qs.Close()
 	}
-	sort.Slice(pods, func(i, j int) bool {
-		if pods[i].kind.drain != pods[j].kind.drain {
-			return pods[i].kind.drain < pods[j].kind.drain
-		}
-		return pods[i].status.Name < pods[j].status.Name
-	})
-	for _, p := range pods {
-		c.stopPod(p)
-	}
-
-	c.mu.Lock()
-	for _, p := range pods {
-		if p.status.Phase == PodRunning || p.status.Phase == PodPending {
-			p.status.Phase = PodSucceeded
-		}
-		p.status.Ready = false
-		p.status.ReadyReason = "cluster shut down"
-	}
-	c.mu.Unlock()
+	c.run(t, true)
 }

@@ -39,6 +39,11 @@ type podRecord struct {
 	rt   *podRuntime // nil when the manifest declares no probes
 	comp component   // nil while the pod is killed or restarting
 
+	// deps are the Deployments whose restart restarts this pod, recorded
+	// when it starts: every broker shard for a kind that holds a broker
+	// connection, and a client's OPC UA servers.
+	deps map[string]bool
+
 	// store is a volatile historian's store: it outlives the historian's
 	// restarts and goes with the record when the pod is removed.
 	store *historian.Store
@@ -46,28 +51,69 @@ type podRecord struct {
 
 // kind is one row of the kind table.
 type kind struct {
-	rank     int  // start order; Reconfigure stops in the reverse
-	drain    int  // Shutdown's stop order
+	order    int  // starts go up this order and stops go down it
 	onBroker bool // holds a broker connection, so restarts with the broker
 	start    func(c *Cluster, p *podRecord) (component, error)
 }
 
-// kinds is the kind table, keyed by component label. Start follows the data
-// flow (broker, servers, clients, historians, monitors); Shutdown stops
-// clients, servers, monitors, historians, then the broker tier.
+// kinds is the kind table, keyed by component label. The order puts
+// consumers before producers: after the broker, historians and monitors
+// subscribe before the clients publish, and a client starts after the
+// broker and its servers. Stops run the other way: clients, servers,
+// monitors, historians, the broker tier.
 var kinds = map[string]kind{
-	"message-broker": {rank: 0, drain: 4, start: startBroker},
-	"opcua-server":   {rank: 1, drain: 1, start: startServer},
-	"opcua-client":   {rank: 2, drain: 0, onBroker: true, start: startClient},
-	"historian":      {rank: 3, drain: 3, onBroker: true, start: startHistorian},
-	"monitor":        {rank: 4, drain: 2, onBroker: true, start: startMonitor},
+	"message-broker": {order: 0, start: startBroker},
+	"historian":      {order: 1, onBroker: true, start: startHistorian},
+	"monitor":        {order: 2, onBroker: true, start: startMonitor},
+	"opcua-server":   {order: 3, start: startServer},
+	"opcua-client":   {order: 4, onBroker: true, start: startClient},
+}
+
+// newRecord is the record of a Deployment that is not scheduled yet. A
+// Deployment of no known kind has the zero kind, whose start fails.
+func newRecord(o k8s.Object, configMaps map[string]k8s.Object) *podRecord {
+	comp := componentOf(o)
+	return &podRecord{
+		status:     Pod{Name: o.Name() + "-0", Namespace: o.Namespace(), Component: comp, Phase: PodPending},
+		kind:       kinds[comp],
+		deploy:     o,
+		configMaps: configMaps,
+		deps:       map[string]bool{},
+	}
+}
+
+// dependOnBrokers records every broker shard among pods as a dependency of
+// a kind that holds a broker connection.
+func (p *podRecord) dependOnBrokers(pods map[string]*podRecord) {
+	if !p.kind.onBroker {
+		return
+	}
+	for _, q := range pods {
+		if q.status.Component == "message-broker" {
+			p.deps[q.name()] = true
+		}
+	}
+}
+
+// byOrder is the plant's one order: ascending is the start order and
+// descending the stop order; pods of one kind go by name.
+func byOrder(a, b *podRecord) int {
+	if a.kind.order != b.kind.order {
+		return a.kind.order - b.kind.order
+	}
+	return strings.Compare(a.status.Name, b.status.Name)
 }
 
 func (p *podRecord) name() string { return p.deploy.Name() }
 
 func (p *podRecord) configMap() (k8s.Object, bool) {
-	cm, ok := p.configMaps[p.deploy.Namespace()+"/"+p.name()+"-config"]
+	cm, ok := p.configMaps[configMapKey(p.deploy)]
 	return cm, ok
+}
+
+// configMapKey is the index key of a Deployment's own ConfigMap.
+func configMapKey(deploy k8s.Object) string {
+	return deploy.Namespace() + "/" + deploy.Name() + "-config"
 }
 
 // config decodes file key of the Deployment's ConfigMap into v. A non-nil
@@ -171,6 +217,11 @@ func startClient(c *Cluster, p *podRecord) (component, error) {
 	if err := p.config("client.json", &cc, &cc.Name); err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	for _, m := range cc.Machines {
+		p.deps[m.Server] = true
+	}
+	c.mu.Unlock()
 	brokerAddr, err := c.brokerFor(p, cc.Shard)
 	if err != nil {
 		return nil, err

@@ -2,35 +2,140 @@ package deploy
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 
 	"github.com/smartfactory/sysml2conf/internal/codegen"
 	"github.com/smartfactory/sysml2conf/internal/k8s"
 )
 
+// transition is a plan: the running pods to stop, last in the order first,
+// and the records of the Deployments to start, first in the order first.
+type transition struct {
+	stop, start []*podRecord
+}
+
+// plan is the transition from the running pods to the desired objects. It
+// reads the pod records and the objects and nothing of the cluster; callers
+// hold c.mu while it reads the records. A running pod restarts when
+//
+//   - its Deployment or its own ConfigMap differs from the desired one;
+//   - it Failed (a start that a partial transition left behind);
+//   - something it depends on restarts (podRecord.deps): every broker
+//     connection when a broker shard restarts, and the client modules with
+//     a machine on an OPC UA server that restarts. A client with no machine
+//     there depends on nothing that moves, keeps running and keeps
+//     delivering through the transition.
+//
+// A running pod that is not desired stops; a desired Deployment without a
+// pod starts. Equality needs no YAML parse and no JSON decode: the objects
+// come decoded with the bundles, and reflect.DeepEqual returns at once for
+// the ones the unit cache shares between them.
+func plan(running map[string]*podRecord, desired []k8s.Object) (transition, error) {
+	configMaps := map[string]k8s.Object{}
+	want := map[string]k8s.Object{}
+	for _, o := range desired {
+		switch o.Kind() {
+		case "ConfigMap":
+			configMaps[o.Namespace()+"/"+o.Name()] = o
+		case "Deployment":
+			want[o.Name()] = o
+		case "Namespace", "Service":
+			// Namespaces are implicit; Services resolve through the pod records.
+		default:
+			return transition{}, fmt.Errorf("deploy: unsupported kind %q (%s)", o.Kind(), o.Name())
+		}
+	}
+
+	// Up the order, so a pod's dependencies are decided before it.
+	pods := make([]*podRecord, 0, len(running))
+	for _, p := range running {
+		pods = append(pods, p)
+	}
+	slices.SortFunc(pods, byOrder)
+	var t transition
+	restarts := map[string]bool{}
+	for _, p := range pods {
+		d, ok := want[p.name()]
+		cm, hasCM := p.configMap()
+		wantCM, wantsCM := configMaps[configMapKey(p.deploy)]
+		restart := !ok || p.status.Phase == PodFailed || !reflect.DeepEqual(d, p.deploy) ||
+			hasCM != wantsCM || !reflect.DeepEqual(cm, wantCM)
+		for dep := range p.deps {
+			restart = restart || restarts[dep]
+		}
+		if !restart {
+			delete(want, p.name())
+			continue
+		}
+		restarts[p.name()] = true
+		t.stop = append(t.stop, p)
+	}
+	slices.Reverse(t.stop)
+	for _, o := range want {
+		t.start = append(t.start, newRecord(o, configMaps))
+	}
+	slices.SortFunc(t.start, byOrder)
+	return t, nil
+}
+
+// run carries out a transition: every stop, then every start. With keep a
+// stopped pod's record stays (Shutdown); otherwise it goes (Remove).
+func (c *Cluster) run(t transition, keep bool) (*ReconfigureReport, error) {
+	report := &ReconfigureReport{}
+	for _, p := range t.stop {
+		if err := c.stop(p.name(), keep); err != nil {
+			return report, err
+		}
+		report.Stopped = append(report.Stopped, p.name())
+	}
+	for _, p := range t.start {
+		if err := c.start(p); err != nil {
+			return report, err
+		}
+		report.Started = append(report.Started, p.name())
+	}
+	return report, nil
+}
+
 // Remove stops the component behind a Deployment and frees its pod slot.
-// The pod's supervisor (if any) stops first so the removal is not undone by
-// a liveness-probe restart.
 func (c *Cluster) Remove(deploymentName string) error {
+	return c.stop(deploymentName, false)
+}
+
+// stop is the one-pod stop of every transition. The pod's supervisor (if
+// any) halts first, so the stop is not undone by a liveness-probe restart.
+// With keep the record stays, marked Succeeded as Shutdown leaves it;
+// otherwise the record goes with its node slot, and a volatile historian's
+// store with it: only supervised restarts keep data across component
+// generations.
+func (c *Cluster) stop(deploymentName string, keep bool) error {
 	podName := deploymentName + "-0"
 	c.mu.Lock()
 	p, ok := c.pods[podName]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("deploy: pod %s not found", podName)
-	}
-	delete(c.pods, podName)
-	for _, n := range c.nodes {
-		if n.Name == p.status.Node && n.pods > 0 {
-			n.pods--
+	if ok && !keep {
+		delete(c.pods, podName)
+		for _, n := range c.nodes {
+			if n.Name == p.status.Node && n.pods > 0 {
+				n.pods--
+			}
 		}
 	}
 	c.mu.Unlock()
-
-	// The record goes, and a volatile historian's store with it: only
-	// supervised restarts keep data across component generations.
+	if !ok {
+		return fmt.Errorf("deploy: pod %s not found", podName)
+	}
 	c.haltSupervisors(p)
 	c.stopPod(p)
+	if keep {
+		c.mu.Lock()
+		if p.status.Phase == PodRunning || p.status.Phase == PodPending {
+			p.status.Phase = PodSucceeded
+		}
+		p.status.Ready = false
+		p.status.ReadyReason = "cluster shut down"
+		c.mu.Unlock()
+	}
 	return nil
 }
 
@@ -42,169 +147,27 @@ type ReconfigureReport struct {
 	Untouched int      // deployments left running
 }
 
-// Reconfigure transitions a running cluster from the configuration in old
-// to the configuration in new, restarting only what the manifest diff and
-// its runtime dependencies require. A deployment stops when
-//
-//   - its manifest changed or was removed;
-//   - it holds a connection to the broker (clients, historians, monitors)
-//     and the broker restarts;
-//   - it is a client module with a machine on an OPC UA server that restarts
-//     (old.Intermediate.Clients[].Machines[].Server): its sessions and
-//     monitored items are on that server's old endpoint. A client with no
-//     machine there depends on nothing that moves, keeps running and keeps
-//     delivering through the transition.
-//
-// Added and changed manifests, and whatever a cascade stopped, then start in
-// dependency order. The objects come decoded with the bundles
-// (codegen.Bundle.Objects); no YAML is parsed here.
+// Reconfigure moves the running cluster to the configuration in new: it
+// plans from what runs to new's objects and restarts only what changed and
+// what depends on it (plan). old feeds only the report's Diff. A retried
+// Reconfigure after a partial failure plans again from what runs, so it
+// resumes where the last attempt stopped. The objects come decoded with the
+// bundles (codegen.Bundle.Objects); no YAML is parsed here.
 //
 // This is the operational counterpart of codegen.DiffBundles: when the
 // SysML model evolves, the plant is reconciled incrementally instead of
 // being redeployed from scratch.
 func (c *Cluster) Reconfigure(old, new *codegen.Bundle) (*ReconfigureReport, error) {
-	diff := codegen.DiffBundles(old, new)
-	report := &ReconfigureReport{Diff: diff}
-	if diff.Empty() {
-		c.mu.Lock()
-		report.Untouched = len(c.pods)
-		c.mu.Unlock()
-		return report, nil
+	c.mu.Lock()
+	t, err := plan(c.pods, bundleObjects(new))
+	c.mu.Unlock()
+	report := &ReconfigureReport{}
+	if err == nil {
+		report, err = c.run(t, false)
 	}
-
-	plan := planReconfigure(old, new, diff)
-	for _, o := range plan.stop {
-		// A retried reconfigure (after a partial failure) finds some pods
-		// already stopped; skipping them makes the transition resumable.
-		if _, ok := c.PodStatus(o.Name() + "-0"); !ok {
-			continue
-		}
-		if err := c.Remove(o.Name()); err != nil {
-			return report, err
-		}
-		report.Stopped = append(report.Stopped, o.Name())
-	}
-	for _, o := range plan.start {
-		// Already running (started by a previous partially-failed attempt,
-		// or an unchanged manifest swept in by the cascade set): leave it.
-		// A Failed pod from that earlier attempt is cleared and retried.
-		if p, ok := c.PodStatus(o.Name() + "-0"); ok {
-			if p.Phase != PodFailed {
-				continue
-			}
-			_ = c.Remove(o.Name())
-		}
-		if err := c.startDeployment(o, plan.configMaps); err != nil {
-			return report, err
-		}
-		report.Started = append(report.Started, o.Name())
-	}
+	report.Diff = codegen.DiffBundles(old, new)
 	c.mu.Lock()
 	report.Untouched = len(c.pods) - len(report.Started)
 	c.mu.Unlock()
-	return report, nil
-}
-
-// reconfigurePlan is the transition between two bundles as lists of
-// Deployments: stop in reverse dependency order, start in dependency order,
-// and the new bundle's ConfigMaps for the starts to read.
-type reconfigurePlan struct {
-	stop, start []k8s.Object
-	configMaps  map[string]k8s.Object
-}
-
-// planReconfigure applies Reconfigure's rules to a diff. It looks at the
-// bundles only, not at the cluster.
-func planReconfigure(old, new *codegen.Bundle, diff codegen.Diff) reconfigurePlan {
-	changedOrRemoved := map[string]bool{}
-	addedOrChanged := map[string]bool{}
-	for _, f := range diff.Changed {
-		changedOrRemoved[f] = true
-		addedOrChanged[f] = true
-	}
-	for _, f := range diff.Removed {
-		changedOrRemoved[f] = true
-	}
-	for _, f := range diff.Added {
-		addedOrChanged[f] = true
-	}
-
-	// Deployments to stop: those in changed/removed manifests...
-	type deployment struct {
-		file string
-		obj  k8s.Object
-	}
-	var running []deployment
-	for file := range old.Manifests {
-		for _, o := range old.Objects(file) {
-			if o.Kind() == "Deployment" {
-				running = append(running, deployment{file, o})
-			}
-		}
-	}
-	stop := map[string]k8s.Object{}
-	brokerRestarts := false
-	restartedServers := map[string]bool{}
-	for _, d := range running {
-		if !changedOrRemoved[d.file] {
-			continue
-		}
-		stop[d.obj.Name()] = d.obj
-		switch componentOf(d.obj) {
-		case "message-broker":
-			brokerRestarts = true
-		case "opcua-server":
-			restartedServers[d.obj.Name()] = true
-		}
-	}
-	// ...plus what depends on them: every broker connection, and the client
-	// modules bridging a machine of a restarted server.
-	dependentClients := map[string]bool{}
-	for _, cc := range old.Intermediate.Clients {
-		for _, m := range cc.Machines {
-			if restartedServers[m.Server] {
-				dependentClients[cc.Name] = true
-			}
-		}
-	}
-	for _, d := range running {
-		if brokerRestarts && kinds[componentOf(d.obj)].onBroker || dependentClients[d.obj.Name()] {
-			stop[d.obj.Name()] = d.obj
-		}
-	}
-
-	plan := reconfigurePlan{configMaps: map[string]k8s.Object{}}
-	for _, o := range stop {
-		plan.stop = append(plan.stop, o)
-	}
-	sortByRank(plan.stop, true)
-
-	// Start: deployments from added/changed manifests plus everything the
-	// cascade stopped whose manifest still exists in new.
-	for file := range new.Manifests {
-		for _, o := range new.Objects(file) {
-			switch o.Kind() {
-			case "ConfigMap":
-				plan.configMaps[o.Namespace()+"/"+o.Name()] = o
-			case "Deployment":
-				if _, restarted := stop[o.Name()]; addedOrChanged[file] || restarted {
-					plan.start = append(plan.start, o)
-				}
-			}
-		}
-	}
-	sortByRank(plan.start, false)
-	return plan
-}
-
-// sortByRank puts Deployments in dependency order (broker, servers, clients,
-// historians, monitors; by name within a tier), or in its reverse.
-func sortByRank(objs []k8s.Object, reverse bool) {
-	sort.Slice(objs, func(i, j int) bool {
-		ri, rj := componentRank(objs[i]), componentRank(objs[j])
-		if ri != rj {
-			return (ri < rj) != reverse
-		}
-		return objs[i].Name() < objs[j].Name()
-	})
+	return report, err
 }

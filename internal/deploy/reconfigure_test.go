@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"reflect"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/codegen"
 	"github.com/smartfactory/sysml2conf/internal/faultinject"
 	"github.com/smartfactory/sysml2conf/internal/icelab"
+	"github.com/smartfactory/sysml2conf/internal/k8s"
 	"github.com/smartfactory/sysml2conf/internal/machinesim"
 )
 
@@ -296,7 +298,8 @@ func sortedKeys(set map[string]bool) []string {
 // stops is the deployments whose manifest changed or went away, plus the
 // client modules with a machine on a server among those, and nothing else.
 // The expectation is built from file names and the intermediate model, not
-// from the decoded objects the plan reads.
+// from the decoded objects the plan reads; the plan runs on the records a
+// cluster holds after applying the old bundle, without a cluster.
 func TestReconfigurePlanStopsOnlyWhatDepends(t *testing.T) {
 	base := icelab.ICELab()
 	old, err := codegen.Generate(icelab.MustBuild(base), codegen.GenOptions{})
@@ -357,9 +360,15 @@ func TestReconfigurePlanStopsOnlyWhatDepends(t *testing.T) {
 			}
 		}
 		got := map[string]bool{}
-		plan := planReconfigure(old, bundle, diff)
-		for _, o := range plan.stop {
-			got[o.Name()] = true
+		plan, err := plan(recordsOf(t, old), bundleObjects(bundle))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, p := range plan.stop {
+			got[p.name()] = true
+			if i > 0 && byOrder(plan.stop[i-1], p) < 0 {
+				t.Errorf("%s: %s stops before %s", name, plan.stop[i-1].name(), p.name())
+			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: the plan stops %v, want %v", name, sortedKeys(got), sortedKeys(want))
@@ -375,10 +384,10 @@ func TestReconfigurePlanStopsOnlyWhatDepends(t *testing.T) {
 		}
 		// Whatever stops and still exists starts again, servers before clients.
 		started := map[string]bool{}
-		for i, o := range plan.start {
-			started[o.Name()] = true
-			if i > 0 && componentRank(plan.start[i-1]) > componentRank(o) {
-				t.Errorf("%s: %s starts before %s", name, plan.start[i-1].Name(), o.Name())
+		for i, p := range plan.start {
+			started[p.name()] = true
+			if i > 0 && byOrder(plan.start[i-1], p) > 0 {
+				t.Errorf("%s: %s starts before %s", name, plan.start[i-1].name(), p.name())
 			}
 		}
 		for _, f := range diff.Removed {
@@ -392,6 +401,114 @@ func TestReconfigurePlanStopsOnlyWhatDepends(t *testing.T) {
 	}
 	if narrower == 0 {
 		t.Error("every edit restarted every client: the property never saw a scoped cascade")
+	}
+}
+
+// recordsOf is the pod records a cluster holds after applying b, each with
+// the dependencies its start records, and no component behind them.
+func recordsOf(t testing.TB, b *codegen.Bundle) map[string]*podRecord {
+	t.Helper()
+	apply, err := plan(nil, bundleObjects(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pods := map[string]*podRecord{}
+	for _, p := range apply.start {
+		p.status.Phase = PodRunning
+		p.dependOnBrokers(pods)
+		if p.status.Component == "opcua-client" {
+			var cc codegen.ClientConfig
+			if err := p.config("client.json", &cc, &cc.Name); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range cc.Machines {
+				p.deps[m.Server] = true
+			}
+		}
+		pods[p.status.Name] = p
+	}
+	return pods
+}
+
+// agvEdit is the ICE Lab before and after a third AGV joins workcell 06
+// (EXPERIMENTS Ablation D), generated through one unit cache as an edit loop
+// does, so the two bundles share the objects of every unchanged manifest.
+func agvEdit(t testing.TB) (old, grown *codegen.Bundle) {
+	t.Helper()
+	cache := codegen.NewCache()
+	old, err := codegen.GenerateWithCache(icelab.MustBuild(icelab.ICELab()), codegen.GenOptions{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := icelab.ICELab()
+	agv := spec.Machines[len(spec.Machines)-1]
+	agv.Name, agv.IP, agv.Port = "rbKairos3", "10.197.12.73", 4849
+	spec.Machines = append(spec.Machines, agv)
+	grown, err = codegen.GenerateWithCache(icelab.MustBuild(spec), codegen.GenOptions{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return old, grown
+}
+
+// TestPlanTable pins the plan of whole transitions: applying the ICE Lab
+// onto nothing, the AGV edit (5 of the 18 Deployments restart: the AGV's
+// workcell server, the historian whose topic list grew and three of the
+// four client modules), the same bundle again, and the plan to nothing.
+func TestPlanTable(t *testing.T) {
+	old, grown := agvEdit(t)
+	kindsOf := func(pods []*podRecord) map[string]int {
+		out := map[string]int{}
+		for _, p := range pods {
+			out[p.status.Component]++
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name        string
+		running     map[string]*podRecord
+		desired     []k8s.Object
+		stop, start map[string]int
+	}{
+		{"apply", nil, bundleObjects(old), map[string]int{},
+			map[string]int{"message-broker": 1, "historian": 4, "monitor": 3, "opcua-server": 6, "opcua-client": 4}},
+		{"agv edit", recordsOf(t, old), bundleObjects(grown),
+			map[string]int{"opcua-server": 1, "historian": 1, "opcua-client": 3},
+			map[string]int{"opcua-server": 1, "historian": 1, "opcua-client": 3}},
+		{"no change", recordsOf(t, old), bundleObjects(old), map[string]int{}, map[string]int{}},
+		{"shutdown", recordsOf(t, old), nil,
+			map[string]int{"message-broker": 1, "historian": 4, "monitor": 3, "opcua-server": 6, "opcua-client": 4},
+			map[string]int{}},
+	} {
+		got, err := plan(tc.running, tc.desired)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if k := kindsOf(got.stop); !maps.Equal(k, tc.stop) {
+			t.Errorf("%s: stops %v, want %v", tc.name, k, tc.stop)
+		}
+		if k := kindsOf(got.start); !maps.Equal(k, tc.start) {
+			t.Errorf("%s: starts %v, want %v", tc.name, k, tc.start)
+		}
+	}
+}
+
+// TestPlanAllocs guards the plan of the AGV edit: it compares the objects
+// the bundles carry and decodes nothing. The plan made 585–599 allocations
+// (reflect.DeepEqual walking the objects of the changed manifests, which
+// the cache does not share); the budget is that plus 20 %. Decoding one
+// client module's client.json in the plan adds about 2 000.
+func TestPlanAllocs(t *testing.T) {
+	old, grown := agvEdit(t)
+	running, desired := recordsOf(t, old), bundleObjects(grown)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := plan(running, desired); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 720
+	if allocs > budget {
+		t.Errorf("plan of the AGV edit: %.0f allocations, budget %d", allocs, budget)
 	}
 }
 

@@ -231,11 +231,12 @@ func TestShutdownDrainsInOrderAndMarksPods(t *testing.T) {
 
 	// Every running component is wrapped in a recorder, so the drain order
 	// is observed, not inferred.
-	var stops stopLog
+	var stops, stoppedPods stopLog
 	pods := map[string]int{} // by kind
 	cluster.mu.Lock()
 	for _, p := range cluster.pods {
-		p.comp = &recordingComponent{component: p.comp, kind: p.status.Component, log: &stops}
+		p.comp = &recordingComponent{component: p.comp, kind: p.status.Component, log: &stops,
+			pod: p.status.Name, pods: &stoppedPods}
 		pods[p.status.Component]++
 	}
 	cluster.mu.Unlock()
@@ -257,6 +258,17 @@ func TestShutdownDrainsInOrderAndMarksPods(t *testing.T) {
 	}
 	if !maps.Equal(stopped, pods) {
 		t.Errorf("shutdown stopped %v, want each pod's component once: %v", stopped, pods)
+	}
+	// One order: Apply started the pods in the reverse of the stop order.
+	var started []string
+	for _, e := range cluster.Events() {
+		if e.Type == EventStarted {
+			started = append(started, e.Pod)
+		}
+	}
+	slices.Reverse(started)
+	if got := stoppedPods.entries(); !slices.Equal(started, got) {
+		t.Errorf("Apply started %v (reversed), shutdown stopped %v", started, got)
 	}
 
 	for _, p := range cluster.Pods() {
@@ -293,16 +305,19 @@ func (l *stopLog) entries() []string {
 	return slices.Clone(l.log)
 }
 
-// recordingComponent wraps a pod's real component and logs its kind when
-// it is stopped.
+// recordingComponent wraps a pod's real component and logs its kind and
+// its pod's name when it is stopped.
 type recordingComponent struct {
 	component
 	kind string
 	log  *stopLog
+	pod  string
+	pods *stopLog
 }
 
 func (r *recordingComponent) Stop() {
 	r.log.add(r.kind)
+	r.pods.add(r.pod)
 	r.component.Stop()
 }
 

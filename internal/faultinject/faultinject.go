@@ -273,10 +273,11 @@ func (l *faultListener) Accept() (net.Conn, error) {
 		st := l.in.statsFor(l.name)
 		rule, part := l.in.rule(l.name)
 		if part || l.in.roll(rule.RefuseRate) {
-			conn.Close()
+			// Counted before the close, which is what the peer sees.
 			l.in.mu.Lock()
 			st.Refusals++
 			l.in.mu.Unlock()
+			conn.Close()
 			continue
 		}
 		fc := &faultConn{Conn: conn, name: l.name, in: l.in}

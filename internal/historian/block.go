@@ -63,11 +63,12 @@ func encodeBlock(pts []headPoint) *sealedBlock {
 	return b
 }
 
-// appendRange appends points with f <= t < to to out, skipping dropped and
-// out-of-window points. Payloads are copied (raw) or regenerated (enc).
-func (b *sealedBlock) appendRange(out *[]Point, f, t int64) {
+// appendRange appends points with f <= t < to to out, skipping the first
+// drop points (the block's retention drops) and out-of-window points.
+// Payloads are copied (raw) or regenerated (enc).
+func (b *sealedBlock) appendRange(out *[]Point, drop int, f, t int64) {
 	if b.raw != nil {
-		for i := b.drop; i < len(b.raw); i++ {
+		for i := drop; i < len(b.raw); i++ {
 			if p := &b.raw[i]; p.tn >= f && p.tn < t {
 				*out = append(*out, p.point())
 			}
@@ -76,7 +77,7 @@ func (b *sealedBlock) appendRange(out *[]Point, f, t int64) {
 	}
 	it := newGorillaIter(b.enc)
 	for i := 0; it.next(); i++ {
-		if i >= b.drop && it.t >= f && it.t < t {
+		if i >= drop && it.t >= f && it.t < t {
 			*out = append(*out, Point{Time: unixNano(it.t), Payload: canonFloat(nil, it.value())})
 		}
 	}
@@ -169,20 +170,46 @@ func (sd *seriesData) updateBoundary() {
 	}
 }
 
+// seriesView is what a range read needs of a series: its sealed blocks,
+// the first block's retention drop count, its head, its overlap flag and
+// its live point count. Sealed blocks are immutable apart from
+// blocks[0].drop, which the view holds as a value, so a view with a copied
+// head (Store.captureLocked) reads outside the store lock while appends go
+// on.
+type seriesView struct {
+	blocks  []*sealedBlock
+	drop0   int
+	head    []headPoint
+	overlap bool
+	total   int
+}
+
+func (sd *seriesData) view() seriesView {
+	v := seriesView{blocks: sd.blocks, head: sd.head, overlap: sd.overlap, total: sd.total}
+	if len(sd.blocks) > 0 {
+		v.drop0 = sd.blocks[0].drop
+	}
+	return v
+}
+
 // collectRange appends points in [f, t) across blocks and head, sorted.
-func (sd *seriesData) collectRange(f, t int64, out *[]Point) {
-	for _, b := range sd.blocks {
-		if b.live() == 0 || b.endT < f || b.startT >= t {
+func (v seriesView) collectRange(f, t int64, out *[]Point) {
+	for i, b := range v.blocks {
+		drop := 0
+		if i == 0 {
+			drop = v.drop0
+		}
+		if drop == b.count || b.endT < f || b.startT >= t {
 			continue
 		}
-		b.appendRange(out, f, t)
+		b.appendRange(out, drop, f, t)
 	}
-	for i := range sd.head {
-		if hp := &sd.head[i]; hp.tn >= f && hp.tn < t {
+	for i := range v.head {
+		if hp := &v.head[i]; hp.tn >= f && hp.tn < t {
 			*out = append(*out, hp.point())
 		}
 	}
-	if sd.overlap {
+	if v.overlap {
 		sort.SliceStable(*out, func(i, j int) bool { return (*out)[i].Time.Before((*out)[j].Time) })
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // This file adds crash recovery to the Store: appends are written to a
 // segmented WAL (internal/wal) and fsynced before they touch the in-memory
-// state, periodic checkpoints snapshot the full state and compact the log,
-// and Open replays snapshot + WAL suffix to reconstruct the exact pre-crash
-// store. Recovery layout in dir:
+// state, periodic checkpoints snapshot the full state and compact the log
+// off the ingest path, and Open replays snapshot + WAL suffix to
+// reconstruct the exact pre-crash store. Recovery layout in dir:
 //
 //	snapshot.json   state up to LastLSN (written atomically via rename)
 //	wal/*.wal       records after the snapshot (plus skippable leftovers)
@@ -95,6 +95,7 @@ func Open(dir string, opts DurableOptions) (*Store, error) {
 	snapLSN := store.lastLSN
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
 		SegmentBytes: opts.SegmentBytes,
+		FirstLSN:     snapLSN + 1,
 		FS:           fs,
 		NoSync:       opts.NoSync,
 	}, func(lsn uint64, payload []byte) error {
@@ -137,10 +138,11 @@ func (s *Store) applyRecord(rec walRecord, lsn uint64) {
 	s.lastLSN = lsn
 }
 
-// appendDurable WAL-logs one batch, applies it, and checkpoints when due.
-// appendMu serializes the whole sequence so the snapshot's LastLSN always
-// covers every lower LSN — without it, a snapshot could record LSN n while
-// LSN n-1 was still unapplied, and replay would skip that record forever.
+// appendDurable WAL-logs one batch, applies it, and starts a checkpoint when
+// one is due. appendMu serializes the whole sequence so the snapshot's
+// LastLSN always covers every lower LSN — without it, a snapshot could
+// record LSN n while LSN n-1 was still unapplied, and replay would skip that
+// record forever.
 func (s *Store) appendDurable(session string, seq uint64, t time.Time, samples []Sample) error {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
@@ -161,37 +163,67 @@ func (s *Store) appendDurable(session string, seq uint64, t time.Time, samples [
 	}
 	s.lastLSN = lsn
 	s.sinceSnap++
-	due := s.sinceSnap >= s.snapEvery
+	// A checkpoint that falls due while one is written waits for the next
+	// append after it.
+	due := s.sinceSnap >= s.snapEvery && !s.checkpointing
+	var c capture
+	if due {
+		s.sinceSnap, s.checkpointing = 0, true
+		c = s.captureLocked()
+	}
 	s.mu.Unlock()
 
 	if due {
-		return s.checkpointLocked()
+		s.checkpoint(c)
 	}
 	return nil
 }
 
-// Checkpoint forces a snapshot + WAL compaction now. Appends concurrent
-// with the checkpoint wait, preserving the LastLSN invariant.
-func (s *Store) Checkpoint() error {
-	if s.wal == nil {
-		return nil
+// checkpoint cuts the WAL at the captured state, then writes the snapshot
+// on a goroutine of its own while appends go on: the captured points are
+// materialized and JSON-encoded to a temp file, fsynced and renamed over
+// the previous snapshot, and only then are the cut segments removed. The
+// caller holds appendMu, so no record lands between the capture and the
+// cut: the cut segments hold every record up to the captured LastLSN and
+// none after it. A crash anywhere recovers: before the rename the old
+// snapshot and every segment replay; after it, the new snapshot skips the
+// leftover cut segments. A failed checkpoint leaves the old snapshot and
+// every segment in place, and its error turns sticky in Err.
+func (s *Store) checkpoint(c capture) {
+	cut, err := s.wal.Cut()
+	if err != nil {
+		s.endCheckpoint(err)
+		return
 	}
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	return s.checkpointLocked()
+	s.checkpoints.Add(1)
+	go func() {
+		defer s.checkpoints.Done()
+		err := s.writeSnapshotFile(c.snapshot())
+		if err == nil {
+			err = s.wal.Drop(cut)
+		}
+		s.endCheckpoint(err)
+	}()
 }
 
-// checkpointLocked writes the snapshot to a temp file, fsyncs, renames it
-// over the previous one, and resets the WAL. Callers hold appendMu. A crash
-// anywhere in this sequence recovers: before the rename the old snapshot +
-// full WAL replay; after it, the new snapshot skips any leftover segments.
-func (s *Store) checkpointLocked() error {
+func (s *Store) endCheckpoint(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.checkpointing = false
+	if s.checkpointErr == nil && err != nil {
+		s.checkpointErr = err
+	}
+}
+
+// writeSnapshotFile writes snap to a temp file, fsyncs it and renames it
+// over the previous snapshot.
+func (s *Store) writeSnapshotFile(snap Snapshot) error {
 	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("historian: checkpoint: %w", err)
 	}
-	if err := s.WriteSnapshot(f); err != nil {
+	if err := writeSnapshot(f, snap); err != nil {
 		f.Close()
 		return err
 	}
@@ -205,23 +237,22 @@ func (s *Store) checkpointLocked() error {
 	if err := s.fs.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
 		return fmt.Errorf("historian: checkpoint rename: %w", err)
 	}
-	if err := s.wal.Reset(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.sinceSnap = 0
-	s.mu.Unlock()
 	return nil
 }
 
-// Err surfaces a durable store's sticky WAL failure (always nil for
-// volatile stores) — the health signal that routes a poisoned log through
-// the supervisor's restart-and-recover path.
+// Err surfaces a durable store's sticky WAL or checkpoint failure (always
+// nil for volatile stores) — the health signal that routes a poisoned log
+// or a failed checkpoint through the supervisor's restart-and-recover path.
 func (s *Store) Err() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.Err()
+	if err := s.wal.Err(); err != nil {
+		return err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.checkpointErr
 }
 
 // LastLSN returns the WAL position of the last applied record.
@@ -231,10 +262,14 @@ func (s *Store) LastLSN() uint64 {
 	return s.lastLSN
 }
 
-// Close releases the WAL (no-op for volatile stores).
+// Close waits for a running checkpoint and releases the WAL (no-op for
+// volatile stores).
 func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
 	}
+	s.appendMu.Lock() // no checkpoint starts after this
+	defer s.appendMu.Unlock()
+	s.checkpoints.Wait()
 	return s.wal.Close()
 }

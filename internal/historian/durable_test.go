@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,12 +106,13 @@ func TestCheckpointCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Checkpoints run off the append path; Close waits for the running one.
+	s.Close()
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
 		t.Fatalf("no snapshot after %d appends: %v", 25, err)
 	}
-	// Two checkpoints (at 10 and 20) have compacted; the WAL holds ≤ 5
-	// records plus the active segment.
-	s.Close()
+	// Checkpoints (at 10 and 20, or later when one was still being written)
+	// have compacted; the WAL holds the records after the last one.
 	r := mustOpen(t, dir, DurableOptions{SnapshotEvery: 10, SegmentBytes: 512})
 	defer r.Close()
 	if got := r.Count("a"); got != 25 {
@@ -125,6 +129,31 @@ func TestCheckpointCompaction(t *testing.T) {
 	if r.LastLSN() < 26 {
 		t.Errorf("LastLSN %d regressed below record count", r.LastLSN())
 	}
+}
+
+// TestLSNsContinueAboveSnapshot: a checkpoint that covers the last record
+// leaves the WAL empty. The reopened store's next records get LSNs above
+// the snapshot's, so the next recovery replays them instead of skipping
+// them as covered.
+func TestLSNsContinueAboveSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{SnapshotEvery: 10}
+	s := mustOpen(t, dir, opts)
+	for i := 1; i <= 10; i++ {
+		if err := s.AppendAcked("sess", uint64(i), time.Now(), []Sample{{Series: "a", Payload: []byte(strconv.Itoa(i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close() // waits for the checkpoint of record 10
+	r := mustOpen(t, dir, opts)
+	if err := r.AppendAcked("sess", 11, time.Now(), []Sample{{Series: "a", Payload: []byte("11")}}); err != nil {
+		t.Fatal(err)
+	}
+	if r.LastLSN() <= 10 {
+		t.Errorf("LastLSN %d after the snapshot of LSN 10", r.LastLSN())
+	}
+	r.Close()
+	checkRecovered(t, dir, 11)
 }
 
 // TestDurableTornTail: a torn final WAL record is discarded on open; every
@@ -242,5 +271,269 @@ func TestSnapshotFutureVersionRejected(t *testing.T) {
 	}
 	if _, err := Open(dir, DurableOptions{}); err == nil || !strings.Contains(err.Error(), "newer version") {
 		t.Fatalf("Open on a future snapshot = %v, want newer-version error", err)
+	}
+}
+
+// hookFS calls hook before every file Sync, Rename and Remove, with the
+// operation and the file's name; an error from hook fails the operation.
+type hookFS struct {
+	wal.FS
+	hook func(op, name string) error
+}
+
+type hookFile struct {
+	wal.File
+	name string
+	hook func(op, name string) error
+}
+
+func (fs hookFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return hookFile{File: f, name: name, hook: fs.hook}, nil
+}
+
+func (fs hookFS) Rename(oldpath, newpath string) error {
+	if err := fs.hook("rename", oldpath); err != nil {
+		return err
+	}
+	return fs.FS.Rename(oldpath, newpath)
+}
+
+func (fs hookFS) Remove(name string) error {
+	if err := fs.hook("remove", name); err != nil {
+		return err
+	}
+	return fs.FS.Remove(name)
+}
+
+func (f hookFile) Sync() error {
+	if err := f.hook("sync", f.name); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// appender appends one point per acked batch to series "a" of a store,
+// numbered by the session's sequence, on its own goroutine until stopped.
+type appender struct {
+	acked atomic.Uint64
+	stop  chan struct{}
+	done  chan error
+}
+
+func newAppender() *appender {
+	return &appender{stop: make(chan struct{}), done: make(chan error, 1)}
+}
+
+func (a *appender) start(s *Store) {
+	go func() {
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-a.stop:
+				a.done <- nil
+				return
+			default:
+			}
+			err := s.AppendAcked("sess", seq, time.Now(), []Sample{{Series: "a", Payload: []byte(strconv.FormatUint(seq, 10))}})
+			if err != nil {
+				a.done <- err
+				return
+			}
+			a.acked.Store(seq)
+		}
+	}()
+}
+
+// waitAcked waits until at least n batches are acked.
+func (a *appender) waitAcked(n uint64, within time.Duration) bool {
+	deadline := time.Now().Add(within)
+	for a.acked.Load() < n {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+func (a *appender) halt(t *testing.T) {
+	t.Helper()
+	close(a.stop)
+	if err := <-a.done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkRecovered opens dir and checks that it holds batches 1..n exactly
+// once and in order, for some n >= atLeast.
+func checkRecovered(t *testing.T, dir string, atLeast uint64) {
+	t.Helper()
+	r := mustOpen(t, dir, DurableOptions{})
+	defer r.Close()
+	n := r.SessionSeq("sess")
+	if n < atLeast {
+		t.Errorf("recovered session seq %d, want >= %d acked before the crash", n, atLeast)
+	}
+	pts := r.Range("a", time.Unix(0, 0), time.Now().Add(time.Hour))
+	if uint64(len(pts)) != n {
+		t.Fatalf("recovered %d points for session seq %d", len(pts), n)
+	}
+	for i, p := range pts {
+		if want := strconv.Itoa(i + 1); string(p.Payload) != want {
+			t.Fatalf("point %d is %q, want %q", i, p.Payload, want)
+		}
+	}
+}
+
+// TestCheckpointDoesNotStallAppends: while a checkpoint's snapshot fsync
+// hangs on a slow disk, acked appends keep returning, past the next
+// checkpoint that falls due, and the store recovers all of them.
+func TestCheckpointDoesNotStallAppends(t *testing.T) {
+	dir := t.TempDir()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held sync.Once
+	fs := hookFS{FS: wal.OS, hook: func(op, name string) error {
+		if op == "sync" && strings.HasSuffix(name, snapshotFile+".tmp") {
+			held.Do(func() { close(entered); <-release })
+		}
+		return nil
+	}}
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(release) }) }
+	defer unblock()
+	s := mustOpen(t, dir, DurableOptions{FS: fs, SnapshotEvery: 10})
+
+	a := newAppender()
+	a.start(s)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no checkpoint reached its snapshot fsync")
+	}
+	at := a.acked.Load()
+	if !a.waitAcked(at+50, 10*time.Second) {
+		t.Fatalf("appends stalled behind a checkpoint: %d acked before its fsync hung, %d after", at, a.acked.Load())
+	}
+	unblock()
+	a.halt(t)
+	acked := a.acked.Load()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkRecovered(t, dir, acked)
+}
+
+// TestCheckpointCrashWindows crashes a checkpoint before its rename and
+// between the rename and the removal of the cut WAL segments, while appends
+// run: what is on disk at that instant recovers every batch acked before
+// it, exactly once and in order.
+func TestCheckpointCrashWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name, op, suffix string
+	}{
+		{"before the rename", "rename", snapshotFile + ".tmp"},
+		{"between the rename and the segment removal", "remove", ".wal"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, image := t.TempDir(), t.TempDir()
+			a := newAppender()
+			var crashed sync.Once
+			var ackedAtCrash uint64
+			stalled := false
+			fs := hookFS{FS: wal.OS, hook: func(op, name string) error {
+				if op != tc.op || !strings.HasSuffix(name, tc.suffix) {
+					return nil
+				}
+				crashed.Do(func() {
+					// Appends go on while the checkpoint is held here.
+					at := a.acked.Load()
+					stalled = !a.waitAcked(at+20, 10*time.Second)
+					ackedAtCrash = a.acked.Load()
+					copyDir(t, dir, image)
+				})
+				return nil
+			}}
+			s := mustOpen(t, dir, DurableOptions{FS: fs, SnapshotEvery: 25, SegmentBytes: 512})
+			a.start(s)
+			if !a.waitAcked(200, 20*time.Second) {
+				t.Fatal("appends stalled")
+			}
+			a.halt(t)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if stalled {
+				t.Fatal("appends stalled behind the checkpoint")
+			}
+			if ackedAtCrash == 0 {
+				t.Fatal("no checkpoint reached the crash point")
+			}
+			checkRecovered(t, image, ackedAtCrash)
+		})
+	}
+}
+
+// TestFailedCheckpointIsStickyAndRecovers: a checkpoint whose rename fails
+// turns sticky in Err, the health signal that restarts the pod, and leaves
+// the previous snapshot and every WAL segment in place, so a reopen
+// recovers every acked batch.
+func TestFailedCheckpointIsStickyAndRecovers(t *testing.T) {
+	dir := t.TempDir()
+	var renames atomic.Int32
+	fs := hookFS{FS: wal.OS, hook: func(op, name string) error {
+		if op == "rename" && renames.Add(1) == 2 {
+			return errors.New("injected rename failure")
+		}
+		return nil
+	}}
+	s := mustOpen(t, dir, DurableOptions{FS: fs, SnapshotEvery: 10, SegmentBytes: 256})
+	a := newAppender()
+	a.start(s)
+	if !a.waitAcked(60, 10*time.Second) {
+		t.Fatal("appends stalled")
+	}
+	a.halt(t)
+	acked := a.acked.Load()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if renames.Load() < 2 {
+		t.Fatalf("%d checkpoints renamed, want a second one to fail", renames.Load())
+	}
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "injected rename failure") {
+		t.Errorf("Err() = %v, want the failed checkpoint", err)
+	}
+	checkRecovered(t, dir, acked)
+}
+
+// copyDir copies the files of src and its subdirectories into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		from, to := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
+		if e.IsDir() {
+			if err := os.MkdirAll(to, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			copyDir(t, from, to)
+			continue
+		}
+		data, err := os.ReadFile(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

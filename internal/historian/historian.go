@@ -71,14 +71,17 @@ type Store struct {
 	sessions map[string]uint64
 
 	// Durable state, zero for volatile stores (durable.go).
-	appendMu  sync.Mutex // serializes WAL append + apply, so LastLSN is consistent
-	wal       *wal.Log
-	dir       string
-	fs        wal.FS
-	snapEvery int
-	sinceSnap int
-	lastLSN   uint64 // highest LSN applied to the in-memory state
-	encBuf    []byte // binary record scratch, guarded by appendMu
+	appendMu      sync.Mutex // serializes WAL append + apply + capture, so LastLSN is consistent
+	wal           *wal.Log
+	dir           string
+	fs            wal.FS
+	snapEvery     int
+	sinceSnap     int
+	checkpointing bool           // a checkpoint is being written (under mu)
+	checkpointErr error          // the first failed checkpoint's error, sticky (under mu)
+	checkpoints   sync.WaitGroup // the running checkpoint, for Close
+	lastLSN       uint64         // highest LSN applied to the in-memory state
+	encBuf        []byte         // binary record scratch, guarded by appendMu
 }
 
 // NewStore creates a volatile store retaining up to maxPerSeries points per
@@ -270,7 +273,7 @@ func (s *Store) Range(series string, from, to time.Time) []Point {
 		return nil
 	}
 	var out []Point
-	sd.collectRange(f, t, &out)
+	sd.view().collectRange(f, t, &out)
 	return out
 }
 

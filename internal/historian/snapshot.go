@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -53,48 +55,74 @@ type BucketSnap struct {
 // snapshotVersion is the current persistence format version.
 const snapshotVersion = 3
 
-// Snapshot captures the store's full contents.
+// Snapshot captures the store's full contents. The lock is held only for
+// the capture; the points materialize outside it.
 func (s *Store) Snapshot() Snapshot {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := Snapshot{
-		Version:      snapshotVersion,
-		TakenAt:      time.Now().UTC(),
-		MaxPerSeries: s.maxPerSeries,
-		Series:       make(map[string][]Point, len(s.series)),
-		LastLSN:      s.lastLSN,
-	}
-	for name, sd := range s.series {
-		if rings := snapRollups(&sd.rollups); len(rings) > 0 {
-			if snap.Rollups == nil {
-				snap.Rollups = map[string][]RingSnap{}
-			}
-			snap.Rollups[name] = rings
-		}
-		if sd.total == 0 {
-			snap.Series[name] = []Point{}
-			continue
-		}
-		pts := make([]Point, 0, sd.total)
-		sd.collectRange(math.MinInt64, math.MaxInt64, &pts)
-		snap.Series[name] = pts
-	}
-	if len(s.sessions) > 0 {
-		snap.Sessions = make(map[string]uint64, len(s.sessions))
-		for k, v := range s.sessions {
-			snap.Sessions[k] = v
-		}
-	}
-	return snap
+	c := s.captureLocked()
+	s.mu.RUnlock()
+	return c.snapshot()
 }
 
 // WriteSnapshot streams the snapshot as JSON.
 func (s *Store) WriteSnapshot(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(s.Snapshot()); err != nil {
+	return writeSnapshot(w, s.Snapshot())
+}
+
+func writeSnapshot(w io.Writer, snap Snapshot) error {
+	if err := json.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("historian: write snapshot: %w", err)
 	}
 	return nil
+}
+
+// capture is a store's state as a snapshot needs it, taken under the store
+// lock at the cost of copying each series' head and rollup rings: a view of
+// every series, and the snapshot's other fields.
+type capture struct {
+	snap  Snapshot // every field but Series
+	views map[string]seriesView
+}
+
+// captureLocked takes a capture; callers hold s.mu in either mode.
+func (s *Store) captureLocked() capture {
+	c := capture{
+		snap: Snapshot{
+			Version:      snapshotVersion,
+			TakenAt:      time.Now().UTC(),
+			MaxPerSeries: s.maxPerSeries,
+			LastLSN:      s.lastLSN,
+		},
+		views: make(map[string]seriesView, len(s.series)),
+	}
+	for name, sd := range s.series {
+		if rings := snapRollups(&sd.rollups); len(rings) > 0 {
+			if c.snap.Rollups == nil {
+				c.snap.Rollups = map[string][]RingSnap{}
+			}
+			c.snap.Rollups[name] = rings
+		}
+		v := sd.view()
+		v.head = slices.Clone(v.head)
+		c.views[name] = v
+	}
+	if len(s.sessions) > 0 {
+		c.snap.Sessions = maps.Clone(s.sessions)
+	}
+	return c
+}
+
+// snapshot materializes the captured points: every sealed block
+// decompressed, every head point copied.
+func (c capture) snapshot() Snapshot {
+	snap := c.snap
+	snap.Series = make(map[string][]Point, len(c.views))
+	for name, v := range c.views {
+		pts := make([]Point, 0, v.total)
+		v.collectRange(math.MinInt64, math.MaxInt64, &pts)
+		snap.Series[name] = pts
+	}
+	return snap
 }
 
 // snapRollups serializes a series' non-empty rollup rings, linearized in

@@ -85,6 +85,11 @@ type Options struct {
 	SegmentBytes int64
 	// FS is the filesystem (default OS).
 	FS FS
+	// FirstLSN is the lowest LSN the log hands out (default 1). A caller
+	// whose snapshot covers LSN n passes n+1: a log that a checkpoint left
+	// empty then goes on above the snapshot instead of restarting at 1,
+	// below it, where replay would skip the new records.
+	FirstLSN uint64
 	// NoSync skips fsync entirely — for benchmarks and tests that measure
 	// the append path without paying disk latency. Never use it for data
 	// that must survive a crash.
@@ -158,7 +163,7 @@ func Open(dir string, opts Options, replay func(lsn uint64, payload []byte) erro
 	}
 	sort.Ints(indexes)
 
-	l := &Log{dir: dir, fs: fs, opts: opts, nextLSN: 1}
+	l := &Log{dir: dir, fs: fs, opts: opts, nextLSN: max(1, opts.FirstLSN)}
 
 	for i, idx := range indexes {
 		path := l.segPath(idx)
@@ -307,29 +312,34 @@ func (l *Log) rotateLocked() {
 	}
 }
 
-// Reset discards every record: the caller has snapshotted full state, so
-// the log restarts empty. LSNs keep growing monotonically across resets —
-// leftover segments from a crash mid-Reset replay as records at or below
-// the snapshot's LSN, which the snapshot's reader skips.
-func (l *Log) Reset() error {
+// Cut closes the active segment, opens the next, and returns every segment
+// before the new one, oldest first: once the caller has snapshotted the
+// state their records built, it removes them with Drop. LSNs keep growing
+// across cuts, so cut segments that survive a crash replay as records at or
+// below the snapshot's LSN, which the snapshot's reader skips.
+func (l *Log) Cut() ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.stateErrLocked(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := l.active.Close(); err != nil {
 		l.err = fmt.Errorf("wal: close %s: %w", l.activeName, err)
-		return l.err
+		return nil, l.err
 	}
-	old := append(append([]string(nil), l.sealed...), l.activeName)
+	cut := append(l.sealed, l.activeName)
 	l.sealed = nil
 	if err := l.openSegmentLocked(); err != nil {
 		l.err = err
-		return err
+		return nil, err
 	}
-	// Delete old segments only after the fresh one exists, oldest first:
-	// whatever survives a crash here is entirely skippable by LSN.
-	for _, path := range old {
+	return cut, nil
+}
+
+// Drop removes segments that Cut returned, oldest first: whatever survives
+// a crash here is entirely skippable by LSN.
+func (l *Log) Drop(segments []string) error {
+	for _, path := range segments {
 		if err := l.fs.Remove(path); err != nil {
 			return fmt.Errorf("wal: remove %s: %w", path, err)
 		}

@@ -83,7 +83,11 @@ func TestSegmentRotationAndReset(t *testing.T) {
 		t.Fatalf("expected rotation, got %d segments", l.Segments())
 	}
 	lsnBefore := l.NextLSN()
-	if err := l.Reset(); err != nil {
+	cut, err := l.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Drop(cut); err != nil {
 		t.Fatal(err)
 	}
 	if l.Segments() != 1 {
