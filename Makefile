@@ -114,7 +114,11 @@ fuzz:
 # through one queue set, one wake channel and one puller or bridge loop,
 # and its races (an item registered with the ack, a change right behind
 # it, a shed while the consumer takes, a resubscribe after a lost
-# connection) show only now and then. Longer than tier-1; run before
+# connection) show only now and then. Then the broker's index and pacing
+# tests 20 times: one index lock is shared by publish, subscribe and
+# retained replay, and a race between them (a retained publish stored and
+# matched in two steps, a subscriber registering in between and getting
+# the message twice) shows only now and then. Longer than tier-1; run before
 # touching the broker, the WAL, the OPC UA subscriptions, the bridge or
 # the supervision layers.
 soak:
@@ -130,6 +134,9 @@ soak:
 		-run 'TestCheckpoint|TestLSNsContinueAboveSnapshot|TestDurable' ./internal/historian/
 	$(GO) test -race -count=50 -run 'TestSubscri|TestClientLost|TestBridgeSurvivesServerRestart' \
 		./internal/opcua/ ./internal/stack/
+	$(GO) test -race -count=20 \
+		-run 'TestShardedConcurrentChurn|TestRetained|TestRetainedReplayExactlyOnce|TestAckedSessionPacesPublishers|TestPublishSeqDedupIsAtomicPerSession|TestKeptUpSubscriptionPublishAllocatesOnce' \
+		./internal/broker/
 
 # Federation soak: the multi-broker plant under the race detector — the
 # cross-shard chaos audit (ingress node killed + bridge link partitioned,

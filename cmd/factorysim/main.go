@@ -30,6 +30,7 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/icelab"
 	"github.com/smartfactory/sysml2conf/internal/isa95"
 	"github.com/smartfactory/sysml2conf/internal/ops"
+	"github.com/smartfactory/sysml2conf/internal/resilience"
 	"github.com/smartfactory/sysml2conf/internal/som"
 )
 
@@ -246,9 +247,9 @@ func main() {
 		}
 	}
 
-	published, delivered, dropped, subscriptions := cluster.BrokerStats()
+	st := cluster.BrokerStats()
 	fmt.Printf("broker: %d published, %d delivered, %d dropped, %d subscriptions\n",
-		published, delivered, dropped, subscriptions)
+		st.Published, st.Delivered, st.Dropped, st.Subscriptions)
 	for _, ss := range cluster.BrokerShardStats() {
 		fmt.Printf("  shard %d: %d published, %d delivered, %d subscriptions; forwarded=%d fwdWindow=%d/%d/%d bridgedIn=%d bridgeDups=%d bridgeInFlight=%d reconnects=%d refused=%d\n",
 			ss.Shard, ss.Published, ss.Delivered, ss.Subscriptions,
@@ -418,10 +419,12 @@ func reportCampaign(cluster *deploy.Cluster, bundle *codegen.Bundle, ex *ops.Exe
 }
 
 // startAudit publishes count numbered samples through the acked pipeline to
-// a topic under the first historian's filter. The publisher redials on
-// connection loss (a chaos partition severs it) and republishes with the
-// same sequence number — the broker dedups the retries — so every sample is
-// handed to the broker exactly once no matter how rough the run is.
+// a topic under the first historian's filter. Each sample is submitted once
+// to a broker.Outbox, as session "audit-publisher" with seq i: the outbox
+// redials after a connection loss (a chaos partition severs it) and
+// re-sends what the lost connection left unacknowledged, and the broker
+// dedups the re-sends, so every sample is handed to the broker exactly once
+// no matter how rough the run is. done reports the outbox's Flush.
 //
 // On a federated plant the samples deliberately enter through a shard that
 // does NOT own the audit workcell: every sample crosses the federation —
@@ -436,49 +439,23 @@ func startAudit(cluster *deploy.Cluster, bundle *codegen.Bundle, count int) (str
 		ingress = (sc.Shard + 1) % pl.Shards
 		fmt.Printf("audit: ingress shard %d, owner shard %d\n", ingress, sc.Shard)
 	}
-	dial := func() (*broker.Client, error) {
+	ob := broker.NewOutbox("audit", func() (*broker.Client, error) {
 		addr, err := cluster.BrokerShardAddr(ingress)
 		if err != nil {
 			return nil, err
 		}
 		return broker.DialClient(addr)
-	}
+	}, resilience.Backoff{Initial: 10 * time.Millisecond, Factor: 1})
 	done := make(chan error, 1)
 	go func() {
-		var bc *broker.Client
-		defer func() {
-			if bc != nil {
-				bc.Close()
-			}
-		}()
-		deadline := time.Now().Add(5 * time.Minute)
 		for i := 1; i <= count; i++ {
-			payload := []byte(fmt.Sprintf(`{"n":%d}`, i))
-			for {
-				if time.Now().After(deadline) {
-					done <- fmt.Errorf("publish of sample %d timed out", i)
-					return
-				}
-				if bc == nil || bc.Err() != nil {
-					if bc != nil {
-						bc.Close()
-					}
-					bc = nil
-					c, err := dial()
-					if err != nil {
-						time.Sleep(10 * time.Millisecond)
-						continue
-					}
-					bc = c
-				}
-				if _, err := bc.PublishSeq(topic, payload, false, "audit-publisher", uint64(i)); err != nil {
-					continue
-				}
-				break
-			}
+			ob.Submit(topic, []byte(fmt.Sprintf(`{"n":%d}`, i)), false, "audit-publisher", uint64(i),
+				func(bool, error) {}) // Flush reports a failed sample
 			time.Sleep(time.Millisecond)
 		}
-		done <- nil
+		err := ob.Flush(5 * time.Minute)
+		ob.Close()
+		done <- err
 	}()
 	return topic, done
 }
@@ -520,14 +497,14 @@ func verifyAudit(cluster *deploy.Cluster, bundle *codegen.Bundle, topic string, 
 			dup++
 		}
 	}
-	redelivered, refused := cluster.BrokerAckStats()
-	if missing > 0 || dup > 0 || len(pts) != count || refused != 0 {
+	st := cluster.BrokerStats()
+	if missing > 0 || dup > 0 || len(pts) != count || st.Refused != 0 {
 		fmt.Printf("audit: FAIL: %d stored, %d missing, %d duplicated (want %d exactly once); broker redelivered=%d refused=%d\n",
-			len(pts), missing, dup, count, redelivered, refused)
+			len(pts), missing, dup, count, st.Redelivered, st.Refused)
 		return false
 	}
 	fmt.Printf("audit: PASS: %d samples ingested exactly once (broker redelivered=%d refused=%d)\n",
-		count, redelivered, refused)
+		count, st.Redelivered, st.Refused)
 	return true
 }
 
@@ -612,8 +589,8 @@ func reportChaos(cluster *deploy.Cluster, inj *faultinject.Injector) {
 		}
 	}
 	fmt.Printf("chaos: %d supervised restarts, %d not-ready transitions\n", restarts, unready)
-	published, delivered, dropped, _ := cluster.BrokerStats()
-	fmt.Printf("chaos: broker published=%d delivered=%d dropped=%d\n", published, delivered, dropped)
+	st := cluster.BrokerStats()
+	fmt.Printf("chaos: broker published=%d delivered=%d dropped=%d\n", st.Published, st.Delivered, st.Dropped)
 	names := inj.Names()
 	stats := inj.Stats()
 	for _, n := range names {

@@ -9,17 +9,17 @@
 // invoked over request/reply topic pairs.
 //
 // The data plane is built for fan-out throughput: subscriptions are indexed
-// in topic-segment tries so a publish costs O(topic depth + matches), the
-// index and retained state are sharded by the topic's first segment to avoid
-// a broker-wide mutex convoy, and each subscriber owns a drop-oldest ring
-// buffer so slow consumers shed load (counted in Stats) without stalling
-// publishers. DESIGN.md §9 covers the architecture.
+// in one topic-segment trie, so a publish costs O(topic depth + matches)
+// under one read lock; the trie and the retained messages share one
+// RWMutex, which a publish holds only while it matches (and stores, when it
+// retains). Every subscriber owns a drop-oldest ring buffer, so slow
+// consumers shed load (counted in Stats) without stalling publishers.
+// DESIGN.md §9 covers the architecture.
 package broker
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"strings"
 	"sync"
@@ -51,7 +51,7 @@ type Message struct {
 // The broker itself matches through the trie index in trie.go; MatchTopic
 // remains the executable specification the trie is property-tested against,
 // and serves one-off checks like retained-message replay, which runs it
-// against every retained topic of a shard on each subscribe. So it walks
+// against every retained topic on each subscribe. So it walks
 // both strings level by level and allocates nothing; FuzzMatchTopic holds
 // it to the split-into-levels reference it replaced.
 func MatchTopic(filter, topic string) bool {
@@ -101,17 +101,6 @@ func ValidateFilter(filter string) error {
 // this one, where an error reply would have failed it for good.
 var errClosed = errors.New("broker: closed")
 
-// numShards partitions the subscription index and retained state by the
-// topic's first segment; one extra shard (index numShards) holds filters
-// whose first level is a wildcard, since those can match any topic.
-const numShards = 16
-
-type shard struct {
-	mu       sync.RWMutex
-	root     trieNode
-	retained map[string]Message
-}
-
 // Broker is the in-process pub/sub core; Serve exposes it over TCP.
 type Broker struct {
 	// ListenWrapper, when set before Serve, decorates the TCP listener —
@@ -142,11 +131,18 @@ type Broker struct {
 	onSubscribe   func(filter string)
 	onUnsubscribe func(filter string)
 
-	shards [numShards + 1]shard
+	// indexMu guards the subscription trie and the retained messages.
+	// Publish read-locks it to match, or write-locks it to store a retained
+	// message and match in one step, so a subscriber registering meanwhile
+	// gets a retained message either from the replay or from the publish,
+	// never from both.
+	indexMu  sync.RWMutex
+	root     trieNode
+	retained map[string]Message
 
 	// subMu guards the id registry, the session registry and close
-	// transitions; it is ordered before shard locks (Subscribe/Unsubscribe/
-	// Close take subMu, then shard.mu). Publish takes only shard locks.
+	// transitions; it is ordered before indexMu (registration, Unsubscribe
+	// and Close take subMu, then indexMu). Publish takes only indexMu.
 	subMu    sync.Mutex
 	subs     map[int]*subscription
 	sessions map[string]*subscription // acked sessions by name
@@ -163,52 +159,24 @@ type Broker struct {
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 
-	// stats
-	published    atomic.Uint64
-	delivered    atomic.Uint64
-	dropped      atomic.Uint64
-	redelivered  atomic.Uint64
-	ackedRefused atomic.Uint64
-	liveConns    atomic.Int64 // wire connections currently open (gates msgEnc)
+	// counters, read together by Stats
+	published   atomic.Uint64
+	delivered   atomic.Uint64
+	dropped     atomic.Uint64
+	redelivered atomic.Uint64
+	refused     atomic.Uint64
+	liveConns   atomic.Int64 // wire connections currently open (gates msgEnc)
 }
 
 // New creates a broker.
 func New() *Broker {
-	b := &Broker{
+	return &Broker{
+		retained: map[string]Message{},
 		subs:     map[int]*subscription{},
 		sessions: map[string]*subscription{},
 		pubSeqs:  map[string]*pubSession{},
 		conns:    map[net.Conn]struct{}{},
 	}
-	for i := range b.shards {
-		b.shards[i].retained = map[string]Message{}
-	}
-	return b
-}
-
-// firstSegment returns the first topic level.
-func firstSegment(topic string) string {
-	if i := strings.IndexByte(topic, '/'); i >= 0 {
-		return topic[:i]
-	}
-	return topic
-}
-
-// shardForTopic picks the shard owning a concrete topic.
-func (b *Broker) shardForTopic(topic string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(firstSegment(topic)))
-	return &b.shards[h.Sum32()%numShards]
-}
-
-// shardForFilter picks the shard a filter is indexed in: the wildcard shard
-// when the first level is "+" or "#", otherwise the first segment's shard.
-func (b *Broker) shardForFilter(filter string) *shard {
-	switch firstSegment(filter) {
-	case "+", "#":
-		return &b.shards[numShards]
-	}
-	return b.shardForTopic(filter)
 }
 
 // Publish delivers payload to every matching subscriber. When retain is
@@ -269,27 +237,22 @@ func (b *Broker) publish(topic string, payload []byte, retain, owned bool) error
 	}
 	var msg Message
 	built := false
-	sh := b.shardForTopic(topic)
 	if retain {
 		msg = Message{Topic: topic, Payload: keep(), Retained: true, enc: enc}
 		built = true
-		sh.mu.Lock()
+		b.indexMu.Lock()
 		if len(payload) == 0 {
-			delete(sh.retained, topic) // empty retained payload clears
+			delete(b.retained, topic) // empty retained payload clears
 		} else {
-			sh.retained[topic] = msg
+			b.retained[topic] = msg
 		}
-		sh.root.match(topic, matched)
-		sh.mu.Unlock()
+		b.root.match(topic, matched)
+		b.indexMu.Unlock()
 	} else {
-		sh.mu.RLock()
-		sh.root.match(topic, matched)
-		sh.mu.RUnlock()
+		b.indexMu.RLock()
+		b.root.match(topic, matched)
+		b.indexMu.RUnlock()
 	}
-	wild := &b.shards[numShards]
-	wild.mu.RLock()
-	wild.root.match(topic, matched)
-	wild.mu.RUnlock()
 
 	if len(*matched) == 0 {
 		return nil
@@ -309,6 +272,15 @@ func (b *Broker) publish(topic string, payload []byte, retain, owned bool) error
 // Subscribe registers a filter; matching messages (and any retained
 // messages matching the filter) arrive on the returned channel.
 func (b *Broker) Subscribe(filter string) (int, <-chan Message, error) {
+	return b.subscribe(filter, SubOptions{})
+}
+
+// subscribe is the one registration path of plain subscriptions and acked
+// sessions: it validates the filter, resumes an existing acked session
+// (reattach), or registers a new subscription, indexes it and replays the
+// retained messages its filter matches, all under one hold of the index
+// lock.
+func (b *Broker) subscribe(filter string, opts SubOptions) (int, <-chan Message, error) {
 	if err := ValidateFilter(filter); err != nil {
 		return 0, nil, err
 	}
@@ -317,42 +289,45 @@ func (b *Broker) Subscribe(filter string) (int, <-chan Message, error) {
 		b.subMu.Unlock()
 		return 0, nil, errClosed
 	}
+	if opts.Acked {
+		if s := b.sessions[opts.Session]; s != nil {
+			b.subMu.Unlock()
+			return b.reattach(s, filter, opts)
+		}
+	}
 	b.nextSub++
 	s := newSubscription(b.nextSub, filter, b)
 	b.subs[s.id] = s
-
-	sh := b.shardForFilter(filter)
-	sh.mu.Lock()
-	sh.root.add(filter, s)
-	b.replayRetained(sh, s)
-	sh.mu.Unlock()
-	if sh == &b.shards[numShards] {
-		// Wildcard-first filters can match retained topics in any shard.
-		for i := 0; i < numShards; i++ {
-			lit := &b.shards[i]
-			lit.mu.RLock()
-			b.replayRetained(lit, s)
-			lit.mu.RUnlock()
-		}
+	if opts.Acked {
+		s.ack = newAckState(opts, b.RedeliveryBackoff)
+		b.sessions[opts.Session] = s
 	}
-	b.subMu.Unlock()
-	go s.pump()
-	// Outside subMu: the node hook takes its own locks and must never
-	// nest inside the broker's registry lock.
-	if b.onSubscribe != nil {
-		b.onSubscribe(filter)
-	}
-	return s.id, s.out, nil
-}
-
-// replayRetained enqueues a shard's matching retained messages; callers
-// hold sh.mu.
-func (b *Broker) replayRetained(sh *shard, s *subscription) {
-	for topic, msg := range sh.retained {
-		if MatchTopic(s.filter, topic) {
+	b.indexMu.Lock()
+	b.root.add(filter, s)
+	for topic, msg := range b.retained {
+		if MatchTopic(filter, topic) {
 			s.enqueue(msg)
 		}
 	}
+	b.indexMu.Unlock()
+	// Read before subMu is released: from then on a reattach may replace
+	// an acked session's channel.
+	out := s.out
+	if s.ack != nil {
+		go s.pumpAcked(0, out, s.ack.detach)
+	} else {
+		go s.pump()
+	}
+	b.subMu.Unlock()
+	// Outside subMu: the node hook takes its own locks and must never
+	// nest inside the broker's registry lock. One call per plain
+	// subscription or acked session: a reattach does not fire it, and the
+	// matching onUnsubscribe fires when Unsubscribe ends the subscription
+	// (a detach keeps it registered, so no hook).
+	if b.onSubscribe != nil {
+		b.onSubscribe(filter)
+	}
+	return s.id, out, nil
 }
 
 // Unsubscribe cancels a subscription and closes its channel. For an acked
@@ -366,10 +341,9 @@ func (b *Broker) Unsubscribe(id int) {
 		if s.ack != nil {
 			delete(b.sessions, s.ack.session)
 		}
-		sh := b.shardForFilter(s.filter)
-		sh.mu.Lock()
-		sh.root.remove(s.filter, id)
-		sh.mu.Unlock()
+		b.indexMu.Lock()
+		b.root.remove(s.filter, id)
+		b.indexMu.Unlock()
 	}
 	b.subMu.Unlock()
 	if ok {
@@ -380,15 +354,33 @@ func (b *Broker) Unsubscribe(id int) {
 	}
 }
 
-// Stats returns lifetime counters: messages published, accepted for
-// delivery, and dropped because a subscriber's ring buffer overflowed,
-// plus the live subscription count. delivered counts ring accepts, so
-// delivered - dropped is a lower bound on messages consumers received.
-func (b *Broker) Stats() (published, delivered, dropped uint64, subscriptions int) {
+// Stats is a snapshot of a broker's lifetime counters and its live
+// subscription count. Delivered counts messages accepted into a
+// subscriber's queue, so Delivered - Dropped is a lower bound on the
+// messages consumers received.
+type Stats struct {
+	Published     uint64 // publishes accepted
+	Delivered     uint64 // matched messages accepted into a subscriber queue
+	Dropped       uint64 // messages a plain subscriber's full ring overwrote
+	Redelivered   uint64 // acked redelivery rounds after an ack timeout (benign: consumers dedup)
+	Refused       uint64 // messages an acked session refused at its backlog cap (loss)
+	Subscriptions int    // live subscriptions, acked sessions included
+}
+
+// Stats returns the broker's counters. Zero-loss audits assert
+// Refused == 0.
+func (b *Broker) Stats() Stats {
 	b.subMu.Lock()
-	subscriptions = len(b.subs)
+	subs := len(b.subs)
 	b.subMu.Unlock()
-	return b.published.Load(), b.delivered.Load(), b.dropped.Load(), subscriptions
+	return Stats{
+		Published:     b.published.Load(),
+		Delivered:     b.delivered.Load(),
+		Dropped:       b.dropped.Load(),
+		Redelivered:   b.redelivered.Load(),
+		Refused:       b.refused.Load(),
+		Subscriptions: subs,
+	}
 }
 
 // Health reports whether the broker can serve traffic: it must not be
@@ -419,13 +411,10 @@ func (b *Broker) Close() error {
 		subs = append(subs, s)
 	}
 	b.sessions = map[string]*subscription{}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		sh.root = trieNode{}
-		sh.retained = map[string]Message{}
-		sh.mu.Unlock()
-	}
+	b.indexMu.Lock()
+	b.root = trieNode{}
+	b.retained = map[string]Message{}
+	b.indexMu.Unlock()
 	b.subMu.Unlock()
 	for _, s := range subs {
 		s.close()

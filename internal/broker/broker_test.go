@@ -56,7 +56,7 @@ func TestValidateFilter(t *testing.T) {
 }
 
 // TestMatchTopicAllocatesNothing: retained replay runs MatchTopic against
-// every retained topic of a shard on each subscribe, and every subscribe
+// every retained topic on each subscribe, and every subscribe
 // validates its filter, so neither may allocate on the success path.
 func TestMatchTopicAllocatesNothing(t *testing.T) {
 	const filter = "factory/+/+/+/values/#"
@@ -163,6 +163,126 @@ func TestRetainedMessages(t *testing.T) {
 		}
 	case <-time.After(50 * time.Millisecond):
 	}
+}
+
+// TestRetainedReplayExactlyOnce pins what the index does for filters
+// whose first level is a wildcard: they match retained topics under any
+// first level, and every subscriber gets each retained message once. The
+// racing case also covers the store-and-match of a retained publish being
+// one step, so a "#" subscriber registering meanwhile gets the message
+// either from its replay or from the publish, never from both.
+func TestRetainedReplayExactlyOnce(t *testing.T) {
+	t.Run("filters", func(t *testing.T) {
+		b := New()
+		defer b.Close()
+		retained := map[string]string{
+			"a/x":                    `"ax"`,
+			"b/y":                    `"by"`,
+			"factory/l/w/m/values/v": `{"value":1}`,
+		}
+		for topic, payload := range retained {
+			if err := b.Publish(topic, []byte(payload), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// replayed reads until the channel has been quiet for 100 ms, acking
+		// acked messages so that no redelivery can pass for a duplicate.
+		replayed := func(id int, ch <-chan Message) map[string][]string {
+			got := map[string][]string{}
+			for {
+				select {
+				case m := <-ch:
+					if !m.Retained {
+						t.Errorf("%s replayed without the retained flag", m.Topic)
+					}
+					got[m.Topic] = append(got[m.Topic], string(m.Payload))
+					if m.Seq != 0 {
+						b.Ack(id, m.Seq)
+					}
+				case <-time.After(100 * time.Millisecond):
+					return got
+				}
+			}
+		}
+		for _, c := range []struct {
+			filter string
+			opts   SubOptions
+			want   []string
+		}{
+			{"#", SubOptions{}, []string{"a/x", "b/y", "factory/l/w/m/values/v"}},
+			{"+/y", SubOptions{}, []string{"b/y"}},
+			{"#", SubOptions{Acked: true, Session: "replay"}, []string{"a/x", "b/y", "factory/l/w/m/values/v"}},
+		} {
+			id, ch, err := b.SubscribeOpts(c.filter, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := replayed(id, ch)
+			if len(got) != len(c.want) {
+				t.Errorf("%q (acked %v): replayed %v, want %v", c.filter, c.opts.Acked, got, c.want)
+			}
+			for _, topic := range c.want {
+				if p := got[topic]; len(p) != 1 || p[0] != retained[topic] {
+					t.Errorf("%q (acked %v): %s replayed as %q, want [%s] once", c.filter, c.opts.Acked, topic, p, retained[topic])
+				}
+			}
+		}
+	})
+
+	t.Run("racing-subscribe", func(t *testing.T) {
+		b := New()
+		defer b.Close()
+		stop := make(chan struct{})
+		var pubWG sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			pubWG.Add(1)
+			go func(p int) {
+				defer pubWG.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// Every payload is unique, so a payload seen twice was
+					// delivered twice.
+					topic := fmt.Sprintf("r%d/wc%d/value", i%8, p)
+					_ = b.Publish(topic, []byte(fmt.Sprintf("%d-%d", p, i)), true)
+				}
+			}(p)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 50; round++ {
+					id, ch, err := b.Subscribe("#")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					seen := map[string]int{}
+					for k := 0; k < 64; k++ {
+						seen[string((<-ch).Payload)]++
+					}
+					b.Unsubscribe(id)
+					for m := range ch {
+						seen[string(m.Payload)]++
+					}
+					for payload, n := range seen {
+						if n > 1 {
+							t.Errorf("a # subscriber received retained payload %s %d times", payload, n)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		pubWG.Wait()
+	})
 }
 
 func TestPublishInvalidTopic(t *testing.T) {
@@ -377,7 +497,8 @@ func TestConcurrentPublishers(t *testing.T) {
 	if received == 0 || received > publishers*each {
 		t.Errorf("received %d, want 1..%d", received, publishers*each)
 	}
-	pub, delivered, _, _ := b.Stats()
+	st := b.Stats()
+	pub, delivered := st.Published, st.Delivered
 	if pub != publishers*each {
 		t.Errorf("published counter = %d, want %d", pub, publishers*each)
 	}
@@ -450,7 +571,7 @@ func TestSubscribeUnsubscribeChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	pubWG.Wait()
-	if _, _, _, subs := b.Stats(); subs != 0 {
+	if subs := b.Stats().Subscriptions; subs != 0 {
 		t.Errorf("leaked %d subscriptions", subs)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -278,7 +279,7 @@ func (n *Node) remotePulls(filter string) map[int][]string {
 		}
 		return map[int][]string{owner: {wc}}
 	}
-	switch firstSegment(filter) {
+	switch first, _, _ := strings.Cut(filter, "/"); first {
 	case "factory", "+", "#":
 	default:
 		return nil
@@ -314,12 +315,14 @@ func (n *Node) link(remote int) *bridgeLink {
 	return l
 }
 
-// NodeStats counts the node's federation traffic. The window gauges and
-// counters expose the pipelined paths' health: sustained ForwardInFlight
-// near the window with climbing ForwardStalls means publishers are gated
-// on a slow owner; ForwardReplayed counts the idempotent restages paid for
-// uplink connection loss.
+// NodeStats is one node's snapshot: its broker's counters (the embedded
+// Stats) and its federation traffic. The window gauges and counters expose
+// the pipelined paths' health: sustained ForwardInFlight near the window
+// with climbing ForwardStalls means publishers are gated on a slow owner;
+// ForwardReplayed counts the idempotent restages paid for uplink
+// connection loss.
 type NodeStats struct {
+	Stats
 	Shard           int
 	Forwarded       uint64 // publishes forwarded to owner shards
 	ForwardErrors   uint64 // forwards that failed (publisher retries)
@@ -332,7 +335,7 @@ type NodeStats struct {
 	Reconnects      uint64 // bridge-link reconnections
 }
 
-// NodeStats returns the node's lifetime federation counters.
+// NodeStats returns the node's broker and federation counters.
 func (n *Node) NodeStats() NodeStats {
 	clamp := func(v int64) uint64 {
 		if v < 0 {
@@ -350,6 +353,7 @@ func (n *Node) NodeStats() NodeStats {
 		fwd.Replayed += st.Replayed
 	}
 	return NodeStats{
+		Stats:           n.Broker.Stats(),
 		Shard:           n.shard,
 		Forwarded:       fwd.Acked,
 		ForwardErrors:   n.forwardErrors.Load() + fwd.Failed,

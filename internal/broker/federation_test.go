@@ -253,7 +253,7 @@ func TestFederationBridgeSeverReplay(t *testing.T) {
 	if got := f.Nodes[1].NodeStats().Reconnects; got == 0 {
 		t.Error("bridge never reconnected; partition did not bite")
 	}
-	if _, refused := f.Nodes[0].Broker.AckStats(); refused != 0 {
+	if refused := f.Nodes[0].Broker.Stats().Refused; refused != 0 {
 		t.Errorf("owner refused %d messages", refused)
 	}
 }
@@ -348,7 +348,7 @@ func TestFederationPullReleasedOnUnsubscribe(t *testing.T) {
 	// The owner-side pull session must disappear (async round trip).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, _, subs := f.Nodes[0].Broker.Stats()
+		subs := f.Nodes[0].Broker.Stats().Subscriptions
 		if subs == 0 {
 			break
 		}

@@ -25,8 +25,8 @@ const defaultAckWindow = 256
 
 // maxAckedBacklog caps the per-session queue of unacked + undelivered
 // messages. Beyond it the broker refuses new messages for the session
-// (counted in AckStats) rather than grow without bound while a consumer is
-// gone for good.
+// (counted in Stats().Refused) rather than grow without bound while a
+// consumer is gone for good.
 const maxAckedBacklog = 1 << 16
 
 // ackedPaceBacklog is the backlog at which a session with a live consumer
@@ -99,66 +99,29 @@ type ackState struct {
 // name takes the session over (the previous attachment is detached), and
 // FromSeq acknowledges everything the consumer already processed.
 func (b *Broker) SubscribeOpts(filter string, opts SubOptions) (int, <-chan Message, error) {
-	if !opts.Acked {
-		return b.Subscribe(filter)
-	}
-	if opts.Session == "" {
+	if opts.Acked && opts.Session == "" {
 		return 0, nil, errors.New("broker: acked subscription requires a session name")
 	}
-	if err := ValidateFilter(filter); err != nil {
-		return 0, nil, err
-	}
+	return b.subscribe(filter, opts)
+}
+
+// newAckState is a new session's machinery, attached, with everything up
+// to opts.FromSeq acknowledged.
+func newAckState(opts SubOptions, backoff resilience.Backoff) *ackState {
 	window := opts.Window
 	if window <= 0 {
 		window = defaultAckWindow
 	}
-
-	b.subMu.Lock()
-	if b.closed.Load() {
-		b.subMu.Unlock()
-		return 0, nil, errClosed
-	}
-	if s := b.sessions[opts.Session]; s != nil {
-		b.subMu.Unlock()
-		return b.reattach(s, filter, opts)
-	}
-	b.nextSub++
-	s := newSubscription(b.nextSub, filter, b)
-	s.ack = &ackState{
+	return &ackState{
 		session:  opts.Session,
 		window:   window,
-		backoff:  b.RedeliveryBackoff,
+		backoff:  backoff,
 		base:     opts.FromSeq + 1,
 		nextSeq:  opts.FromSeq,
 		cursor:   opts.FromSeq + 1,
 		attached: true,
 		detach:   make(chan struct{}),
 	}
-	b.subs[s.id] = s
-	b.sessions[opts.Session] = s
-
-	sh := b.shardForFilter(filter)
-	sh.mu.Lock()
-	sh.root.add(filter, s)
-	b.replayRetained(sh, s)
-	sh.mu.Unlock()
-	if sh == &b.shards[numShards] {
-		for i := 0; i < numShards; i++ {
-			lit := &b.shards[i]
-			lit.mu.RLock()
-			b.replayRetained(lit, s)
-			lit.mu.RUnlock()
-		}
-	}
-	b.subMu.Unlock()
-	go s.pumpAcked(0, s.out, s.ack.detach)
-	// One hook call per session lifetime: reattach resumes don't re-fire,
-	// and the matching onUnsubscribe fires when Unsubscribe ends the
-	// session (detach keeps it registered, so no hook).
-	if b.onSubscribe != nil {
-		b.onSubscribe(filter)
-	}
-	return s.id, s.out, nil
 }
 
 // reattach resumes an existing session: FromSeq acts as a cumulative ack,
@@ -405,13 +368,6 @@ func (b *Broker) publishSeq(topic string, payload []byte, retain bool, session s
 	return false, nil
 }
 
-// AckStats returns lifetime counters for the acked path: messages
-// redelivered after an ack timeout, and messages refused because a
-// session's backlog hit its cap. Zero-loss audits assert refused == 0.
-func (b *Broker) AckStats() (redelivered, refused uint64) {
-	return b.redelivered.Load(), b.ackedRefused.Load()
-}
-
 // enqueueAcked queues a matched message on an acked subscription, assigning
 // its sequence number. Called from enqueue with the decision already made.
 func (s *subscription) enqueueAcked(m Message) {
@@ -423,7 +379,7 @@ func (s *subscription) enqueueAcked(m Message) {
 	a := s.ack
 	if len(a.queue) >= maxAckedBacklog {
 		s.mu.Unlock()
-		s.b.ackedRefused.Add(1)
+		s.b.refused.Add(1)
 		return
 	}
 	a.nextSeq++

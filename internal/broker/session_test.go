@@ -88,7 +88,7 @@ func TestAckedRedeliveryUntilAcked(t *testing.T) {
 	if m1.Seq != 1 || m2.Seq != 1 {
 		t.Fatalf("redelivery seqs = %d, %d; want 1, 1", m1.Seq, m2.Seq)
 	}
-	redelivered, _ := b.AckStats()
+	redelivered := b.Stats().Redelivered
 	if redelivered == 0 {
 		t.Fatal("redelivered counter not bumped")
 	}
@@ -152,7 +152,7 @@ func TestSessionSurvivesDetach(t *testing.T) {
 	_ = got
 	b.Ack(id2, 6)
 	b.Unsubscribe(id2)
-	if _, _, _, subs := b.Stats(); subs != 0 {
+	if subs := b.Stats().Subscriptions; subs != 0 {
 		t.Fatalf("unsubscribe left %d sessions registered", subs)
 	}
 }
@@ -344,7 +344,7 @@ func TestAckedSessionPacesPublishers(t *testing.T) {
 	if d := <-publish(); d > ackedPaceWait/2 {
 		t.Errorf("publish waited %v for a detached session", d)
 	}
-	if _, refused := b.AckStats(); refused != 0 {
+	if refused := b.Stats().Refused; refused != 0 {
 		t.Errorf("%d messages refused, want 0", refused)
 	}
 }
@@ -413,7 +413,7 @@ func TestClientSessionOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = got
-	_, refused := b.AckStats()
+	refused := b.Stats().Refused
 	if refused != 0 {
 		t.Fatalf("acked refusals = %d, want 0", refused)
 	}
@@ -451,7 +451,7 @@ func TestClientDedupsRedelivery(t *testing.T) {
 	if err := c.Ack(subID, m.Seq); err != nil {
 		t.Fatal(err)
 	}
-	redelivered, _ := b.AckStats()
+	redelivered := b.Stats().Redelivered
 	if redelivered == 0 {
 		t.Fatal("expected broker-side redeliveries while unacked")
 	}
@@ -524,7 +524,7 @@ func TestStaleRedeliveryFireKeepsCursor(t *testing.T) {
 	if got := cursor(); got != want {
 		t.Errorf("cursor = %d after stale fires, want %d", got, want)
 	}
-	if redelivered, _ := b.AckStats(); redelivered != 0 {
+	if redelivered := b.Stats().Redelivered; redelivered != 0 {
 		t.Errorf("redelivered = %d after stale fires, want 0", redelivered)
 	}
 }

@@ -154,7 +154,7 @@ func TestChaosAuditZeroLoss(t *testing.T) {
 	if p.Restarts < 3 {
 		t.Errorf("historian restarted %d times, want >= 3 (the audit must span crashes)", p.Restarts)
 	}
-	if _, refused := cluster.BrokerAckStats(); refused != 0 {
+	if refused := cluster.BrokerStats().Refused; refused != 0 {
 		t.Errorf("broker refused %d acked messages, want 0", refused)
 	}
 }

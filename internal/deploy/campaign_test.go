@@ -223,7 +223,7 @@ func TestCampaignChaosAuditExactCompletion(t *testing.T) {
 		t.Errorf("audit reconciled ledger=%d historian=%d, want %d each",
 			audit.Ledger, audit.Historian, parts*3)
 	}
-	if _, refused := cluster.BrokerAckStats(); refused != 0 {
+	if refused := cluster.BrokerStats().Refused; refused != 0 {
 		t.Errorf("broker refused %d acked messages, want 0", refused)
 	}
 

@@ -153,7 +153,8 @@ func runChaosSoak(t *testing.T, bundle *codegen.Bundle, seed int64) []string {
 	// The broker's loss accounting must be live and consistent: data flowed
 	// after the heal, so the (possibly restarted) broker has published and
 	// delivered messages, and drops can never exceed deliveries.
-	published, delivered, dropped, _ := cluster.BrokerStats()
+	st := cluster.BrokerStats()
+	published, delivered, dropped := st.Published, st.Delivered, st.Dropped
 	if published == 0 || delivered == 0 {
 		t.Errorf("broker stats flat after chaos: published=%d delivered=%d", published, delivered)
 	}
@@ -163,7 +164,7 @@ func runChaosSoak(t *testing.T, bundle *codegen.Bundle, seed int64) []string {
 	// Acked sessions are the loss-bounded tier: redelivery is fine (the
 	// consumers dedup) but a refused enqueue would be a dropped acked
 	// message, and the chaos soak must never provoke one.
-	if _, refused := cluster.BrokerAckStats(); refused != 0 {
+	if refused := st.Refused; refused != 0 {
 		t.Errorf("broker refused %d acked messages during chaos soak, want 0", refused)
 	}
 

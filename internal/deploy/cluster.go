@@ -320,64 +320,34 @@ func (c *Cluster) brokerNodes() []*broker.Node {
 	return out
 }
 
-// BrokerStats returns the broker tier's lifetime counters summed across
-// every live node (all zero if no broker pod is up). dropped counts
-// messages shed by subscriber ring buffers — the loss signal chaos soaks
-// and the factorysim monitor report.
-func (c *Cluster) BrokerStats() (published, delivered, dropped uint64, subscriptions int) {
-	for _, n := range c.brokerNodes() {
-		p, d, dr, s := n.Broker.Stats()
-		published += p
-		delivered += d
-		dropped += dr
-		subscriptions += s
-	}
-	return published, delivered, dropped, subscriptions
-}
-
-// BrokerAckStats returns the broker tier's acked-delivery counters,
-// summed across every live node: redelivered is retries of unacked
-// messages (benign — consumers dedup), refused is messages rejected
-// because a session's backlog was full (real loss; a healthy deployment
-// keeps this at zero).
-func (c *Cluster) BrokerAckStats() (redelivered, refused uint64) {
-	for _, n := range c.brokerNodes() {
-		rd, rf := n.Broker.AckStats()
-		redelivered += rd
-		refused += rf
-	}
-	return redelivered, refused
-}
-
-// ShardBrokerStats is one broker node's breakdown: the core
-// pub/sub and acked-delivery counters plus the federation traffic
-// counters (forwards out, bridged messages in, deduped redeliveries,
-// link reconnects) and the pipelined-window gauges (forward in-flight
-// depth, window stalls, replayed forwards, bridge in-flight depth) the
-// embedded NodeStats carries — factorysim prints them per shard as
-// fwdWindow=inflight/stalls/replayed and bridgeInFlight.
-type ShardBrokerStats struct {
-	broker.NodeStats
-	Published     uint64
-	Delivered     uint64
-	Dropped       uint64
-	Subscriptions int
-	Redelivered   uint64
-	Refused       uint64
-}
-
-// BrokerShardStats returns per-shard broker counters of every live node,
-// sorted by shard; a one-broker plant reports its broker as shard 0.
-func (c *Cluster) BrokerShardStats() []ShardBrokerStats {
+// BrokerShardStats returns the counters of every live broker node, sorted
+// by shard; a one-broker plant reports its broker as shard 0.
+func (c *Cluster) BrokerShardStats() []broker.NodeStats {
 	nodes := c.brokerNodes()
-	out := make([]ShardBrokerStats, 0, len(nodes))
+	out := make([]broker.NodeStats, 0, len(nodes))
 	for _, n := range nodes {
-		s := ShardBrokerStats{NodeStats: n.NodeStats()}
-		s.Published, s.Delivered, s.Dropped, s.Subscriptions = n.Broker.Stats()
-		s.Redelivered, s.Refused = n.Broker.AckStats()
-		out = append(out, s)
+		out = append(out, n.NodeStats())
 	}
 	return out
+}
+
+// BrokerStats returns the broker tier's counters summed over every live
+// node (all zero if no broker pod is up). Dropped counts messages shed by
+// subscriber rings, the loss signal chaos soaks and factorysim report;
+// Refused counts messages an acked session refused, which a healthy plant
+// keeps at zero.
+func (c *Cluster) BrokerStats() broker.Stats {
+	var sum broker.Stats
+	for _, n := range c.brokerNodes() {
+		st := n.Broker.Stats()
+		sum.Published += st.Published
+		sum.Delivered += st.Delivered
+		sum.Dropped += st.Dropped
+		sum.Redelivered += st.Redelivered
+		sum.Refused += st.Refused
+		sum.Subscriptions += st.Subscriptions
+	}
+	return sum
 }
 
 // StartQueryServer starts the historian HTTP query API on addr (":0" for

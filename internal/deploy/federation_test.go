@@ -88,7 +88,7 @@ func TestFederatedDeployEndToEnd(t *testing.T) {
 		return published
 	}
 	before := perShardSum()
-	sumP, _, _, _ := cluster.BrokerStats()
+	sumP := cluster.BrokerStats().Published
 	if after := perShardSum(); sumP < before || sumP > after {
 		t.Errorf("BrokerStats sum %d outside the per-shard sums read around it, %d..%d", sumP, before, after)
 	}
@@ -311,11 +311,11 @@ func TestFederatedChaosAuditZeroLoss(t *testing.T) {
 			received, missing, dup, total)
 	}
 
-	if _, refused := cluster.BrokerAckStats(); refused != 0 {
+	if refused := cluster.BrokerStats().Refused; refused != 0 {
 		t.Errorf("broker tier refused %d acked messages, want 0", refused)
 	}
 	stats := cluster.BrokerShardStats()
-	byShard := map[int]ShardBrokerStats{}
+	byShard := map[int]broker.NodeStats{}
 	for _, s := range stats {
 		byShard[s.Shard] = s
 	}

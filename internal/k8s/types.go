@@ -1,7 +1,8 @@
-// Package k8s provides the subset of Kubernetes resource types that the
-// configuration generator emits — Namespace, ConfigMap, Service, Deployment —
-// plus helpers to serialize them as multi-document YAML manifests and to
-// read manifests back for the deployment simulator.
+// Package k8s reads back the multi-document YAML manifests the
+// configuration generator renders from its templates (Namespace, ConfigMap,
+// Service, Deployment): Decode parses them into generic Objects with typed
+// accessors, Validate checks what the deployment simulator relies on, and
+// PodPolicy extracts a Deployment's restart policy and probes.
 package k8s
 
 import (
@@ -11,206 +12,6 @@ import (
 
 	"github.com/smartfactory/sysml2conf/internal/yamlenc"
 )
-
-// ObjectMeta is the standard Kubernetes object metadata.
-type ObjectMeta struct {
-	Name        string            `yaml:"name"`
-	Namespace   string            `yaml:"namespace,omitempty"`
-	Labels      map[string]string `yaml:"labels,omitempty"`
-	Annotations map[string]string `yaml:"annotations,omitempty"`
-}
-
-// Namespace is a cluster namespace.
-type Namespace struct {
-	APIVersion string     `yaml:"apiVersion"`
-	Kind       string     `yaml:"kind"`
-	Metadata   ObjectMeta `yaml:"metadata"`
-}
-
-// NewNamespace returns a v1 Namespace.
-func NewNamespace(name string, labels map[string]string) *Namespace {
-	return &Namespace{APIVersion: "v1", Kind: "Namespace",
-		Metadata: ObjectMeta{Name: name, Labels: labels}}
-}
-
-// ConfigMap carries configuration data for a component.
-type ConfigMap struct {
-	APIVersion string            `yaml:"apiVersion"`
-	Kind       string            `yaml:"kind"`
-	Metadata   ObjectMeta        `yaml:"metadata"`
-	Data       map[string]string `yaml:"data,omitempty"`
-}
-
-// NewConfigMap returns a v1 ConfigMap.
-func NewConfigMap(name, namespace string, data map[string]string) *ConfigMap {
-	return &ConfigMap{APIVersion: "v1", Kind: "ConfigMap",
-		Metadata: ObjectMeta{Name: name, Namespace: namespace}, Data: data}
-}
-
-// ServicePort maps a service port to a container target port.
-type ServicePort struct {
-	Name       string `yaml:"name,omitempty"`
-	Port       int    `yaml:"port"`
-	TargetPort int    `yaml:"targetPort,omitempty"`
-	Protocol   string `yaml:"protocol,omitempty"`
-}
-
-// ServiceSpec selects pods and exposes ports.
-type ServiceSpec struct {
-	Selector map[string]string `yaml:"selector,omitempty"`
-	Ports    []ServicePort     `yaml:"ports,omitempty"`
-	Type     string            `yaml:"type,omitempty"`
-}
-
-// Service exposes a component inside the cluster.
-type Service struct {
-	APIVersion string      `yaml:"apiVersion"`
-	Kind       string      `yaml:"kind"`
-	Metadata   ObjectMeta  `yaml:"metadata"`
-	Spec       ServiceSpec `yaml:"spec"`
-}
-
-// NewService returns a v1 Service selecting app=name.
-func NewService(name, namespace string, port int) *Service {
-	return &Service{APIVersion: "v1", Kind: "Service",
-		Metadata: ObjectMeta{Name: name, Namespace: namespace,
-			Labels: map[string]string{"app": name}},
-		Spec: ServiceSpec{
-			Selector: map[string]string{"app": name},
-			Ports:    []ServicePort{{Name: "main", Port: port, TargetPort: port, Protocol: "TCP"}},
-		}}
-}
-
-// EnvVar is a container environment variable.
-type EnvVar struct {
-	Name  string `yaml:"name"`
-	Value string `yaml:"value"`
-}
-
-// ContainerPort exposes a port from a container.
-type ContainerPort struct {
-	Name          string `yaml:"name,omitempty"`
-	ContainerPort int    `yaml:"containerPort"`
-	Protocol      string `yaml:"protocol,omitempty"`
-}
-
-// VolumeMount mounts a volume into a container.
-type VolumeMount struct {
-	Name      string `yaml:"name"`
-	MountPath string `yaml:"mountPath"`
-	ReadOnly  bool   `yaml:"readOnly,omitempty"`
-}
-
-// ResourceList maps resource names (cpu, memory) to quantities.
-type ResourceList map[string]string
-
-// ResourceRequirements bounds a container's resources.
-type ResourceRequirements struct {
-	Requests ResourceList `yaml:"requests,omitempty"`
-	Limits   ResourceList `yaml:"limits,omitempty"`
-}
-
-// Probe is a liveness/readiness probe (TCP socket and exec flavors).
-type Probe struct {
-	TCPSocket           *TCPSocketAction `yaml:"tcpSocket,omitempty"`
-	Exec                *ExecAction      `yaml:"exec,omitempty"`
-	InitialDelaySeconds int              `yaml:"initialDelaySeconds,omitempty"`
-	PeriodSeconds       int              `yaml:"periodSeconds,omitempty"`
-	FailureThreshold    int              `yaml:"failureThreshold,omitempty"`
-}
-
-// TCPSocketAction probes a TCP port.
-type TCPSocketAction struct {
-	Port int `yaml:"port"`
-}
-
-// ExecAction probes by running a command inside the container.
-type ExecAction struct {
-	Command []string `yaml:"command"`
-}
-
-// Container is one container of a pod.
-type Container struct {
-	Name           string               `yaml:"name"`
-	Image          string               `yaml:"image"`
-	Args           []string             `yaml:"args,omitempty"`
-	Env            []EnvVar             `yaml:"env,omitempty"`
-	Ports          []ContainerPort      `yaml:"ports,omitempty"`
-	VolumeMounts   []VolumeMount        `yaml:"volumeMounts,omitempty"`
-	Resources      ResourceRequirements `yaml:"resources,omitempty"`
-	LivenessProbe  *Probe               `yaml:"livenessProbe,omitempty"`
-	ReadinessProbe *Probe               `yaml:"readinessProbe,omitempty"`
-}
-
-// ConfigMapVolumeSource references a ConfigMap as a volume.
-type ConfigMapVolumeSource struct {
-	Name string `yaml:"name"`
-}
-
-// Volume is a pod volume (ConfigMap flavor only).
-type Volume struct {
-	Name      string                 `yaml:"name"`
-	ConfigMap *ConfigMapVolumeSource `yaml:"configMap,omitempty"`
-}
-
-// PodSpec describes pod contents.
-type PodSpec struct {
-	Containers    []Container `yaml:"containers"`
-	RestartPolicy string      `yaml:"restartPolicy,omitempty"`
-	Volumes       []Volume    `yaml:"volumes,omitempty"`
-}
-
-// PodTemplateSpec is the pod template of a Deployment.
-type PodTemplateSpec struct {
-	Metadata ObjectMeta `yaml:"metadata"`
-	Spec     PodSpec    `yaml:"spec"`
-}
-
-// LabelSelector matches pods by labels.
-type LabelSelector struct {
-	MatchLabels map[string]string `yaml:"matchLabels,omitempty"`
-}
-
-// DeploymentSpec describes the desired deployment state.
-type DeploymentSpec struct {
-	Replicas int             `yaml:"replicas"`
-	Selector LabelSelector   `yaml:"selector"`
-	Template PodTemplateSpec `yaml:"template"`
-}
-
-// Deployment is an apps/v1 Deployment.
-type Deployment struct {
-	APIVersion string         `yaml:"apiVersion"`
-	Kind       string         `yaml:"kind"`
-	Metadata   ObjectMeta     `yaml:"metadata"`
-	Spec       DeploymentSpec `yaml:"spec"`
-}
-
-// NewDeployment returns an apps/v1 Deployment with one replica of a single
-// container, labeled and selected by app=name.
-func NewDeployment(name, namespace string, c Container) *Deployment {
-	labels := map[string]string{"app": name}
-	return &Deployment{
-		APIVersion: "apps/v1", Kind: "Deployment",
-		Metadata: ObjectMeta{Name: name, Namespace: namespace, Labels: labels},
-		Spec: DeploymentSpec{
-			Replicas: 1,
-			Selector: LabelSelector{MatchLabels: labels},
-			Template: PodTemplateSpec{
-				Metadata: ObjectMeta{Labels: labels},
-				Spec:     PodSpec{Containers: []Container{c}},
-			},
-		},
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-
-// Encode renders objects as a multi-document YAML manifest.
-func Encode(objs ...any) ([]byte, error) {
-	return yamlenc.MarshalDocs(objs...)
-}
 
 // Object is a decoded manifest document with typed accessors over the
 // generic map representation.

@@ -5,21 +5,49 @@ import (
 	"testing"
 )
 
-func TestEncodeDecodeDeployment(t *testing.T) {
-	d := NewDeployment("opcua-server-wc02", "icelab", Container{
-		Name:           "server",
-		Image:          "factory/opcua-server:1.0",
-		Env:            []EnvVar{{Name: "OPCUA_PORT", Value: "4840"}},
-		Ports:          []ContainerPort{{Name: "opcua", ContainerPort: 4840, Protocol: "TCP"}},
-		VolumeMounts:   []VolumeMount{{Name: "config", MountPath: "/etc/factory", ReadOnly: true}},
-		ReadinessProbe: &Probe{TCPSocket: &TCPSocketAction{Port: 4840}, PeriodSeconds: 5},
-	})
-	d.Spec.Template.Spec.Volumes = []Volume{{Name: "config", ConfigMap: &ConfigMapVolumeSource{Name: "cfg"}}}
+// The manifests below are in the shape the generator's templates render.
 
-	data, err := Encode(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestEncodeDecodeDeployment(t *testing.T) {
+	data := []byte(`apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: opcua-server-wc02
+  namespace: icelab
+  labels:
+    app: opcua-server-wc02
+spec:
+  replicas: 1
+  selector:
+    matchLabels:
+      app: opcua-server-wc02
+  template:
+    metadata:
+      labels:
+        app: opcua-server-wc02
+    spec:
+      containers:
+      - name: server
+        image: "factory/opcua-server:1.0"
+        env:
+        - name: OPCUA_PORT
+          value: "4840"
+        ports:
+        - name: opcua
+          containerPort: 4840
+          protocol: TCP
+        volumeMounts:
+        - name: config
+          mountPath: /etc/factory
+          readOnly: true
+        readinessProbe:
+          tcpSocket:
+            port: 4840
+          periodSeconds: 5
+      volumes:
+      - name: config
+        configMap:
+          name: cfg
+`)
 	objs, err := Decode(data)
 	if err != nil {
 		t.Fatalf("decode:\n%s\nerr: %v", data, err)
@@ -51,13 +79,37 @@ func TestEncodeDecodeDeployment(t *testing.T) {
 }
 
 func TestEncodeMultiDoc(t *testing.T) {
-	ns := NewNamespace("icelab", map[string]string{"team": "factory"})
-	svc := NewService("broker", "icelab", 1883)
-	cm := NewConfigMap("broker-config", "icelab", map[string]string{"conf": `{"a":1}`})
-	data, err := Encode(ns, svc, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := []byte(`apiVersion: v1
+kind: Namespace
+metadata:
+  name: icelab
+  labels:
+    team: factory
+---
+apiVersion: v1
+kind: Service
+metadata:
+  name: broker
+  namespace: icelab
+  labels:
+    app: broker
+spec:
+  selector:
+    app: broker
+  ports:
+  - name: main
+    port: 1883
+    targetPort: 1883
+    protocol: TCP
+---
+apiVersion: v1
+kind: ConfigMap
+metadata:
+  name: broker-config
+  namespace: icelab
+data:
+  conf: "{\"a\":1}"
+`)
 	if !strings.Contains(string(data), "---") {
 		t.Error("multi-doc separator missing")
 	}
@@ -109,13 +161,48 @@ func TestValidateCatchesProblems(t *testing.T) {
 }
 
 func TestValidateAcceptsGoodObjects(t *testing.T) {
-	d := NewDeployment("ok", "ns", Container{Name: "c", Image: "img"})
-	s := NewService("ok", "ns", 80)
-	n := NewNamespace("ns", nil)
-	data, err := Encode(n, d, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := []byte(`apiVersion: v1
+kind: Namespace
+metadata:
+  name: ns
+---
+apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: ok
+  namespace: ns
+  labels:
+    app: ok
+spec:
+  replicas: 1
+  selector:
+    matchLabels:
+      app: ok
+  template:
+    metadata:
+      labels:
+        app: ok
+    spec:
+      containers:
+      - name: c
+        image: img
+---
+apiVersion: v1
+kind: Service
+metadata:
+  name: ok
+  namespace: ns
+  labels:
+    app: ok
+spec:
+  selector:
+    app: ok
+  ports:
+  - name: main
+    port: 80
+    targetPort: 80
+    protocol: TCP
+`)
 	objs, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -142,25 +229,32 @@ func TestDecodeRejectsNonMapping(t *testing.T) {
 }
 
 func TestPodPolicyRoundTrip(t *testing.T) {
-	c := Container{
-		Name: "c", Image: "img",
-		LivenessProbe: &Probe{
-			TCPSocket:        &TCPSocketAction{Port: 1883},
-			PeriodSeconds:    5,
-			FailureThreshold: 3,
-		},
-		ReadinessProbe: &Probe{
-			Exec:                &ExecAction{Command: []string{"/bin/healthcheck", "--mode=ready"}},
-			InitialDelaySeconds: 1,
-			PeriodSeconds:       5,
-		},
-	}
-	d := NewDeployment("pod", "ns", c)
-	d.Spec.Template.Spec.RestartPolicy = "Always"
-	data, err := Encode(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := []byte(`apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: pod
+  namespace: ns
+spec:
+  replicas: 1
+  template:
+    spec:
+      containers:
+      - name: c
+        image: img
+        livenessProbe:
+          tcpSocket:
+            port: 1883
+          periodSeconds: 5
+          failureThreshold: 3
+        readinessProbe:
+          exec:
+            command:
+            - /bin/healthcheck
+            - --mode=ready
+          initialDelaySeconds: 1
+          periodSeconds: 5
+      restartPolicy: Always
+`)
 	objs, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +274,19 @@ func TestPodPolicyRoundTrip(t *testing.T) {
 }
 
 func TestPodPolicyAbsent(t *testing.T) {
-	d := NewDeployment("bare", "ns", Container{Name: "c", Image: "img"})
-	data, err := Encode(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := []byte(`apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: bare
+  namespace: ns
+spec:
+  replicas: 1
+  template:
+    spec:
+      containers:
+      - name: c
+        image: img
+`)
 	objs, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)

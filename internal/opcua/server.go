@@ -20,9 +20,6 @@ type Server struct {
 	Name  string
 	Space *AddressSpace
 
-	// Logf, when set, receives connection lifecycle messages.
-	Logf func(format string, args ...any)
-
 	// ListenWrapper, when set before Listen, decorates the TCP listener —
 	// the hook the fault-injection layer uses to interpose on OPC UA
 	// connections.
@@ -102,20 +99,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if !errors.Is(err, net.ErrClosed) {
-				s.logf("opcua server %s: accept: %v", s.Name, err)
-			}
 			return
 		}
 		s.mu.Lock()

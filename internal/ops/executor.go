@@ -12,6 +12,9 @@ import (
 	"github.com/smartfactory/sysml2conf/internal/resilience"
 )
 
+// maxRebinds bounds transport-failure rebinds per step.
+const maxRebinds = 8
+
 // ExecOptions tunes the campaign executor.
 type ExecOptions struct {
 	// Resolver maps a machine name to its TCP endpoint. Required.
@@ -43,8 +46,6 @@ type ExecOptions struct {
 	// its capability to come back before the part is abandoned with a
 	// shortfall (default 2s).
 	NoCapacityGrace time.Duration
-	// MaxRebinds bounds transport-failure rebinds per step (default 8).
-	MaxRebinds int
 	// FlushTimeout bounds the final ledger flush to the broker (default 15s).
 	FlushTimeout time.Duration
 }
@@ -70,9 +71,6 @@ func (o ExecOptions) withDefaults() ExecOptions {
 	}
 	if o.NoCapacityGrace <= 0 {
 		o.NoCapacityGrace = 2 * time.Second
-	}
-	if o.MaxRebinds <= 0 {
-		o.MaxRebinds = 8
 	}
 	if o.FlushTimeout <= 0 {
 		o.FlushTimeout = 15 * time.Second
@@ -429,11 +427,11 @@ func (e *Executor) execute(idx int) {
 			e.markLost(machine)
 			e.mu.Lock()
 			e.rebinds[idx]++
-			over := e.rebinds[idx] > e.opts.MaxRebinds
+			over := e.rebinds[idx] > maxRebinds
 			e.mu.Unlock()
 			if over {
 				e.failStep(idx, fmt.Sprintf("step exceeded %d rebinds, last machine %s: %v",
-					e.opts.MaxRebinds, machine, err))
+					maxRebinds, machine, err))
 				return
 			}
 			e.requeue(idx)
