@@ -108,7 +108,9 @@ fuzz:
 # the WAL's concurrent-append and acked-means-synced tests 200 times at 1,
 # 2 and 4 CPUs, then the durable historian's checkpoint tests 20 times (a
 # checkpoint is written on its own goroutine while appends go on: a slow
-# snapshot fsync, crashes before and after its rename, compaction), then
+# snapshot fsync, crashes before and after its rename, compaction) with
+# the WAL record contract (recovery stores every payload as it arrived; a
+# packed-float sample is refused), then
 # the OPC UA subscription tests and the bridge's
 # server-restart test 50 times: one subscription carries a machine's items
 # through one queue set, one wake channel and one puller or bridge loop,
@@ -131,7 +133,8 @@ soak:
 	$(GO) test -race -count=200 -cpu 1,2,4 \
 		-run 'TestConcurrentAppends|TestAppendAcksOnlySyncedBytes' ./internal/wal/
 	$(GO) test -race -count=20 \
-		-run 'TestCheckpoint|TestLSNsContinueAboveSnapshot|TestDurable' ./internal/historian/
+		-run 'TestCheckpoint|TestLSNsContinueAboveSnapshot|TestDurable|TestCompressedWALRecoveryEquivalence|TestPackedFloatWALRefused' \
+		./internal/historian/
 	$(GO) test -race -count=50 -run 'TestSubscri|TestClientLost|TestBridgeSurvivesServerRestart' \
 		./internal/opcua/ ./internal/stack/
 	$(GO) test -race -count=20 \
@@ -143,21 +146,23 @@ soak:
 # every sample exactly once), the federated deploy end-to-end, and the
 # broker-level federation and outbox suites (forwarding dedup, bridge
 # replay, link flaps, truncated-window replay, Flush across a replay,
-# replay past a closing broker or ingress node). Run
-# before touching the placement ring, the uplink outboxes, the bridge links
-# or the sharded deploy path.
+# replay past a closing broker or ingress node). The outbox suite runs 10
+# times: an outbox backs off before redialing after a connection that
+# carried no ack, so its replays wait on timers a loaded host can stretch.
+# Run before touching the placement ring, the uplink outboxes, the bridge
+# links or the sharded deploy path.
 soak-federated:
 	$(GO) test -race -count=1 -v \
 		-run 'TestFederatedChaosAuditZeroLoss|TestFederatedDeployEndToEnd' \
 		./internal/deploy/
-	$(GO) test -race -count=1 \
-		-run 'TestFederation|TestNode|TestOutbox' ./internal/broker/
+	$(GO) test -race -count=1 -run 'TestFederation|TestNode' ./internal/broker/
+	$(GO) test -race -count=10 -run 'TestOutbox' ./internal/broker/
 	$(GO) test -race -count=1 ./internal/placement/
 
 # Query soak: the historian serving tier under the race detector — the
 # end-to-end HTTP query path over a deployed plant, and query traffic
 # sustained while the broker partitions and historian pods are killed.
-# Run before touching the query cache, the block encoder or the rollups.
+# Run before touching the query cache, block sealing or the rollups.
 soak-query:
 	$(GO) test -race -count=1 -v \
 		-run 'TestQueryAPIOverDeployedCluster|TestQueryUnderChaosSoak' \

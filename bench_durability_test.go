@@ -68,7 +68,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // The records=N axis sets how many batches are on disk; snapshots are
 // disabled so every record replays from the WAL (the worst case).
 func BenchmarkHistorianRecovery(b *testing.B) {
-	run := func(b *testing.B, records int, payload func(i int) []byte) {
+	run := func(b *testing.B, records int) {
 		dir := b.TempDir()
 		st, err := historian.Open(dir, historian.DurableOptions{
 			NoSync: true, SnapshotEvery: 1 << 30,
@@ -80,7 +80,7 @@ func BenchmarkHistorianRecovery(b *testing.B) {
 		for i := 0; i < records; i++ {
 			series := fmt.Sprintf("factory/line/wc%02d/m/values/v", i%8)
 			err := st.AppendAcked("bench", uint64(i+1), base.Add(time.Duration(i)*time.Millisecond),
-				[]historian.Sample{{Series: series, Payload: payload(i)}})
+				[]historian.Sample{{Series: series, Payload: walPayload}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -108,13 +108,8 @@ func BenchmarkHistorianRecovery(b *testing.B) {
 		b.ReportMetric(float64(onDisk)/float64(records), "diskB/rec")
 	}
 	for _, records := range []int{256, 2048} {
-		// Object payloads: the WAL's raw path (and raw blocks in memory).
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			run(b, records, func(int) []byte { return walPayload })
-		})
-		// Canonical numeric payloads: the float-packed record path.
-		b.Run(fmt.Sprintf("records=%d-numeric", records), func(b *testing.B) {
-			run(b, records, func(i int) []byte { return []byte(fmt.Sprintf("%d.25", i%997)) })
+			run(b, records)
 		})
 	}
 }

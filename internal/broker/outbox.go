@@ -56,6 +56,7 @@ type Outbox struct {
 	next      int            // q[:next] has been offered to c
 	submitted uint64
 	firstFail uint64 // lowest submission number completed with an error
+	redials   int    // dials since the last ack: each failed, or its connection carried no ack
 	closed    bool
 	stats     OutboxStats
 }
@@ -78,8 +79,9 @@ type outboxEntry struct {
 
 // NewOutbox starts an outbox whose sender goroutine connects through dial,
 // first when an entry is submitted and again after every connection loss,
-// pausing between failed dials as backoff says. name says in its errors
-// which publisher failed.
+// pausing as backoff says before each dial that follows a failed one or a
+// connection lost before it carried an ack. name says in its errors which
+// publisher failed.
 func NewOutbox(name string, dial func() (*Client, error), backoff resilience.Backoff) *Outbox {
 	o := &Outbox{
 		name:    name,
@@ -207,7 +209,6 @@ func (o *Outbox) Close() {
 // connections, which is what keeps wire order equal to submission order.
 func (o *Outbox) run() {
 	defer close(o.done)
-	attempt := 0
 	for {
 		select {
 		case <-o.stop:
@@ -232,18 +233,26 @@ func (o *Outbox) run() {
 			if !needConn {
 				break
 			}
-			nc, err := o.dial()
-			if err != nil {
-				o.failUnstaged(fmt.Errorf("%w: %v", errFwdConnLost, err))
+			// A listener that accepts and at once drops the connection
+			// (a partitioned broker) must not turn this into a tight
+			// loop of dials and window replays: only an ack resets the
+			// count.
+			o.mu.Lock()
+			attempt := o.redials
+			o.redials++
+			o.mu.Unlock()
+			if attempt > 0 {
 				select {
 				case <-o.stop:
 					return
-				case <-time.After(o.backoff.Delay(attempt)):
+				case <-time.After(o.backoff.Delay(attempt - 1)):
 				}
-				attempt++
+			}
+			nc, err := o.dial()
+			if err != nil {
+				o.failUnstaged(fmt.Errorf("%w: %v", errFwdConnLost, err))
 				continue
 			}
-			attempt = 0
 			o.mu.Lock()
 			o.c, o.next = nc, 0
 			o.mu.Unlock()
@@ -355,6 +364,7 @@ func (o *Outbox) complete(e *outboxEntry, c *Client, dup bool, err error) {
 		}
 	} else {
 		o.stats.Acked++
+		o.redials = 0
 	}
 	// One slot freed wakes one submitter: a saturated window with many
 	// stalled publishers must not wake them all per completion.

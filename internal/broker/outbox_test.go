@@ -273,6 +273,68 @@ func TestOutboxSessionlessFailOnDialFailure(t *testing.T) {
 	}
 }
 
+// TestOutboxRedialBacksOffWithoutAcks: a listener that accepts and at once
+// closes every connection (a partitioned broker behind the fault injector
+// does) must not draw a tight loop of dials: a connection lost before it
+// carried an ack counts as a failed attempt, so the redials back off. When
+// a broker takes over the address the entry is acknowledged.
+func TestOutboxRedialBacksOffWithoutAcks(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	brk := New()
+	if err := brk.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+
+	var mu sync.Mutex
+	dials, healed := 0, false
+	ob := NewOutbox("outbox", func() (*Client, error) {
+		mu.Lock()
+		dials++
+		addr := ln.Addr().String()
+		if healed {
+			addr = brk.Addr()
+		}
+		mu.Unlock()
+		return DialClient(addr)
+	}, resilience.Backoff{Initial: 5 * time.Millisecond, Factor: 2, Max: 40 * time.Millisecond})
+	defer ob.Close()
+	acked := make(chan error, 1)
+	ob.Submit("outbox/seq", []byte("seq-1"), false, "redial-pub", 1, func(_ bool, err error) { acked <- err })
+
+	time.Sleep(500 * time.Millisecond)
+	mu.Lock()
+	n := dials
+	healed = true
+	mu.Unlock()
+	// Backoff 5+10+20+40+40+... ms allows about 15 dials in 500 ms.
+	if n > 25 {
+		t.Fatalf("%d dials in 500 ms against a listener that drops every connection, want at most 25", n)
+	}
+	select {
+	case err := <-acked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("entry not acknowledged after the broker took over")
+	}
+	t.Logf("%d dials in 500 ms; replayed %d", n, ob.Stats().Replayed)
+}
+
 // TestOutboxConcurrentSessionsExactlyOnce: several sessions submit to one
 // outbox at once, each from its own goroutine, while the link cuts
 // connections. The first cuts are certain to hit entries in flight: every

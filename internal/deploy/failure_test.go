@@ -63,10 +63,10 @@ func TestMachineDeathSurfacesAsPollErrorsAndServiceFailure(t *testing.T) {
 	}
 
 	// Poll errors must start accumulating (the UR5e keeps polling fine).
-	_, errsBefore := srv.Stats()
+	errsBefore := srv.Stats().Errors
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, errs := srv.Stats()
+		errs := srv.Stats().Errors
 		if errs > errsBefore {
 			break
 		}

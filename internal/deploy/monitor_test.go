@@ -104,7 +104,8 @@ func TestWorkcellMonitorsPublishAggregates(t *testing.T) {
 
 	// variables_live for workcell02 tops out at its 133 machine variables.
 	mon := cluster.Monitor("monitor-workcell02")
-	samples, publishes, live := mon.Stats()
+	st := mon.Stats()
+	samples, publishes, live := st.Samples, st.Publishes, st.LiveSeries
 	if samples == 0 || publishes == 0 {
 		t.Errorf("monitor stats: samples=%d publishes=%d", samples, publishes)
 	}

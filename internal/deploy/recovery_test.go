@@ -72,7 +72,7 @@ func TestMachinePowerCycleHeals(t *testing.T) {
 	srv := cluster.Server("opcua-server-workcell05")
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, errs := srv.Stats()
+		errs := srv.Stats().Errors
 		if errs > 0 {
 			break
 		}
@@ -95,7 +95,7 @@ func TestMachinePowerCycleHeals(t *testing.T) {
 
 	// The server reconnects on its own and fresh samples flow again.
 	deadline = time.Now().Add(10 * time.Second)
-	for srv.Reconnects() == 0 {
+	for srv.Stats().Reconnects == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("driver never reconnected")
 		}

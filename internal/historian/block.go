@@ -8,18 +8,18 @@ import (
 )
 
 // Per-series block storage. Points accumulate in a mutable sorted head;
-// every blockSize points the head is sealed into an immutable block —
-// Gorilla-compressed when every payload is the canonical text of its float
-// value (decode regenerates the exact bytes), kept raw otherwise. Retention
-// trims blocks logically (a drop counter on the oldest block) so Count
-// stays exact without rewriting immutable encodings.
+// every blockSize points the head is sealed into an immutable block that
+// keeps each point as it arrived: its instant, its payload bytes and the
+// number fastFloat read from them at ingest. Retention trims blocks
+// logically (a drop counter on the oldest block) so Count stays exact
+// without rewriting sealed blocks.
 
 // blockSize is the head length at which a series seals a block.
 const blockSize = 512
 
 // headPoint is one resident point: instant, payload, and the numeric
-// interpretation fastFloat assigned at ingest (used by rollups, aggregate
-// scans and seal-time compression without reparsing).
+// interpretation fastFloat assigned at ingest (used by rollups and
+// aggregate scans without reparsing).
 type headPoint struct {
 	t       time.Time
 	tn      int64
@@ -34,69 +34,37 @@ func (hp *headPoint) point() Point {
 	return Point{Time: hp.t, Payload: append([]byte(nil), hp.payload...)}
 }
 
-// sealedBlock is an immutable run of blockSize points. Exactly one of enc
-// (Gorilla stream) or raw is set. drop counts points logically removed from
-// the front by retention.
+// sealedBlock is an immutable run of blockSize points. drop counts points
+// logically removed from the front by retention.
 type sealedBlock struct {
-	startT, endT int64 // first/last encoded point (unix nanos, inclusive)
+	startT, endT int64 // first/last point (unix nanos, inclusive)
 	count        int
 	drop         int
-	enc          []byte
-	raw          []headPoint
+	pts          []headPoint
 }
 
 func (b *sealedBlock) live() int { return b.count - b.drop }
 
-// encodeBlock seals pts (taking ownership of the slice). The Gorilla path
-// requires every payload to be canonical float text — the first
-// non-canonical point sends the whole block to the raw path, so
-// object-payload series pay one check per block, not per point.
-func encodeBlock(pts []headPoint) *sealedBlock {
-	b := &sealedBlock{startT: pts[0].tn, endT: pts[len(pts)-1].tn, count: len(pts)}
-	for i := range pts {
-		if !pts[i].numeric || !canonicalPayload(pts[i].payload, pts[i].val) {
-			b.raw = pts
-			return b
-		}
-	}
-	b.enc = encodeGorilla(pts)
-	return b
+// sealBlock seals pts, taking ownership of the slice.
+func sealBlock(pts []headPoint) *sealedBlock {
+	return &sealedBlock{startT: pts[0].tn, endT: pts[len(pts)-1].tn, count: len(pts), pts: pts}
 }
 
-// appendRange appends points with f <= t < to to out, skipping the first
-// drop points (the block's retention drops) and out-of-window points.
-// Payloads are copied (raw) or regenerated (enc).
+// appendRange appends copies of the points with f <= t < to to out,
+// skipping the first drop points (the block's retention drops).
 func (b *sealedBlock) appendRange(out *[]Point, drop int, f, t int64) {
-	if b.raw != nil {
-		for i := drop; i < len(b.raw); i++ {
-			if p := &b.raw[i]; p.tn >= f && p.tn < t {
-				*out = append(*out, p.point())
-			}
-		}
-		return
-	}
-	it := newGorillaIter(b.enc)
-	for i := 0; it.next(); i++ {
-		if i >= drop && it.t >= f && it.t < t {
-			*out = append(*out, Point{Time: unixNano(it.t), Payload: canonFloat(nil, it.value())})
+	for i := drop; i < len(b.pts); i++ {
+		if p := &b.pts[i]; p.tn >= f && p.tn < t {
+			*out = append(*out, p.point())
 		}
 	}
 }
 
 // scanAgg accumulates numeric points with f <= t < to into acc.
 func (b *sealedBlock) scanAgg(f, t int64, acc *aggAcc) {
-	if b.raw != nil {
-		for i := b.drop; i < len(b.raw); i++ {
-			if p := &b.raw[i]; p.numeric && p.tn >= f && p.tn < t {
-				acc.addPoint(p.val)
-			}
-		}
-		return
-	}
-	it := newGorillaIter(b.enc)
-	for i := 0; it.next(); i++ {
-		if i >= b.drop && it.t >= f && it.t < t {
-			acc.addPoint(it.value())
+	for i := b.drop; i < len(b.pts); i++ {
+		if p := &b.pts[i]; p.numeric && p.tn >= f && p.tn < t {
+			acc.addPoint(p.val)
 		}
 	}
 }
@@ -136,7 +104,7 @@ func newSeriesData() *seriesData {
 // seal converts the head into an immutable block. Mutation precedes the
 // gen bump (appendLocked's ordering contract with the query cache).
 func (sd *seriesData) seal() {
-	blk := encodeBlock(sd.head)
+	blk := sealBlock(sd.head)
 	if n := len(sd.blocks); n > 0 && blk.startT < sd.blocks[n-1].endT {
 		sd.overlap = true
 	}

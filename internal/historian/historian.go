@@ -27,7 +27,7 @@ type Point struct {
 
 // Float attempts to interpret the payload as a number (raw JSON number, or
 // an object with a "value" field). The common shapes resolve through the
-// allocation-free ingest parser (fastFloat, gorilla.go); a full JSON parse
+// allocation-free ingest parser (fastFloat, payload.go); a full JSON parse
 // backstops exotic object encodings.
 func (p Point) Float() (float64, bool) {
 	if f, ok := fastFloat(p.Payload); ok {
@@ -52,8 +52,8 @@ func (p Point) Float() (float64, bool) {
 // and the exact state survives a crash (see durable.go). NewStore builds
 // the volatile variant.
 //
-// Per series, points live in sealed immutable blocks (Gorilla-compressed
-// when numeric, see block.go) plus a mutable head, with min/max/avg/count
+// Per series, points live in sealed immutable blocks plus a mutable head
+// (block.go), each stored as the bytes it arrived as, with min/max/avg/count
 // rollups at 1s/10s/60s maintained on every append (rollup.go) so windowed
 // aggregates cost O(windows) instead of O(points).
 type Store struct {

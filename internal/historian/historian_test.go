@@ -236,3 +236,28 @@ func TestFailedServiceLeavesNoPump(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBatchAllocs guards the volatile append: 64 bridge-shaped
+// samples into series that already exist, with no seal, cost one payload
+// copy each. Budget: 64 plus a 10 % margin.
+func TestAppendBatchAllocs(t *testing.T) {
+	st := NewStore(0)
+	samples := bridgeSamples(64, 8)
+	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+	// 25 batches put 200 points in each series' head; the 6 measured
+	// batches add 48 more, short of a seal at blockSize.
+	i := 0
+	for ; i < 25; i++ {
+		st.AppendBatch(base.Add(time.Duration(i)*time.Millisecond), samples)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		i++
+		st.AppendBatch(base.Add(time.Duration(i)*time.Millisecond), samples)
+	})
+	if got := st.Count(samples[0].Series); got >= blockSize {
+		t.Fatalf("series holds %d points: a block sealed during the measurement", got)
+	}
+	if allocs > 70 {
+		t.Fatalf("AppendBatch of 64 samples: %v allocs, budget 70", allocs)
+	}
+}

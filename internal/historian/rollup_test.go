@@ -106,7 +106,7 @@ func TestAggregateWindowBoundaries(t *testing.T) {
 
 // TestAggregateEquivalenceRandom drives random ingest (jittered times,
 // occasional out-of-order, mixed payload shapes) across enough points to
-// seal compressed and raw blocks, then checks random query windows against
+// seal several blocks, then checks random query windows against
 // the brute-force scan.
 func TestAggregateEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -122,7 +122,7 @@ func TestAggregateEquivalenceRandom(t *testing.T) {
 		var payload string
 		switch rng.Intn(4) {
 		case 0:
-			payload = fmt.Sprintf("%d.5", rng.Intn(1000)) // canonical: compresses
+			payload = fmt.Sprintf("%d.5", rng.Intn(1000)) // a bare number
 		case 1:
 			payload = fmt.Sprintf(`{"machine":"m","value":%d.25}`, rng.Intn(100))
 		case 2:
@@ -144,9 +144,9 @@ func TestAggregateEquivalenceRandom(t *testing.T) {
 }
 
 // TestNaNAndNonFloatFallBackToRaw pins the raw-path guarantees: NaN/Inf
-// texts, non-canonical numbers and non-numeric payloads are returned
-// byte-exactly by Range (no compressed block may absorb them) and stay out
-// of aggregates.
+// texts, numbers in any spelling and non-numeric payloads are returned
+// byte-exactly by Range (a sealed block keeps every payload as it arrived)
+// and stay out of aggregates.
 func TestNaNAndNonFloatFallBackToRaw(t *testing.T) {
 	st := NewStore(0)
 	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
@@ -241,9 +241,29 @@ func TestSealDuringConcurrentRead(t *testing.T) {
 	}
 }
 
-// TestRetentionAcrossBlocks drops points out of sealed (compressed and raw)
-// blocks: Count stays exact, Range starts at the surviving point, and the
-// oldest block disappears once fully drained.
+// TestSealAllocs guards block sealing: a full 512-point head becomes a
+// block without copying a point, so the block header is the one allocation
+// (budget 1, no margin).
+func TestSealAllocs(t *testing.T) {
+	pts := make([]headPoint, blockSize)
+	for i, sm := range bridgeSamples(blockSize, 1) {
+		val, numeric := fastFloat(sm.Payload)
+		pts[i] = headPoint{tn: int64(i), payload: sm.Payload, val: val, numeric: numeric}
+	}
+	sd := newSeriesData()
+	sd.blocks = make([]*sealedBlock, 0, 128) // room for every measured seal
+	allocs := testing.AllocsPerRun(100, func() {
+		sd.head = pts
+		sd.seal()
+	})
+	if allocs > 1 {
+		t.Fatalf("sealing a %d-point block: %v allocs, budget 1", blockSize, allocs)
+	}
+}
+
+// TestRetentionAcrossBlocks drops points out of sealed blocks (numeric and
+// non-numeric payloads): Count stays exact, Range starts at the surviving
+// point, and the oldest block disappears once fully drained.
 func TestRetentionAcrossBlocks(t *testing.T) {
 	const max = blockSize + blockSize/2
 	for _, numeric := range []bool{true, false} {

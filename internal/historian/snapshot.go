@@ -112,8 +112,8 @@ func (s *Store) captureLocked() capture {
 	return c
 }
 
-// snapshot materializes the captured points: every sealed block
-// decompressed, every head point copied.
+// snapshot materializes the captured points: every sealed and every head
+// point copied.
 func (c capture) snapshot() Snapshot {
 	snap := c.snap
 	snap.Series = make(map[string][]Point, len(c.views))

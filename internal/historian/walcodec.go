@@ -2,20 +2,19 @@ package historian
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
-// unixNano reconstructs an instant from stored nanoseconds. Decoded times
-// are canonically UTC — binary encodings (blocks, WAL records) store the
-// instant only, not the wall-clock location.
+// unixNano reconstructs an instant from stored nanoseconds (a WAL record's
+// batch time, a query window's bounds). The result is canonically UTC:
+// only the instant is stored, not the wall-clock location.
 func unixNano(n int64) time.Time { return time.Unix(0, n).UTC() }
 
 // Binary WAL record format. It packs a walRecord into a version-tagged
-// binary layout with a per-record series dictionary and float payload
-// packing (a JSON encoding of the same batch is ~1.1KB/record once base64
-// payloads and field names add up):
+// binary layout with a per-record series dictionary (a JSON encoding of the
+// same batch is ~1.1KB/record once base64 payloads and field names add up):
 //
 //	0x01                          version tag
 //	uvarint                       zigzag(batch time, unix nanos)
@@ -25,20 +24,25 @@ func unixNano(n int64) time.Time { return time.Unix(0, n).UTC() }
 //	  uvarint + bytes               series name (first-seen order)
 //	uvarint                       sample count, then per sample:
 //	  uvarint                       dictionary index
-//	  0x00 uvarint + bytes          raw payload, or
-//	  0x01 8-byte LE float          canonical numeric payload
+//	  0x00 uvarint + bytes          payload, as it arrived
 //
-// A numeric payload is packed as its float64 only when the payload is the
-// canonical text of that value (canonFloat), so decode regenerates the
-// exact bytes. Records stay self-contained — no cross-record deltas —
-// because checkpoints truncate the log at arbitrary record boundaries.
+// Records stay self-contained — no cross-record deltas — because
+// checkpoints truncate the log at arbitrary record boundaries.
 
 const walBinaryVersion = 0x01
 
 const (
-	walPayloadRaw   = 0x00
-	walPayloadFloat = 0x01
+	walPayloadRaw = 0x00
+	// walPayloadPackedFloat is the retired tag of a sample packed as the 8
+	// bytes of its float64; nothing writes it and decode refuses it.
+	walPayloadPackedFloat = 0x01
 )
+
+// errWALPackedFloat refuses a record holding a packed-float sample.
+var errWALPackedFloat = errors.New("historian: wal record: packed-float sample (tag 0x01) is no longer read")
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendWALRecord encodes rec into dst (reusing its capacity).
 func appendWALRecord(dst []byte, t int64, session string, seq uint64, samples []Sample) []byte {
@@ -72,7 +76,6 @@ func appendWALRecord(dst []byte, t int64, session string, seq uint64, samples []
 	}
 
 	dst = binary.AppendUvarint(dst, uint64(len(samples)))
-	var fbuf [8]byte
 	for i := range samples {
 		sm := &samples[i]
 		di := 0
@@ -83,15 +86,9 @@ func appendWALRecord(dst []byte, t int64, session string, seq uint64, samples []
 			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(di))
-		if v, ok := fastFloat(sm.Payload); ok && canonicalPayload(sm.Payload, v) {
-			dst = append(dst, walPayloadFloat)
-			binary.LittleEndian.PutUint64(fbuf[:], math.Float64bits(v))
-			dst = append(dst, fbuf[:]...)
-		} else {
-			dst = append(dst, walPayloadRaw)
-			dst = binary.AppendUvarint(dst, uint64(len(sm.Payload)))
-			dst = append(dst, sm.Payload...)
-		}
+		dst = append(dst, walPayloadRaw)
+		dst = binary.AppendUvarint(dst, uint64(len(sm.Payload)))
+		dst = append(dst, sm.Payload...)
 	}
 	return dst
 }
@@ -133,11 +130,8 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 		switch tag {
 		case walPayloadRaw:
 			payload = append([]byte(nil), r.bytes(int(r.uvarint()))...)
-		case walPayloadFloat:
-			b := r.bytes(8)
-			if r.err == nil {
-				payload = canonFloat(nil, math.Float64frombits(binary.LittleEndian.Uint64(b)))
-			}
+		case walPayloadPackedFloat:
+			return rec, errWALPackedFloat
 		default:
 			if r.err == nil {
 				return rec, fmt.Errorf("historian: wal record: unknown payload tag 0x%02x", tag)

@@ -2,8 +2,11 @@ package historian
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -30,10 +33,10 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			{Series: "cell/m1/x", Payload: []byte("not numeric")},
 			{Series: "cell/m1/x", Payload: []byte{}},
 		}},
-		{"mixed non-canonical numerics", "s", 7, []Sample{
-			{Series: "a", Payload: []byte("1e3")},    // valid JSON, not canonical
+		{"numbers in several spellings", "s", 7, []Sample{
+			{Series: "a", Payload: []byte("1e3")},
 			{Series: "a", Payload: []byte("12.250")}, // trailing zero
-			{Series: "a", Payload: []byte("1e-7")},   // canonical exponent form
+			{Series: "a", Payload: []byte("1e-7")},
 			{Series: "a", Payload: []byte("-0.5")},
 		}},
 	}
@@ -77,8 +80,8 @@ func TestWALRecordTruncatedAndCorrupt(t *testing.T) {
 	decodeWALRecord(bad)
 }
 
-// TestWALBinarySmallerThanJSON pins the compression claim at the record
-// level for numeric telemetry.
+// TestWALBinarySmallerThanJSON pins the size of the binary record against
+// a JSON encoding of the same batch of numeric samples.
 func TestWALBinarySmallerThanJSON(t *testing.T) {
 	ts := time.Now()
 	samples := make([]Sample, 16)
@@ -97,6 +100,33 @@ func TestWALBinarySmallerThanJSON(t *testing.T) {
 	t.Logf("binary %dB vs JSON %dB (%.1fx) for a 16-sample numeric batch", len(bin), len(js), float64(len(js))/float64(len(bin)))
 	if len(bin)*2 > len(js) {
 		t.Fatalf("binary record %dB is not at least 2x smaller than JSON %dB", len(bin), len(js))
+	}
+}
+
+// bridgeSamples is a batch shaped like the bridge's: n VariableSample
+// objects spread over a few series.
+func bridgeSamples(n, series int) []Sample {
+	samples := make([]Sample, n)
+	for i := range samples {
+		samples[i] = Sample{
+			Series:  fmt.Sprintf("factory/icelab/cell-1/m%d/values/actualX", i%series),
+			Payload: []byte(fmt.Sprintf(`{"machine":"m%d","variable":"actualX","value":%d.25}`, i%series, i)),
+		}
+	}
+	return samples
+}
+
+// TestWALRecordEncodeAllocs guards the record encode on the durable append
+// path: a 16-sample batch into a buffer with room allocates nothing (budget
+// 0, no margin: the encoder only writes into the caller's buffer).
+func TestWALRecordEncodeAllocs(t *testing.T) {
+	samples := bridgeSamples(16, 4)
+	buf := make([]byte, 0, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = appendWALRecord(buf[:0], 1, "historian/h/factory/#", 7, samples)
+	})
+	if allocs > 0 {
+		t.Fatalf("appendWALRecord of 16 samples: %v allocs, budget 0", allocs)
 	}
 }
 
@@ -120,9 +150,48 @@ func TestLegacyJSONWALRefused(t *testing.T) {
 	}
 }
 
-// TestCompressedWALRecoveryEquivalence is the satellite proof: a store
-// recovered from the binary WAL is indistinguishable from one that never
-// crashed, across numeric (compressed), object and non-numeric payloads,
+// TestPackedFloatWALRefused: a log holding a sample in the packed-float
+// form (tag 0x01: a float64 in 8 bytes) makes Open fail with
+// errWALPackedFloat; that form is no longer read.
+func TestPackedFloatWALRefused(t *testing.T) {
+	rec := []byte{walBinaryVersion}
+	rec = binary.AppendUvarint(rec, zigzag(time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC).UnixNano()))
+	rec = binary.AppendUvarint(rec, 1) // session "s"
+	rec = append(rec, 's')
+	rec = binary.AppendUvarint(rec, 1) // session seq
+	rec = binary.AppendUvarint(rec, 1) // dictionary: "m"
+	rec = binary.AppendUvarint(rec, 1)
+	rec = append(rec, 'm')
+	rec = binary.AppendUvarint(rec, 1) // one sample: dictionary index 0, 12.25 packed
+	rec = binary.AppendUvarint(rec, 0)
+	rec = append(rec, walPayloadPackedFloat)
+	rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(12.25))
+
+	dir := t.TempDir()
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{}, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, DurableOptions{})
+	if err == nil {
+		st.Close()
+		t.Fatal("Open replayed a packed-float WAL sample")
+	}
+	if !errors.Is(err, errWALPackedFloat) {
+		t.Fatalf("Open: %v, want %v", err, errWALPackedFloat)
+	}
+}
+
+// TestCompressedWALRecoveryEquivalence: a store recovered from the binary
+// WAL is indistinguishable from one that never crashed, across numeric,
+// object and non-numeric payloads (bare numbers in several spellings, a
+// quoted number, a boolean: every one stored as the bytes it arrived as),
 // sealed blocks and session state.
 func TestCompressedWALRecoveryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -133,6 +202,7 @@ func TestCompressedWALRecoveryEquivalence(t *testing.T) {
 	}
 	live := NewStore(0) // the never-crashed reference
 	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+	spellings := []string{"1e-7", "1e3", "12.250", "-0", `"12.25"`, "true"}
 	var seq uint64
 	for i := 0; i < 3*blockSize; {
 		n := 1 + rng.Intn(8)
@@ -140,13 +210,15 @@ func TestCompressedWALRecoveryEquivalence(t *testing.T) {
 		ts := base.Add(time.Duration(i) * 20 * time.Millisecond)
 		for j := 0; j < n; j++ {
 			var payload string
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				payload = fmt.Sprintf("%d.25", i+j)
 			case 1:
 				payload = fmt.Sprintf(`{"machine":"m","value":%d}`, i+j)
 			case 2:
 				payload = fmt.Sprintf("state-%d", i+j)
+			case 3:
+				payload = spellings[rng.Intn(len(spellings))]
 			}
 			batch = append(batch, Sample{Series: fmt.Sprintf("cell/m%d/x", (i+j)%3), Payload: []byte(payload)})
 		}

@@ -229,13 +229,6 @@ func (b *BridgeClient) Ready() error {
 	return nil
 }
 
-// Reconnects returns how many times server connections were re-established.
-func (b *BridgeClient) Reconnects() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.reconnects
-}
-
 func (b *BridgeClient) clientFor(server string) (*opcua.Client, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -643,11 +636,18 @@ func (b *BridgeClient) invoke(server string, m codegen.MethodConfig, body []byte
 	return ServiceReply{OK: true, Results: out, ID: req.ID}
 }
 
-// Stats returns lifetime counters (published samples, proxied calls).
-func (b *BridgeClient) Stats() (published, calls uint64) {
+// BridgeStats counts a bridge client's traffic over its lifetime.
+type BridgeStats struct {
+	Published  uint64 // samples published to the broker
+	Calls      uint64 // service calls proxied to machine servers
+	Reconnects uint64 // server connections re-established
+}
+
+// Stats returns the client's lifetime counters.
+func (b *BridgeClient) Stats() BridgeStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.published, b.calls
+	return BridgeStats{Published: b.published, Calls: b.calls, Reconnects: b.reconnects}
 }
 
 // Stop disconnects everything.

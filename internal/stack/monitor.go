@@ -389,11 +389,18 @@ func (w *WorkcellMonitor) Health() error {
 	return nil
 }
 
-// Stats returns ingest/publish counters.
-func (w *WorkcellMonitor) Stats() (samples, publishes uint64, liveSeries int) {
+// MonitorStats counts a monitor's ingest and publishes.
+type MonitorStats struct {
+	Samples    uint64 // samples ingested
+	Publishes  uint64 // aggregates published
+	LiveSeries int    // series currently tracked
+}
+
+// Stats returns the monitor's counters.
+func (w *WorkcellMonitor) Stats() MonitorStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.samples, w.publishes, len(w.series)
+	return MonitorStats{Samples: w.samples, Publishes: w.publishes, LiveSeries: len(w.series)}
 }
 
 // Stop disconnects the monitor.

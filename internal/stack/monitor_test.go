@@ -100,7 +100,8 @@ func TestWorkcellMonitorAggregations(t *testing.T) {
 		}
 	}
 
-	samples, publishes, live := mon.Stats()
+	st := mon.Stats()
+	samples, publishes, live := st.Samples, st.Publishes, st.LiveSeries
 	if samples != 4 || live != 3 || publishes == 0 {
 		t.Errorf("stats = %d/%d/%d", samples, publishes, live)
 	}
@@ -129,7 +130,7 @@ func TestWorkcellMonitorRetainsLatest(t *testing.T) {
 	// latest aggregate.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		_, publishes, _ := mon.Stats()
+		publishes := mon.Stats().Publishes
 		if publishes > 0 {
 			break
 		}
@@ -175,7 +176,7 @@ func TestClassifyViaBuildIntermediate(t *testing.T) {
 	defer pub.Close()
 	publishSample(t, pub, "emco", "unrelated", 999.0)
 	time.Sleep(100 * time.Millisecond)
-	samples, _, _ := mon.Stats()
+	samples := mon.Stats().Samples
 	if samples != 1 {
 		t.Errorf("samples = %d", samples)
 	}
@@ -250,7 +251,7 @@ func TestMonitorIngestAllocs(t *testing.T) {
 		t.Errorf("ingest of a numeric sample allocates %.1f objects, want 0", n)
 	}
 	// AllocsPerRun runs the function once more before it counts.
-	if samples, _, _ := w.Stats(); samples != 202 {
+	if samples := w.Stats().Samples; samples != 202 {
 		t.Errorf("samples = %d, want 202", samples)
 	}
 	if acc := w.means["load"]; acc == nil || acc.count != 202 || acc.sum != 202*12.375 {

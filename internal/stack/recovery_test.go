@@ -114,7 +114,7 @@ func TestBridgeSurvivesServerRestart(t *testing.T) {
 
 	// The bridge reconnects and samples resume.
 	deadline := time.Now().Add(10 * time.Second)
-	for client.Reconnects() == 0 {
+	for client.Stats().Reconnects == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("bridge never reconnected")
 		}

@@ -144,14 +144,17 @@ func (s *MachineServer) Addr() string {
 	return s.Server.Addr()
 }
 
-// Stats returns poll-loop counters: variables read, and failed sweep
-// cycles (a failed cycle reads no variable).
-func (s *MachineServer) Stats() (polls, errors uint64) {
-	return s.polls.Load(), s.errs.Load()
+// ServerStats counts a machine server's poll loop over its lifetime.
+type ServerStats struct {
+	Polls      uint64 // variables read
+	Errors     uint64 // failed sweep cycles (a failed cycle reads no variable)
+	Reconnects uint64 // driver connections re-established
 }
 
-// Reconnects returns how many driver connections were re-established.
-func (s *MachineServer) Reconnects() uint64 { return s.reconnects.Load() }
+// Stats returns the server's poll-loop counters.
+func (s *MachineServer) Stats() ServerStats {
+	return ServerStats{Polls: s.polls.Load(), Errors: s.errs.Load(), Reconnects: s.reconnects.Load()}
+}
 
 // connect opens a machine's driver connection.
 func (p *machinePoller) connect(timeout time.Duration) (*machinesim.Conn, error) {

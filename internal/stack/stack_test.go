@@ -153,7 +153,7 @@ func TestBridgePublishesToBroker(t *testing.T) {
 	// may trail local delivery; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if pub, _ := rig.client.Stats(); pub > 0 {
+		if pub := rig.client.Stats().Published; pub > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -191,7 +191,7 @@ func TestServiceProxyThroughBridge(t *testing.T) {
 	if !reply.OK {
 		t.Errorf("start_program reply = %+v", reply)
 	}
-	_, calls := rig.client.Stats()
+	calls := rig.client.Stats().Calls
 	if calls != 2 {
 		t.Errorf("bridge call counter = %d", calls)
 	}

@@ -234,7 +234,7 @@ func TestPowerCycleRePreparesAndResumes(t *testing.T) {
 	}
 	defer srv.Stop()
 	nvars := uint64(len(mc.Variables))
-	eventually(t, 3*time.Second, "a few sweeps", func() bool { polls, _ := srv.Stats(); return polls >= 3*nvars })
+	eventually(t, 3*time.Second, "a few sweeps", func() bool { polls := srv.Stats().Polls; return polls >= 3*nvars })
 	if err := srv.Ready(); err != nil {
 		t.Fatalf("not ready with the machine up: %v", err)
 	}
@@ -244,14 +244,15 @@ func TestPowerCycleRePreparesAndResumes(t *testing.T) {
 	if trips := srv.BreakerTrips("m"); trips < 1 { // failed redial probes re-open it
 		t.Errorf("breaker trips = %d with the connection dropped", trips)
 	}
-	polls, errs := srv.Stats()
+	st := srv.Stats()
+	polls, errs := st.Polls, st.Errors
 	if polls%nvars != 0 {
 		t.Errorf("polls = %d, not a whole number of %d-variable sweeps", polls, nvars)
 	}
 	if errs != reconnectThreshold {
 		t.Errorf("errs = %d at the first trip, want one per failed cycle = %d", errs, reconnectThreshold)
 	}
-	if got := srv.Reconnects(); got != 0 {
+	if got := srv.Stats().Reconnects; got != 0 {
 		t.Errorf("reconnects = %d with the machine still down", got)
 	}
 
@@ -262,7 +263,7 @@ func TestPowerCycleRePreparesAndResumes(t *testing.T) {
 	mu.Lock()
 	addr = reborn.Addr()
 	mu.Unlock()
-	eventually(t, 5*time.Second, "the redial", func() bool { return srv.Reconnects() == 1 })
+	eventually(t, 5*time.Second, "the redial", func() bool { return srv.Stats().Reconnects == 1 })
 	eventually(t, 3*time.Second, "the resumed sweep", func() bool {
 		v, _ := srv.Space.Read(opcua.NodeID(mc.Variables[0].NodeID))
 		return v.AsFloat() == 77.5
@@ -270,7 +271,8 @@ func TestPowerCycleRePreparesAndResumes(t *testing.T) {
 	if err := srv.Ready(); err != nil {
 		t.Errorf("not ready after the redial: %v", err)
 	}
-	pollsAfter, errsAfter := srv.Stats()
+	stAfter := srv.Stats()
+	pollsAfter, errsAfter := stAfter.Polls, stAfter.Errors
 	if pollsAfter <= polls || pollsAfter%nvars != 0 {
 		t.Errorf("polls went %d → %d across the power cycle", polls, pollsAfter)
 	}
@@ -300,8 +302,8 @@ func TestSteadySweepAllocationIsConstant(t *testing.T) {
 		p := srv.pollers[0]
 		p.pollOnce() // the first sweep stores every value and sizes the buffers
 		allocs := testing.AllocsPerRun(200, p.pollOnce)
-		if polls, errs := srv.Stats(); errs != 0 || polls != uint64(202*nvars) {
-			t.Fatalf("%d variables: polls = %d, errs = %d after 202 sweeps", nvars, polls, errs)
+		if st := srv.Stats(); st.Errors != 0 || st.Polls != uint64(202*nvars) {
+			t.Fatalf("%d variables: polls = %d, errs = %d after 202 sweeps", nvars, st.Polls, st.Errors)
 		}
 		return allocs
 	}
@@ -363,7 +365,7 @@ func TestStartPrepareOutcomes(t *testing.T) {
 	addr = machine.Addr()
 	mu.Unlock()
 	eventually(t, 5*time.Second, "the poller to heal the connection", func() bool { return srv.Ready() == nil })
-	if got := srv.Reconnects(); got != 1 {
+	if got := srv.Stats().Reconnects; got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 }
