@@ -445,7 +445,7 @@ func startAudit(cluster *deploy.Cluster, bundle *codegen.Bundle, count int) (str
 			return nil, err
 		}
 		return broker.DialClient(addr)
-	}, resilience.Backoff{Initial: 10 * time.Millisecond, Factor: 1})
+	}, resilience.Backoff{Initial: 10 * time.Millisecond, Max: 100 * time.Millisecond})
 	done := make(chan error, 1)
 	go func() {
 		for i := 1; i <= count; i++ {

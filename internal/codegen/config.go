@@ -6,11 +6,12 @@
 //     group of machines (grouped to minimize the number of OPC UA client
 //     modules under per-client variable/method capacities), two JSON files:
 //     the OPC UA client config and the historian (database writer) config.
-//  2. From the JSON files, render Kubernetes YAML manifests through
-//     template files, one bundle per software component.
+//  2. From the JSON configs, build each software component's Kubernetes
+//     objects and render them as one YAML manifest (manifests.go).
 package codegen
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -397,14 +398,19 @@ func BuildIntermediate(f *core.Factory, opts Options) (*Intermediate, error) {
 	return out, nil
 }
 
-// marshalJSONArtifact encodes one step-1 artifact in the on-disk format
-// (indented JSON with a trailing newline).
-func marshalJSONArtifact(name string, v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
+// marshalJSONArtifact encodes one step-1 artifact once: file is the
+// on-disk format (indented JSON with a trailing newline, what
+// json.MarshalIndent writes) and compact the json.Marshal bytes it indents.
+func marshalJSONArtifact(name string, v any) (file, compact []byte, err error) {
+	compact, err = json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("codegen: encode %s: %w", name, err)
+		return nil, nil, fmt.Errorf("codegen: encode %s: %w", name, err)
 	}
-	return append(data, '\n'), nil
+	b := bytes.NewBuffer(make([]byte, 0, 2*len(compact)+1))
+	if err := json.Indent(b, compact, "", "  "); err != nil {
+		return nil, nil, fmt.Errorf("codegen: encode %s: %w", name, err)
+	}
+	return append(b.Bytes(), '\n'), compact, nil
 }
 
 // JSONFiles renders the intermediate configs to their file map
@@ -413,7 +419,7 @@ func marshalJSONArtifact(name string, v any) ([]byte, error) {
 func (in *Intermediate) JSONFiles() (map[string][]byte, error) {
 	files := map[string][]byte{}
 	put := func(name string, v any) error {
-		data, err := marshalJSONArtifact(name, v)
+		data, _, err := marshalJSONArtifact(name, v)
 		if err != nil {
 			return err
 		}

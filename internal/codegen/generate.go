@@ -1,11 +1,11 @@
 package codegen
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
-	"text/template"
 
 	"github.com/smartfactory/sysml2conf/internal/core"
 	"github.com/smartfactory/sysml2conf/internal/k8s"
@@ -24,8 +24,8 @@ type Bundle struct {
 	Manifests map[string][]byte
 	Summary   Summary
 
-	// objects holds, per manifest path, what the generator's validation pass
-	// decoded from those bytes (see Objects).
+	// objects holds, per manifest path, the objects those bytes render
+	// (see Objects).
 	objects map[string][]k8s.Object
 
 	// allFiles is the sorted JSON+Manifests union, built once on first
@@ -76,7 +76,7 @@ func (o GenOptions) withDefaults(factory string) GenOptions {
 
 // genUnit is one independent piece of generation work: a stable identity,
 // a content hash of everything that influences its output, and a builder
-// that renders (and, for manifests, validates) its artifacts.
+// that encodes its JSON and builds, validates and renders its manifests.
 type genUnit struct {
 	key   string
 	hash  uint64
@@ -90,8 +90,9 @@ func Generate(f *core.Factory, opts GenOptions) (*Bundle, error) {
 
 // GenerateWithCache is Generate with artifact memoization: units whose
 // content hash is unchanged since a previous run against the same Cache are
-// served from the cache, skipping both template rendering and the manifest
-// decode+validate pass. Passing a nil cache disables memoization.
+// served from the cache, skipping the JSON encoding and the building,
+// validation and rendering of their manifests. Passing a nil cache disables
+// memoization.
 func GenerateWithCache(f *core.Factory, opts GenOptions, cache *Cache) (*Bundle, error) {
 	opts = opts.withDefaults(f.Name)
 
@@ -159,17 +160,12 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 
 	units := make([]genUnit, 0, 2+len(in.Machines)+len(in.Servers)+len(in.Clients)+len(in.Storage)+len(in.Monitors))
 
-	type nsData struct {
-		Namespace, Factory string
-	}
 	factoryName := sanitizeName(in.Factory)
 	units = append(units, genUnit{
 		key:  "namespace",
 		hash: hashUnit(optsHash, factoryName),
 		build: func() ([]NamedFile, error) {
-			nf, err := manifestFile("00-namespace.yaml", namespaceTmpl,
-				nsData{Namespace: opts.Namespace, Factory: factoryName})
-			return wrapUnit(nf, err)
+			return wrapUnit(manifestFile("00-namespace.yaml", namespaceObject(opts.Namespace, factoryName)))
 		},
 	})
 	if in.Placement == nil {
@@ -177,10 +173,8 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "broker",
 			hash: optsHash,
 			build: func() ([]NamedFile, error) {
-				nf, err := manifestFile("01-broker.yaml", brokerTmpl, map[string]any{
-					"Namespace": opts.Namespace, "Images": opts.Images, "BrokerPort": opts.BrokerPort,
-				})
-				return wrapUnit(nf, err)
+				return wrapUnit(manifestFile("01-broker.yaml",
+					brokerObjects(opts.Namespace, opts.Images, opts.BrokerPort)...))
 			},
 		})
 	} else {
@@ -188,7 +182,7 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "placement",
 			hash: hashUnit(optsHash, in.Placement),
 			build: func() ([]NamedFile, error) {
-				nf, err := jsonFile("placement.json", in.Placement)
+				nf, _, err := jsonFile("placement.json", in.Placement)
 				return wrapUnit(nf, err)
 			},
 		})
@@ -203,11 +197,12 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 				key:  "broker/" + name,
 				hash: hashUnit(optsHash, shardCfg),
 				build: func() ([]NamedFile, error) {
-					nf, err := manifestFile(fmt.Sprintf("01-%s.yaml", name), brokerShardTmpl, map[string]any{
-						"Namespace": opts.Namespace, "Images": opts.Images,
-						"BrokerPort": opts.BrokerPort, "Name": name, "Config": shardCfg,
-					})
-					return wrapUnit(nf, err)
+					cfg, err := compactJSON("broker.json", shardCfg)
+					if err != nil {
+						return nil, err
+					}
+					return wrapUnit(manifestFile(fmt.Sprintf("01-%s.yaml", name),
+						brokerShardObjects(opts.Namespace, opts.Images, opts.BrokerPort, name, cfg)...))
 				},
 			})
 		}
@@ -224,10 +219,23 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "machine/" + mc.Machine,
 			hash: hashUnit(optsHash, mc),
 			build: func() ([]NamedFile, error) {
-				nf, err := jsonFile("machines/"+sanitizeName(mc.Machine)+".json", mc)
+				nf, _, err := jsonFile("machines/"+sanitizeName(mc.Machine)+".json", mc)
 				return wrapUnit(nf, err)
 			},
 		})
+	}
+	// withConfig is a component unit's two files: its step-1 JSON and the
+	// manifest built around that JSON's compact form.
+	withConfig := func(jsonName string, v any, manifest func(cfg string) (NamedFile, error)) ([]NamedFile, error) {
+		jf, cfg, err := jsonFile(jsonName, v)
+		if err != nil {
+			return nil, err
+		}
+		mf, err := manifest(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []NamedFile{jf, mf}, nil
 	}
 	for i := range in.Servers {
 		srv := in.Servers[i]
@@ -236,18 +244,19 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "server/" + srv.Name,
 			hash: hashUnit(optsHash, srv, hosted),
 			build: func() ([]NamedFile, error) {
-				jf, err := jsonFile("servers/"+sanitizeName(srv.Name)+".json", srv)
-				if err != nil {
-					return nil, err
-				}
-				mf, err := manifestFile(fmt.Sprintf("10-%s.yaml", sanitizeName(srv.Name)), serverTmpl, map[string]any{
-					"Namespace": opts.Namespace, "Images": opts.Images,
-					"Server": srv, "Machines": hosted,
+				return withConfig("servers/"+sanitizeName(srv.Name)+".json", srv, func(cfg string) (NamedFile, error) {
+					data := obj{"server.json": cfg}
+					for _, mc := range hosted {
+						key := "machine-" + mc.Machine + ".json"
+						c, err := compactJSON(key, mc)
+						if err != nil {
+							return NamedFile{}, err
+						}
+						data[key] = c
+					}
+					return manifestFile(fmt.Sprintf("10-%s.yaml", sanitizeName(srv.Name)),
+						serverObjects(opts.Namespace, opts.Images, srv, data)...)
 				})
-				if err != nil {
-					return nil, err
-				}
-				return []NamedFile{jf, mf}, nil
 			},
 		})
 	}
@@ -257,18 +266,10 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "client/" + cc.Name,
 			hash: hashUnit(optsHash, cc),
 			build: func() ([]NamedFile, error) {
-				jf, err := jsonFile("clients/"+sanitizeName(cc.Name)+".json", cc)
-				if err != nil {
-					return nil, err
-				}
-				mf, err := manifestFile(fmt.Sprintf("20-%s.yaml", sanitizeName(cc.Name)), clientTmpl, map[string]any{
-					"Namespace": opts.Namespace, "Images": opts.Images,
-					"Client": cc, "BrokerAddr": brokerAddrFor(cc.Shard),
+				return withConfig("clients/"+sanitizeName(cc.Name)+".json", cc, func(cfg string) (NamedFile, error) {
+					return manifestFile(fmt.Sprintf("20-%s.yaml", sanitizeName(cc.Name)),
+						clientObjects(opts.Namespace, opts.Images, cc.Name, cfg, brokerAddrFor(cc.Shard))...)
 				})
-				if err != nil {
-					return nil, err
-				}
-				return []NamedFile{jf, mf}, nil
 			},
 		})
 	}
@@ -278,18 +279,10 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "storage/" + st.Name,
 			hash: hashUnit(optsHash, st),
 			build: func() ([]NamedFile, error) {
-				jf, err := jsonFile("storage/"+sanitizeName(st.Name)+".json", st)
-				if err != nil {
-					return nil, err
-				}
-				mf, err := manifestFile(fmt.Sprintf("30-%s.yaml", sanitizeName(st.Name)), historianTmpl, map[string]any{
-					"Namespace": opts.Namespace, "Images": opts.Images,
-					"Storage": st, "BrokerAddr": brokerAddrFor(st.Shard),
+				return withConfig("storage/"+sanitizeName(st.Name)+".json", st, func(cfg string) (NamedFile, error) {
+					return manifestFile(fmt.Sprintf("30-%s.yaml", sanitizeName(st.Name)),
+						historianObjects(opts.Namespace, opts.Images, st.Name, cfg, brokerAddrFor(st.Shard))...)
 				})
-				if err != nil {
-					return nil, err
-				}
-				return []NamedFile{jf, mf}, nil
 			},
 		})
 	}
@@ -299,18 +292,10 @@ func buildUnits(in *Intermediate, opts GenOptions) []genUnit {
 			key:  "monitor/" + mo.Name,
 			hash: hashUnit(optsHash, mo),
 			build: func() ([]NamedFile, error) {
-				jf, err := jsonFile("monitors/"+sanitizeName(mo.Name)+".json", mo)
-				if err != nil {
-					return nil, err
-				}
-				mf, err := manifestFile(fmt.Sprintf("40-%s.yaml", sanitizeName(mo.Name)), monitorTmpl, map[string]any{
-					"Namespace": opts.Namespace, "Images": opts.Images,
-					"Monitor": mo, "BrokerAddr": brokerAddrFor(mo.Shard),
+				return withConfig("monitors/"+sanitizeName(mo.Name)+".json", mo, func(cfg string) (NamedFile, error) {
+					return manifestFile(fmt.Sprintf("40-%s.yaml", sanitizeName(mo.Name)),
+						monitorObjects(opts.Namespace, opts.Images, mo, cfg, brokerAddrFor(mo.Shard))...)
 				})
-				if err != nil {
-					return nil, err
-				}
-				return []NamedFile{jf, mf}, nil
 			},
 		})
 	}
@@ -322,26 +307,6 @@ func wrapUnit(nf NamedFile, err error) ([]NamedFile, error) {
 		return nil, err
 	}
 	return []NamedFile{nf}, nil
-}
-
-// manifestFile renders one manifest and runs the decode+validate sanity
-// pass on it: everything emitted must be valid manifest YAML. The decoded
-// objects stay with the file, so the pass is also the only decode of those
-// bytes this process needs (Bundle.Objects). Cached units skip all of it —
-// they were rendered, decoded and validated when first built.
-func manifestFile(name string, t *template.Template, data any) (NamedFile, error) {
-	out, err := render(t, data)
-	if err != nil {
-		return NamedFile{}, err
-	}
-	objs, err := k8s.Decode(out)
-	if err != nil {
-		return NamedFile{}, fmt.Errorf("codegen: generated %s does not parse: %w", name, err)
-	}
-	if err := k8s.Validate(objs); err != nil {
-		return NamedFile{}, fmt.Errorf("codegen: generated %s invalid: %w", name, err)
-	}
-	return NamedFile{Name: "manifests/" + name, Data: out, Objects: objs}, nil
 }
 
 func summarize(f *core.Factory, in *Intermediate, b *Bundle) Summary {
@@ -368,10 +333,11 @@ func summarize(f *core.Factory, in *Intermediate, b *Bundle) Summary {
 }
 
 // Objects returns the decoded form of the manifest at path name (a key of
-// Manifests): the objects the generator's own decode-and-validate pass read
-// back from exactly those bytes, so a consumer in this process —
-// deploy.Cluster.ApplyBundle, Reconfigure — need not parse the YAML again.
-// The YAML stays the artefact; this is its already-validated reading.
+// Manifests): the validated objects the generator built and rendered into
+// exactly those bytes, equal to what k8s.Decode reads from them, so a
+// consumer in this process — deploy.Cluster.ApplyBundle, Reconfigure —
+// need not parse the YAML. The YAML stays the artefact; this is its
+// reading.
 //
 // The objects are shared: with the unit cache, and through it with every
 // bundle of an incremental series that contains the same unchanged unit.
@@ -407,11 +373,22 @@ type NamedFile struct {
 	Objects []k8s.Object
 }
 
-// jsonFile encodes one step-1 artifact the way JSONFiles does.
-func jsonFile(name string, v any) (NamedFile, error) {
-	data, err := marshalJSONArtifact(name, v)
+// jsonFile encodes one step-1 artifact the way JSONFiles does; cfg is its
+// compact encoding, the form a ConfigMap carries.
+func jsonFile(name string, v any) (nf NamedFile, cfg string, err error) {
+	data, compact, err := marshalJSONArtifact(name, v)
 	if err != nil {
-		return NamedFile{}, err
+		return NamedFile{}, "", err
 	}
-	return NamedFile{Name: name, Data: data}, nil
+	return NamedFile{Name: name, Data: data}, string(compact), nil
+}
+
+// compactJSON is a config's ConfigMap form when no step-1 file of it goes
+// into the same unit.
+func compactJSON(name string, v any) (string, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return "", fmt.Errorf("codegen: encode %s: %w", name, err)
+	}
+	return string(data), nil
 }

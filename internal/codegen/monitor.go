@@ -122,59 +122,3 @@ func buildMonitors(f *core.Factory, periodMs int) ([]MonitorConfig, error) {
 	}
 	return out, nil
 }
-
-var monitorTmpl = mustTemplate("monitor", `apiVersion: v1
-kind: ConfigMap
-metadata:
-  name: {{ q (printf "%s-config" .Monitor.Name) }}
-  namespace: {{ q .Namespace }}
-  labels:
-    app: {{ q .Monitor.Name }}
-data:
-  monitor.json: {{ jsonq .Monitor }}
----
-apiVersion: apps/v1
-kind: Deployment
-metadata:
-  name: {{ q .Monitor.Name }}
-  namespace: {{ q .Namespace }}
-  labels:
-    app: {{ q .Monitor.Name }}
-    factory.io/component: monitor
-    factory.io/workcell: {{ q .Monitor.Workcell }}
-spec:
-  replicas: 1
-  selector:
-    matchLabels:
-      app: {{ q .Monitor.Name }}
-  template:
-    metadata:
-      labels:
-        app: {{ q .Monitor.Name }}
-        factory.io/component: monitor
-    spec:
-      containers:
-      - name: monitor
-        image: {{ q .Images.Monitor }}
-        args:
-        - "--config=/etc/factory/monitor.json"
-        env:
-        - name: BROKER_ADDR
-          value: {{ q .BrokerAddr }}
-        volumeMounts:
-        - name: config
-          mountPath: /etc/factory
-          readOnly: true
-        livenessProbe:
-          exec:
-            command:
-            - "/bin/healthcheck"
-            - "--mode=live"
-          periodSeconds: 5
-          failureThreshold: 3
-      restartPolicy: Always
-      volumes:
-      - name: config
-        configMap:
-          name: {{ q (printf "%s-config" .Monitor.Name) }}
-`)

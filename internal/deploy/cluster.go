@@ -178,15 +178,7 @@ func (c *Cluster) Apply(objs []k8s.Object) error {
 	return err
 }
 
-func componentOf(o k8s.Object) string {
-	if comp := o.Labels()["factory.io/component"]; comp != "" {
-		return comp
-	}
-	if o.Labels()["app"] == "message-broker" {
-		return "message-broker"
-	}
-	return ""
-}
+func componentOf(o k8s.Object) string { return o.Labels()["factory.io/component"] }
 
 // start schedules a new pod record, records its broker dependencies and
 // starts its component.

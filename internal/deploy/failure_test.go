@@ -179,9 +179,6 @@ func TestBundleIsSelfContained(t *testing.T) {
 				continue
 			}
 			comp := o.Labels()["factory.io/component"]
-			if comp == "" && o.Labels()["app"] == "message-broker" {
-				comp = "message-broker"
-			}
 			if comp == "" {
 				t.Errorf("%s: deployment %s lacks component label", name, o.Name())
 			}

@@ -1,12 +1,17 @@
 package icelab
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/smartfactory/sysml2conf/internal/codegen"
+	"github.com/smartfactory/sysml2conf/internal/k8s"
 )
 
 // randomSpec builds a random but valid factory spec from a seed: 1-4
@@ -105,27 +110,15 @@ func TestPipelinePropertyRandomFactories(t *testing.T) {
 				return false
 			}
 		}
-		// Invariant 3: generation yields one server per workcell and covers
-		// every machine exactly once across client groups.
-		bundle, err := codegen.Generate(factory, codegen.GenOptions{})
-		if err != nil {
-			t.Logf("seed %d: generate: %v", seed, err)
-			return false
-		}
-		if bundle.Summary.Servers != len(spec.Workcells()) {
-			t.Logf("seed %d: servers %d != workcells %d", seed,
-				bundle.Summary.Servers, len(spec.Workcells()))
-			return false
-		}
-		covered := map[string]int{}
-		for _, cc := range bundle.Intermediate.Clients {
-			for _, cm := range cc.Machines {
-				covered[cm.Machine]++
+		// Invariants 3-5 hold for a one-broker and for a federated plant.
+		for _, shards := range []int{1, 3} {
+			bundle, err := codegen.Generate(factory, codegen.GenOptions{Options: codegen.Options{Shards: shards}})
+			if err != nil {
+				t.Logf("seed %d, %d shards: generate: %v", seed, shards, err)
+				return false
 			}
-		}
-		for _, ms := range spec.Machines {
-			if covered[ms.Name] != 1 {
-				t.Logf("seed %d: machine %s in %d clients", seed, ms.Name, covered[ms.Name])
+			if msg := checkBundle(spec, bundle); msg != "" {
+				t.Logf("seed %d, %d shards: %s", seed, shards, msg)
 				return false
 			}
 		}
@@ -134,4 +127,78 @@ func TestPipelinePropertyRandomFactories(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkBundle checks a generated bundle against its spec, returning what is
+// wrong or "":
+//   - 3: one server per workcell, every machine in exactly one client group;
+//   - 4: each manifest decodes to exactly its Bundle.Objects, which validate;
+//   - 5: each ConfigMap carries its config as the compact form of the step-1
+//     file (one encoding behind both), and every step-1 file but
+//     placement.json is carried once. A broker shard's broker.json has no
+//     step-1 file.
+func checkBundle(spec FactorySpec, bundle *codegen.Bundle) string {
+	if bundle.Summary.Servers != len(spec.Workcells()) {
+		return fmt.Sprintf("servers %d != workcells %d", bundle.Summary.Servers, len(spec.Workcells()))
+	}
+	covered := map[string]int{}
+	for _, cc := range bundle.Intermediate.Clients {
+		for _, cm := range cc.Machines {
+			covered[cm.Machine]++
+		}
+	}
+	for _, ms := range spec.Machines {
+		if covered[ms.Name] != 1 {
+			return fmt.Sprintf("machine %s in %d clients", ms.Name, covered[ms.Name])
+		}
+	}
+	dirs := map[string]string{
+		"server.json": "servers/", "client.json": "clients/",
+		"storage.json": "storage/", "monitor.json": "monitors/",
+	}
+	carried := 0
+	for path, data := range bundle.Manifests {
+		objs, err := k8s.Decode(data)
+		if err != nil {
+			return fmt.Sprintf("%s: %v", path, err)
+		}
+		if !reflect.DeepEqual(objs, bundle.Objects(path)) {
+			return fmt.Sprintf("%s decodes to objects other than Bundle.Objects", path)
+		}
+		if err := k8s.Validate(objs); err != nil {
+			return fmt.Sprintf("%s: %v", path, err)
+		}
+		for _, o := range objs {
+			if o.Kind() != "ConfigMap" {
+				continue
+			}
+			for key, value := range o.ConfigData() {
+				var file string
+				switch {
+				case key == "broker.json":
+					continue
+				case strings.HasPrefix(key, "machine-"):
+					file = "machines/" + strings.TrimPrefix(key, "machine-")
+				default:
+					file = dirs[key] + o.Labels()["app"] + ".json"
+				}
+				var compact bytes.Buffer
+				if err := json.Compact(&compact, bundle.JSON[file]); err != nil {
+					return fmt.Sprintf("%s: %s: step-1 file %s: %v", path, key, file, err)
+				}
+				if compact.String() != value {
+					return fmt.Sprintf("%s: %s is not the compact form of %s", path, key, file)
+				}
+				carried++
+			}
+		}
+	}
+	want := len(bundle.JSON)
+	if _, ok := bundle.JSON["placement.json"]; ok {
+		want--
+	}
+	if carried != want {
+		return fmt.Sprintf("ConfigMaps carry %d configs, want one per step-1 file: %d", carried, want)
+	}
+	return ""
 }

@@ -1,8 +1,9 @@
-// Package k8s reads back the multi-document YAML manifests the
-// configuration generator renders from its templates (Namespace, ConfigMap,
-// Service, Deployment): Decode parses them into generic Objects with typed
-// accessors, Validate checks what the deployment simulator relies on, and
-// PodPolicy extracts a Deployment's restart policy and probes.
+// Package k8s models the Kubernetes objects of the generated manifests
+// (Namespace, ConfigMap, Service, Deployment) as generic Objects with typed
+// accessors: the configuration generator builds them and renders them as
+// YAML, Decode parses such YAML back into Objects, Validate checks what the
+// deployment simulator relies on, and PodPolicy extracts a Deployment's
+// restart policy and probes.
 package k8s
 
 import (

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The manifests below are in the shape the generator's templates render.
+// The manifests below are in the shape the generator renders.
 
 func TestEncodeDecodeDeployment(t *testing.T) {
 	data := []byte(`apiVersion: apps/v1

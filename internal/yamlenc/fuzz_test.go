@@ -40,6 +40,7 @@ func FuzzUnmarshalDocs(f *testing.F) {
 		"spec:\n  ports:\n  - name: main\n    port: 4840\n", "key:\n- 1\n- -2.5\n- ~\n",
 		"# comment\na: 'it''s'\n", "\"quoted key\": true\n", "a:\n    b: 1\n  c: 2\n",
 		"- - nested\n", "a: {}\nb: null\n", ": empty\n", "-\n", "a: \"unterminated\n",
+		"- []\n- {}\n",
 	} {
 		f.Add([]byte(doc))
 	}

@@ -85,31 +85,20 @@ func TestMarshalSequences(t *testing.T) {
 	}
 }
 
-type testStruct struct {
-	Name     string            `yaml:"name"`
-	Replicas int               `yaml:"replicas,omitempty"`
-	Labels   map[string]string `yaml:"labels,omitempty"`
-	Skip     string            `yaml:"-"`
-	Untagged string
-}
-
-func TestMarshalStructTags(t *testing.T) {
-	got, err := Marshal(testStruct{Name: "web", Skip: "no", Untagged: "u"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(got)
-	if !strings.Contains(text, "name: web\n") {
-		t.Errorf("missing name: %s", text)
-	}
-	if strings.Contains(text, "replicas") {
-		t.Errorf("omitempty field emitted: %s", text)
-	}
-	if strings.Contains(text, "no") {
-		t.Errorf("skipped field emitted: %s", text)
-	}
-	if !strings.Contains(text, "untagged: u\n") {
-		t.Errorf("untagged field should use lowerCamel name: %s", text)
+// TestMarshalRejectsOtherShapes: the encoder takes only what the decoder
+// yields; a struct, a typed map or slice, or another number type is an error
+// rather than a guess at its YAML form.
+func TestMarshalRejectsOtherShapes(t *testing.T) {
+	for _, v := range []any{
+		struct{ Name string }{"web"},
+		map[string]string{"a": "b"},
+		[]string{"x"},
+		map[string]any{"port": int32(4840)},
+		[]any{map[string]any{"ok": true, "bad": uint(1)}},
+	} {
+		if out, err := Marshal(v); err == nil {
+			t.Errorf("Marshal(%#v) = %q, want an error", v, out)
+		}
 	}
 }
 
